@@ -1,7 +1,6 @@
 // End-to-end pipeline performance harness: runs the full Fig. 1 pipeline at
-// a sweep of worker-thread counts for each interchange format (the wire
-// format of the render→restore boundary), prints stage-by-stage wall-clock
-// and speedup tables, verifies every run is bit-identical to the serial text
+// a sweep of worker-thread counts, prints stage-by-stage wall-clock and
+// speedup tables, verifies every run is bit-identical to the serial
 // baseline, and writes machine-readable BENCH_pipeline.json so successive
 // PRs accumulate a perf trajectory.
 //
@@ -10,31 +9,31 @@
 //   PL_BENCH_SEED         world seed (default 42)
 //   PL_BENCH_THREADS      comma-separated sweep, default "0,1,2,4,8"
 //                         (0 = serial baseline; always run even if omitted)
-//   PL_BENCH_INTERCHANGE  comma-separated formats, default "text,binary"
 //   PL_BENCH_OUT          JSON output path (default BENCH_pipeline.json)
 //
-// JSON format (schema pl-bench-pipeline/3):
+// JSON format (schema pl-bench-pipeline/4):
 //   {
-//     "schema": "pl-bench-pipeline/3",
-//     "scale": 1.0, "seed": 42, "hardware_threads": N,
+//     "schema": "pl-bench-pipeline/4",
+//     "scale": 1.0, "seed": 42,
+//     "machine": {"hardware_threads": N, "compiler": "...",
+//                 "build_type": "..."},
 //     "before": {pre-interchange committed baseline stages at t=0, for the
 //                before/after table},
 //     "runs": [
-//       {"interchange": "text", "threads": 0, "stages": {"world": ms, ...},
-//        "total_ms": ms, "speedup": x, "fingerprint": "0x..."}
+//       {"threads": 0, "stages": {"world": ms, ...}, "total_ms": ms,
+//        "speedup": x, "fingerprint": "0x..."}
 //     ],
-//     "interchange": {per-stage text vs binary ms at t=0 plus speedup},
 //     "identical": true,
-//     "metrics": {workload counters from the serial text run's obs snapshot},
+//     "metrics": {workload counters from the serial run's obs snapshot},
 //     "stage_latency_us": {stage wall-clock distribution across every run in
 //                          the sweep, as the shared percentile summary from
 //                          bench/common.hpp (count/sum/p50/p90/p99/p999)}
 //   }
 //
 // Exit status is non-zero when any run's fingerprint deviates from the
-// serial text baseline, or when the single-worker run (t=1) regresses
-// beyond noise against the serial path (the t<=1 configurations share the
-// same serial code path and must not diverge; see exec/pool.cpp).
+// serial baseline, or when the single-worker run (t=1) regresses beyond
+// noise against the serial path (the t<=1 configurations share the same
+// serial code path and must not diverge; see exec/pool.cpp).
 
 #include <cstdint>
 #include <fstream>
@@ -45,7 +44,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "delegation/interchange.hpp"
 #include "exec/pool.hpp"
 
 namespace {
@@ -59,61 +57,23 @@ using pl::pipeline::StageTimings;
 /// beyond measurement noise is a scheduling regression.
 constexpr double kSingleWorkerNoiseFactor = 1.35;
 
-/// The committed pre-interchange baseline (schema pl-bench-pipeline/2, this
-/// machine, scale 1.0 / seed 42 / t=0) — the "before" half of the
-/// before/after table. Update when re-anchoring the trajectory.
+/// The committed pre-interchange baseline (schema pl-bench-pipeline/2, the
+/// 1-thread machine of that era, scale 1.0 / seed 42 / t=0) — the "before"
+/// half of the before/after table. Update when re-anchoring the trajectory.
 constexpr double kBeforeStagesMs[] = {151.546, 107.788, 505.201, 1091.315,
                                       182.719, 48.355,  40.012};
 constexpr double kBeforeTotalMs = 2126.965;
 
+#ifdef __VERSION__
+constexpr const char* kCompiler = __VERSION__;
+#else
+constexpr const char* kCompiler = "unknown";
+#endif
+
 const char* const kStageNames[] = {"world", "op_world", "render",  "restore",
                                    "admin", "op",       "taxonomy"};
 
-/// FNV-1a over the fields that define a run's output, so "bit-identical"
-/// is a single comparable number instead of a field-by-field diff.
-class Fingerprint {
- public:
-  void mix(std::uint64_t value) {
-    hash_ ^= value;
-    hash_ *= 0x100000001b3ULL;
-  }
-
-  void mix_result(const Result& result) {
-    mix(result.admin.lifetimes.size());
-    for (const pl::lifetimes::AdminLifetime& life : result.admin.lifetimes) {
-      mix(life.asn.value);
-      mix(static_cast<std::uint64_t>(life.days.first));
-      mix(static_cast<std::uint64_t>(life.days.last));
-      mix(static_cast<std::uint64_t>(life.registration_date));
-      mix(static_cast<std::uint64_t>(life.registry));
-      mix(life.opaque_id);
-      mix(life.open_ended ? 1 : 0);
-      mix(life.transferred ? 1 : 0);
-    }
-    mix(result.op.lifetimes.size());
-    for (const pl::lifetimes::OpLifetime& life : result.op.lifetimes) {
-      mix(life.asn.value);
-      mix(static_cast<std::uint64_t>(life.days.first));
-      mix(static_cast<std::uint64_t>(life.days.last));
-    }
-    for (const std::int64_t count : result.taxonomy.admin_counts)
-      mix(static_cast<std::uint64_t>(count));
-    for (const std::int64_t count : result.taxonomy.op_counts)
-      mix(static_cast<std::uint64_t>(count));
-    for (const std::int64_t link : result.taxonomy.op_to_admin)
-      mix(static_cast<std::uint64_t>(link));
-    mix(static_cast<std::uint64_t>(result.robustness.days_applied));
-    mix(static_cast<std::uint64_t>(result.robustness.days_delivered));
-  }
-
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
 struct Run {
-  pl::dele::Interchange interchange = pl::dele::Interchange::kText;
   int threads = 0;
   StageTimings timings;
   std::uint64_t fingerprint = 0;
@@ -135,25 +95,6 @@ std::vector<int> thread_sweep() {
     if (!token.empty()) sweep.push_back(std::atoi(token.c_str()));
   if (sweep.empty() || sweep.front() != 0)
     sweep.insert(sweep.begin(), 0);  // the serial baseline anchors speedups
-  return sweep;
-}
-
-std::vector<pl::dele::Interchange> interchange_sweep() {
-  std::string spec = "text,binary";
-  if (const char* env = std::getenv("PL_BENCH_INTERCHANGE")) spec = env;
-  std::vector<pl::dele::Interchange> sweep;
-  std::stringstream stream(spec);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (token.empty()) continue;
-    const auto format = pl::dele::parse_interchange(token);
-    if (!format) {
-      std::cerr << "unknown interchange format: " << token << "\n";
-      continue;
-    }
-    sweep.push_back(*format);
-  }
-  if (sweep.empty()) sweep.push_back(pl::dele::Interchange::kText);
   return sweep;
 }
 
@@ -222,18 +163,21 @@ void write_metrics_block(pl::bench::JsonWriter& json,
 }
 
 void write_json(const std::string& path, double scale, std::uint64_t seed,
-                const std::vector<Run>& runs, const Run* text_serial,
-                const Run* binary_serial, bool identical,
+                const std::vector<Run>& runs, bool identical,
                 const pl::obs::Snapshot& metrics) {
   pl::bench::JsonWriter json;
   json.begin_object();
-  json.key("schema").value("pl-bench-pipeline/3");
+  json.key("schema").value("pl-bench-pipeline/4");
   json.key("scale").value(scale);
   json.key("seed").value(static_cast<std::uint64_t>(seed));
+  json.key("machine").begin_object();
   json.key("hardware_threads").value(pl::exec::hardware_threads());
+  json.key("compiler").value(kCompiler);
+  json.key("build_type").value(PL_BUILD_TYPE);
+  json.end_object();
 
   // The "before" half of the before/after table: the committed
-  // pre-interchange trajectory point this PR optimizes against.
+  // pre-interchange trajectory point.
   json.key("before").begin_object();
   json.key("schema").value("pl-bench-pipeline/2");
   json.key("stages").begin_object();
@@ -243,19 +187,12 @@ void write_json(const std::string& path, double scale, std::uint64_t seed,
   json.key("total_ms").value(kBeforeTotalMs);
   json.end_object();
 
+  // Speedups anchor at the serial run, the sweep's first entry.
+  const double base = runs.front().timings.total_ms;
   json.key("runs").begin_array();
   for (const Run& run : runs) {
-    // Speedups anchor at the same interchange's serial run, so the thread
-    // sweep measures sharding alone and the interchange block below
-    // measures the format alone.
-    const Run* anchor =
-        run.interchange == pl::dele::Interchange::kText ? text_serial
-                                                        : binary_serial;
-    const double base = anchor != nullptr ? anchor->timings.total_ms : 0.0;
     const StageTimings& t = run.timings;
     json.begin_object();
-    json.key("interchange")
-        .value(std::string(pl::dele::interchange_token(run.interchange)));
     json.key("threads").value(run.threads);
     json.key("stages").begin_object();
     for (std::size_t s = 0; s < std::size(kStageNames); ++s)
@@ -267,36 +204,6 @@ void write_json(const std::string& path, double scale, std::uint64_t seed,
     json.end_object();
   }
   json.end_array();
-
-  // Per-stage text vs binary at t=0 — the interchange dimension itself.
-  if (text_serial != nullptr && binary_serial != nullptr) {
-    json.key("interchange").begin_object();
-    json.key("stages").begin_object();
-    for (std::size_t s = 0; s < std::size(kStageNames); ++s) {
-      const double text_ms = stage_ms(text_serial->timings, s);
-      const double binary_ms = stage_ms(binary_serial->timings, s);
-      json.key(kStageNames[s]).begin_object();
-      json.key("text_ms").value(text_ms);
-      json.key("binary_ms").value(binary_ms);
-      json.key("speedup").value(binary_ms > 0 ? text_ms / binary_ms : 0.0);
-      json.end_object();
-    }
-    json.end_object();
-    json.key("total").begin_object();
-    json.key("text_ms").value(text_serial->timings.total_ms);
-    json.key("binary_ms").value(binary_serial->timings.total_ms);
-    json.key("speedup")
-        .value(binary_serial->timings.total_ms > 0
-                   ? text_serial->timings.total_ms /
-                         binary_serial->timings.total_ms
-                   : 0.0);
-    json.key("speedup_vs_before")
-        .value(binary_serial->timings.total_ms > 0
-                   ? kBeforeTotalMs / binary_serial->timings.total_ms
-                   : 0.0);
-    json.end_object();
-    json.end_object();
-  }
 
   json.key("identical").value(identical);
   write_metrics_block(json, metrics);
@@ -325,9 +232,8 @@ void write_json(const std::string& path, double scale, std::uint64_t seed,
 }  // namespace
 
 int main() {
-  pl::bench::print_banner(
-      "pipeline e2e",
-      "stage wall-clock vs. worker threads (PL_THREADS) x interchange");
+  pl::bench::print_banner("pipeline e2e",
+                          "stage wall-clock vs. worker threads (PL_THREADS)");
 
   double scale = 1.0;
   std::uint64_t seed = 42;
@@ -338,143 +244,95 @@ int main() {
   if (const char* env = std::getenv("PL_BENCH_OUT")) out_path = env;
 
   const std::vector<int> threads_sweep = thread_sweep();
-  const std::vector<pl::dele::Interchange> formats = interchange_sweep();
   std::cout << "scale=" << scale << " seed=" << seed
-            << " hardware_threads=" << pl::exec::hardware_threads() << "\n\n";
+            << " hardware_threads=" << pl::exec::hardware_threads()
+            << " compiler=" << kCompiler << " build_type=" << PL_BUILD_TYPE
+            << "\n\n";
 
   std::vector<Run> runs;
   pl::obs::Snapshot serial_metrics;
-  bool have_metrics = false;
-  for (const pl::dele::Interchange format : formats) {
-    for (const int threads : threads_sweep) {
-      Config config;
-      config.seed = seed;
-      config.scale = scale;
-      config.threads = threads;
-      config.interchange = format;
-      std::cerr << "[bench] running with interchange="
-                << pl::dele::interchange_token(format)
-                << " threads=" << threads << "\n";
-      const Result result = pl::pipeline::run_simulated(config);
-      Fingerprint fingerprint;
-      fingerprint.mix_result(result);
-      runs.push_back(Run{format, threads, result.timings,
-                         fingerprint.value()});
-      // The first serial run's snapshot feeds the workload block; every
-      // sweep entry holds identical metric values by the determinism
-      // contract.
-      if (threads == 0 && !have_metrics) {
-        serial_metrics = result.report.metrics;
-        have_metrics = true;
-      }
-    }
+  for (const int threads : threads_sweep) {
+    Config config;
+    config.seed = seed;
+    config.scale = scale;
+    config.threads = threads;
+    std::cerr << "[bench] running with threads=" << threads << "\n";
+    const Result result = pl::pipeline::run_simulated(config);
+    runs.push_back(
+        Run{threads, result.timings, pl::bench::fingerprint(result)});
+    // The serial run's snapshot feeds the workload block; every sweep entry
+    // holds identical metric values by the determinism contract.
+    if (runs.size() == 1) serial_metrics = result.report.metrics;
   }
 
   bool identical = true;
   for (const Run& run : runs)
     identical = identical && run.fingerprint == runs.front().fingerprint;
+  const Run& serial = runs.front();
 
-  const auto find_serial = [&](pl::dele::Interchange format) -> const Run* {
+  // Stage-by-stage table, one column per thread count.
+  std::cout << std::left << std::setw(10) << "stage";
+  for (const Run& run : runs)
+    std::cout << std::right << std::setw(12)
+              << ("t=" + std::to_string(run.threads) + " ms");
+  std::cout << "\n";
+  for (std::size_t s = 0; s < std::size(kStageNames); ++s) {
+    std::cout << std::left << std::setw(10) << kStageNames[s];
     for (const Run& run : runs)
-      if (run.interchange == format && run.threads == 0) return &run;
-    return nullptr;
-  };
-  const auto find_single = [&](pl::dele::Interchange format) -> const Run* {
-    for (const Run& run : runs)
-      if (run.interchange == format && run.threads == 1) return &run;
-    return nullptr;
-  };
-  const Run* text_serial = find_serial(pl::dele::Interchange::kText);
-  const Run* binary_serial = find_serial(pl::dele::Interchange::kBinary);
+      std::cout << std::right << std::setw(12)
+                << fmt_ms(stage_ms(run.timings, s));
+    std::cout << "\n";
+  }
+  std::cout << std::left << std::setw(10) << "total";
+  for (const Run& run : runs)
+    std::cout << std::right << std::setw(12) << fmt_ms(run.timings.total_ms);
+  std::cout << "\n" << std::left << std::setw(10) << "speedup";
+  for (const Run& run : runs)
+    std::cout << std::right << std::setw(12)
+              << fmt_speedup(run.timings.total_ms > 0
+                                 ? serial.timings.total_ms /
+                                       run.timings.total_ms
+                                 : 0.0);
+  std::cout << "\n\n";
 
-  // Stage-by-stage table per interchange, one column per thread count.
-  for (const pl::dele::Interchange format : formats) {
-    std::vector<const Run*> cols;
-    for (const Run& run : runs)
-      if (run.interchange == format) cols.push_back(&run);
-    if (cols.empty()) continue;
-    std::cout << "interchange=" << pl::dele::interchange_token(format)
+  // Before/after: the committed pre-interchange baseline vs this build's
+  // serial run.
+  std::cout << "before/after (t=0, before = committed pre-interchange "
+               "baseline)\n";
+  std::cout << std::left << std::setw(10) << "stage" << std::right
+            << std::setw(12) << "before ms" << std::setw(12) << "now ms"
+            << std::setw(12) << "speedup" << "\n";
+  for (std::size_t s = 0; s < std::size(kStageNames); ++s) {
+    const double now_ms = stage_ms(serial.timings, s);
+    std::cout << std::left << std::setw(10) << kStageNames[s] << std::right
+              << std::setw(12) << fmt_ms(kBeforeStagesMs[s]) << std::setw(12)
+              << fmt_ms(now_ms) << std::setw(12)
+              << fmt_speedup(now_ms > 0 ? kBeforeStagesMs[s] / now_ms : 0.0)
               << "\n";
-    std::cout << std::left << std::setw(10) << "stage";
-    for (const Run* run : cols)
-      std::cout << std::right << std::setw(12)
-                << ("t=" + std::to_string(run->threads) + " ms");
-    std::cout << "\n";
-    for (std::size_t s = 0; s < std::size(kStageNames); ++s) {
-      std::cout << std::left << std::setw(10) << kStageNames[s];
-      for (const Run* run : cols)
-        std::cout << std::right << std::setw(12)
-                  << fmt_ms(stage_ms(run->timings, s));
-      std::cout << "\n";
-    }
-    std::cout << std::left << std::setw(10) << "total";
-    for (const Run* run : cols)
-      std::cout << std::right << std::setw(12)
-                << fmt_ms(run->timings.total_ms);
-    std::cout << "\n" << std::left << std::setw(10) << "speedup";
-    const double base = cols.front()->timings.total_ms;
-    for (const Run* run : cols)
-      std::cout << std::right << std::setw(12)
-                << fmt_speedup(run->timings.total_ms > 0
-                                   ? base / run->timings.total_ms
-                                   : 0.0);
-    std::cout << "\n\n";
   }
+  std::cout << std::left << std::setw(10) << "total" << std::right
+            << std::setw(12) << fmt_ms(kBeforeTotalMs) << std::setw(12)
+            << fmt_ms(serial.timings.total_ms) << std::setw(12)
+            << fmt_speedup(serial.timings.total_ms > 0
+                               ? kBeforeTotalMs / serial.timings.total_ms
+                               : 0.0)
+            << "\n\n";
 
-  // The before/after table the interchange work is judged by: committed
-  // pre-interchange baseline vs this build's text and binary paths at t=0.
-  if (text_serial != nullptr) {
-    std::cout << "before/after (t=0, before = committed pre-interchange "
-                 "baseline)\n";
-    std::cout << std::left << std::setw(10) << "stage" << std::right
-              << std::setw(12) << "before ms" << std::setw(12) << "text ms";
-    if (binary_serial != nullptr)
-      std::cout << std::setw(12) << "binary ms" << std::setw(12) << "speedup";
-    std::cout << "\n";
-    for (std::size_t s = 0; s < std::size(kStageNames); ++s) {
-      std::cout << std::left << std::setw(10) << kStageNames[s] << std::right
-                << std::setw(12) << fmt_ms(kBeforeStagesMs[s]) << std::setw(12)
-                << fmt_ms(stage_ms(text_serial->timings, s));
-      if (binary_serial != nullptr) {
-        const double binary_ms = stage_ms(binary_serial->timings, s);
-        std::cout << std::setw(12) << fmt_ms(binary_ms) << std::setw(12)
-                  << fmt_speedup(binary_ms > 0 ? kBeforeStagesMs[s] / binary_ms
-                                               : 0.0);
-      }
-      std::cout << "\n";
-    }
-    std::cout << std::left << std::setw(10) << "total" << std::right
-              << std::setw(12) << fmt_ms(kBeforeTotalMs) << std::setw(12)
-              << fmt_ms(text_serial->timings.total_ms);
-    if (binary_serial != nullptr) {
-      std::cout << std::setw(12) << fmt_ms(binary_serial->timings.total_ms)
-                << std::setw(12)
-                << fmt_speedup(binary_serial->timings.total_ms > 0
-                                   ? kBeforeTotalMs /
-                                         binary_serial->timings.total_ms
-                                   : 0.0);
-    }
-    std::cout << "\n\n";
-  }
-
-  std::cout << "all runs bit-identical to the first serial run: "
+  std::cout << "fingerprint: " << fmt_fingerprint(serial.fingerprint) << "\n";
+  std::cout << "all runs bit-identical to the serial run: "
             << (identical ? "yes" : "NO — DETERMINISM BUG") << "\n";
 
   // Single-worker regression guard: t=1 routes through the serial path
   // (exec/pool.cpp), so it must track t=0 within measurement noise.
   bool single_ok = true;
-  for (const pl::dele::Interchange format : formats) {
-    const Run* serial = find_serial(format);
-    const Run* single = find_single(format);
-    if (serial == nullptr || single == nullptr) continue;
-    const double ratio = serial->timings.total_ms > 0
-                             ? single->timings.total_ms /
-                                   serial->timings.total_ms
+  for (const Run& run : runs) {
+    if (run.threads != 1) continue;
+    const double ratio = serial.timings.total_ms > 0
+                             ? run.timings.total_ms / serial.timings.total_ms
                              : 1.0;
     const bool ok = ratio <= kSingleWorkerNoiseFactor;
     single_ok = single_ok && ok;
-    std::cout << "t=1 vs t=0 (" << pl::dele::interchange_token(format)
-              << "): " << fmt_speedup(ratio)
+    std::cout << "t=1 vs t=0: " << fmt_speedup(ratio)
               << (ok ? " (within noise)" : " — SINGLE-WORKER REGRESSION")
               << "\n";
   }
@@ -482,8 +340,7 @@ int main() {
     std::cout << "(note: 1 hardware thread — speedups are bounded by the "
                  "machine, not the sharding)\n";
 
-  write_json(out_path, scale, seed, runs, text_serial, binary_serial,
-             identical, serial_metrics);
+  write_json(out_path, scale, seed, runs, identical, serial_metrics);
   std::cout << "wrote " << out_path << "\n";
   return identical && single_ok ? 0 : 1;
 }

@@ -81,6 +81,44 @@ struct Pipeline {
   }
 };
 
+/// FNV-1a over the fields that define a pipeline run's output, so
+/// "bit-identical" is one comparable number instead of a field-by-field
+/// diff. At scale 1.0 / seed 42 it reads 0x27d029edaaa3d797, which
+/// tests/bench_common_test.cpp pins.
+inline std::uint64_t fingerprint(const pipeline::Result& result) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t value) {
+    hash ^= value;
+    hash *= 0x100000001b3ULL;
+  };
+  mix(result.admin.lifetimes.size());
+  for (const lifetimes::AdminLifetime& life : result.admin.lifetimes) {
+    mix(life.asn.value);
+    mix(static_cast<std::uint64_t>(life.days.first));
+    mix(static_cast<std::uint64_t>(life.days.last));
+    mix(static_cast<std::uint64_t>(life.registration_date));
+    mix(static_cast<std::uint64_t>(life.registry));
+    mix(life.opaque_id);
+    mix(life.open_ended ? 1 : 0);
+    mix(life.transferred ? 1 : 0);
+  }
+  mix(result.op.lifetimes.size());
+  for (const lifetimes::OpLifetime& life : result.op.lifetimes) {
+    mix(life.asn.value);
+    mix(static_cast<std::uint64_t>(life.days.first));
+    mix(static_cast<std::uint64_t>(life.days.last));
+  }
+  for (const std::int64_t count : result.taxonomy.admin_counts)
+    mix(static_cast<std::uint64_t>(count));
+  for (const std::int64_t count : result.taxonomy.op_counts)
+    mix(static_cast<std::uint64_t>(count));
+  for (const std::int64_t link : result.taxonomy.op_to_admin)
+    mix(static_cast<std::uint64_t>(link));
+  mix(static_cast<std::uint64_t>(result.robustness.days_applied));
+  mix(static_cast<std::uint64_t>(result.robustness.days_delivered));
+  return hash;
+}
+
 inline std::string fmt_count(std::int64_t value) {
   return util::with_commas(value);
 }

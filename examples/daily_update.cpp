@@ -102,8 +102,13 @@ int main(int argc, char** argv) {
         return 1;
       }
       if ((day - start) % 7 == 0) {
-        const serve::CensusAnswer census =
-            *service->queries().query(serve::Query::census(day))->census;
+        auto answer = service->queries().query(serve::Query::census(day));
+        if (!answer.ok()) {
+          std::cerr << "census failed: " << answer.status().to_string()
+                    << "\n";
+          return 1;
+        }
+        const serve::CensusAnswer census = *answer->census;
         std::cout << util::format_iso(day) << ": "
                   << util::with_commas(census.admin_alive) << " admin / "
                   << util::with_commas(census.op_alive)

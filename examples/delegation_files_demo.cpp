@@ -110,5 +110,6 @@ int main(int argc, char** argv) {
               << changes << " record changes across the week "
               << "(first day carries the full snapshot)\n";
   }
+  std::cout << "delegation_files_demo OK\n";
   return 0;
 }

@@ -94,14 +94,23 @@ int main(int argc, char** argv) {
             << " op lives (built in " << result.timings.build_snapshot_ms
             << " ms)\n";
   serve::QueryService service(std::move(world.snapshot));
+  // Every query() returns a StatusOr. The ones below are well-formed, so a
+  // failure is a bug worth stopping on; the answer comes back by value.
+  const auto ask = [&service](const serve::Query& q) {
+    pl::StatusOr<serve::QueryResult> answer = service.query(q);
+    if (!answer.ok()) {
+      std::cerr << "query failed: " << answer.status().to_string() << "\n";
+      std::exit(1);
+    }
+    return *std::move(answer);
+  };
 
   // Point lookup: the first ASN with both an admin and an op dimension —
   // the "parallel lives" the paper is named for.
   for (const auto& [asn_value, indices] : result.admin.by_asn) {
     if (!result.op.by_asn.contains(asn_value)) continue;
     const serve::AsnAnswer answer =
-        service.query(serve::Query::lookup(asn::Asn{asn_value}))
-            ->lookups.front();
+        ask(serve::Query::lookup(asn::Asn{asn_value})).lookups.front();
     std::cout << "\n  lookup(AS" << asn_value << "): "
               << answer.admin_life_count << " admin / "
               << answer.op_life_count << " op lives, registered "
@@ -122,7 +131,7 @@ int main(int argc, char** argv) {
     if (batch.size() == 64) break;
   }
   const std::vector<serve::AsnAnswer> answers =
-      service.query(serve::Query::lookup_batch(batch))->lookups;
+      ask(serve::Query::lookup_batch(batch)).lookups;
   std::int64_t transferred = 0;
   for (const serve::AsnAnswer& answer : answers)
     if (answer.transferred) ++transferred;
@@ -134,12 +143,11 @@ int main(int argc, char** argv) {
   ripe.registry = asn::Rir::kRipeNcc;
   ripe.limit = 5;
   std::cout << "  first RIPE ASNs: ";
-  for (const serve::AsnAnswer& answer :
-       service.query(serve::Query::scan(ripe))->lookups)
+  const serve::QueryResult first_ripe = ask(serve::Query::scan(ripe));
+  for (const serve::AsnAnswer& answer : first_ripe.lookups)
     std::cout << "AS" << answer.asn.value << " ";
   const util::Day end = service.snapshot().archive_end();
-  const serve::CensusAnswer census =
-      *service.query(serve::Query::census(end))->census;
+  const serve::CensusAnswer census = *ask(serve::Query::census(end)).census;
   std::cout << "\n  census on " << util::format_iso(census.day) << ": "
             << util::with_commas(census.admin_alive)
             << " admin lives alive, " << util::with_commas(census.op_alive)
@@ -160,7 +168,7 @@ int main(int argc, char** argv) {
   serve::QueryOptions week_ago;
   week_ago.as_of = end - 7;
   const serve::CensusAnswer then =
-      *service.query(serve::Query::census(end - 7, week_ago))->census;
+      *ask(serve::Query::census(end - 7, week_ago)).census;
   const history::HistoryStats hstats = history->stats();
   std::cout << "  census as of " << util::format_iso(then.day) << ": "
             << util::with_commas(then.admin_alive) << " admin / "

@@ -130,5 +130,6 @@ int main(int argc, char** argv) {
             << util::with_commas(static_cast<std::int64_t>(
                    subset.lifetimes.size()))
             << " lifetimes to " << json_path << " and " << csv_path << "\n";
+  std::cout << "rir_report OK\n";
   return 0;
 }

@@ -39,8 +39,13 @@ int main(int argc, char** argv) {
   // flag bits the snapshot build stamped on each row.
   std::vector<asn::Asn> dormant;
   std::vector<asn::Asn> outside;
-  for (const serve::AsnAnswer& answer :
-       service.query(serve::Query::scan(serve::ScanQuery{}))->lookups) {
+  const pl::StatusOr<serve::QueryResult> scan =
+      service.query(serve::Query::scan(serve::ScanQuery{}));
+  if (!scan.ok()) {
+    std::cerr << "scan failed: " << scan.status().to_string() << "\n";
+    return 1;
+  }
+  for (const serve::AsnAnswer& answer : scan->lookups) {
     if (answer.dormant_squat) dormant.push_back(answer.asn);
     if (answer.outside_activity) outside.push_back(answer.asn);
   }
@@ -142,5 +147,6 @@ int main(int argc, char** argv) {
       std::cout << "  (no candidate flipped to outside-delegation within "
                    "the last 14 recorded days)\n";
   }
+  std::cout << "squatting_hunt OK\n";
   return 0;
 }

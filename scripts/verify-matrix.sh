@@ -4,7 +4,8 @@
 # Nine legs, one line of output each, exit 0 iff every leg passes:
 #
 #   plain      tier-1 build (with -Werror) + full ctest suite
-#   asan       PL_SANITIZE build (ASan+UBSan) + chaos-labelled suites
+#   asan       PL_SANITIZE build (ASan+UBSan) + chaos-labelled suites and
+#              the example smoke runs (ctest -L examples)
 #   tsan       PL_TSAN build + concurrency-labelled suites
 #   obs-off    PL_OBS_OFF build + full suite (kill-switch stays buildable)
 #   checked    PL_CHECKED build + full suite (contracts armed, death tests)
@@ -49,7 +50,7 @@ run_leg() {
 
 # plain doubles as the warning gate: tier-1 flags plus -Werror.
 run_leg plain   "-DPL_WERROR=ON"                 ""
-run_leg asan    "-DPL_SANITIZE=ON"               "-L chaos"
+run_leg asan    "-DPL_SANITIZE=ON"               "-L chaos|examples"
 run_leg tsan    "-DPL_TSAN=ON"                   "-L concurrency"
 run_leg obs-off "-DPL_OBS_OFF=ON"                ""
 run_leg checked "-DPL_CHECKED=ON -DPL_WERROR=ON" ""

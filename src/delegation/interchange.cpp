@@ -1,21 +1,16 @@
 #include "delegation/interchange.hpp"
 
 #include <array>
-#include <charconv>
-#include <cstdio>
 #include <map>
 #include <utility>
 
-#include "util/arena.hpp"
 #include "util/crc32.hpp"
-#include "util/strings.hpp"
 
 namespace pl::dele {
 
 namespace {
 
 constexpr std::string_view kBinaryMagic = "PLDB";
-constexpr std::string_view kTextMagic = "pl-dlg-txt";
 
 // ---------------------------------------------------------------------------
 // Little-endian / varint primitives (writer side).
@@ -48,77 +43,7 @@ constexpr std::int32_t unzigzag32(std::uint32_t value) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Bounds-checked byte reader (decoder side). Every accessor reports failure
-// through its return value; decode loops bail out on the first false, so a
-// truncated or bit-flipped archive can never run the cursor past `end_`.
-
-class ByteReader {
- public:
-  ByteReader(const char* data, std::size_t size) noexcept
-      : cursor_(data), end_(data + size) {}
-
-  std::size_t remaining() const noexcept {
-    return static_cast<std::size_t>(end_ - cursor_);
-  }
-
-  bool u8(std::uint8_t& out) noexcept {
-    if (cursor_ == end_) return false;
-    out = static_cast<std::uint8_t>(*cursor_++);
-    return true;
-  }
-
-  bool u32(std::uint32_t& out) noexcept {
-    if (remaining() < 4) return false;
-    std::uint32_t value = 0;
-    for (int i = 3; i >= 0; --i)
-      value = (value << 8) | static_cast<std::uint8_t>(cursor_[i]);
-    cursor_ += 4;
-    out = value;
-    return true;
-  }
-
-  bool varint(std::uint64_t& out) noexcept {
-    std::uint64_t value = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (cursor_ == end_) return false;
-      const auto byte = static_cast<std::uint8_t>(*cursor_++);
-      value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) {
-        out = value;
-        return true;
-      }
-    }
-    return false;  // > 10 bytes: not a valid varint
-  }
-
-  bool varint32(std::uint32_t& out) noexcept {
-    std::uint64_t wide = 0;
-    if (!varint(wide) || wide > 0xFFFFFFFFu) return false;
-    out = static_cast<std::uint32_t>(wide);
-    return true;
-  }
-
-  bool zigzag(std::int32_t& out) noexcept {
-    std::uint32_t raw = 0;
-    if (!varint32(raw)) return false;
-    out = unzigzag32(raw);
-    return true;
-  }
-
-  bool view(std::size_t size, std::string_view& out) noexcept {
-    if (remaining() < size) return false;
-    out = std::string_view(cursor_, size);
-    cursor_ += size;
-    return true;
-  }
-
- private:
-  const char* cursor_;
-  const char* end_;
-};
-
-// ---------------------------------------------------------------------------
-// Shared token helpers.
+// Token helpers.
 
 /// Interchange files are machine-written with exact lowercase status tokens,
 /// so an exact comparison suffices (parse_status lower-cases a copy, which
@@ -250,687 +175,289 @@ class BinaryEncoder {
   std::uint32_t day_count_ = 0;
 };
 
-// ===========================================================================
-// Text writer (pl-dlg-txt/1).
-//
-//   pl-dlg-txt|1|<rir>|<day-count, 8 digits zero-padded>
-//   @|<YYYYMMDD>|<ext-cond>|<ext-minute>|<reg-cond>|<reg-minute>
-//   x|<asn>|<country>|<date>|<status>|<opaque-hex>    extended add/update
-//   X|<asn>                                           extended remove
-//   r|... / R|<asn>                                   regular channel
-//   u|... / v|...                                     ext / reg duplicate
-//
-// Empty <country> = unknown; empty <date> = no registration date; empty
-// <opaque-hex> = 0. The day count is backpatched into the fixed-width header
-// field once the stream is drained.
-
-constexpr char condition_char(FileCondition condition) noexcept {
-  switch (condition) {
-    case FileCondition::kPresent: return 'P';
-    case FileCondition::kMissing: return 'M';
-    case FileCondition::kCorrupt: return 'C';
-    case FileCondition::kNotPublished: return 'N';
-  }
-  return '?';
-}
-
-std::optional<FileCondition> parse_condition(std::string_view field) noexcept {
-  if (field.size() != 1) return std::nullopt;
-  switch (field[0]) {
-    case 'P': return FileCondition::kPresent;
-    case 'M': return FileCondition::kMissing;
-    case 'C': return FileCondition::kCorrupt;
-    case 'N': return FileCondition::kNotPublished;
-    default: return std::nullopt;
-  }
-}
-
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[20];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value);
-  out.append(buf, static_cast<std::size_t>(ptr - buf));
-}
-
-void append_int(std::string& out, std::int64_t value) {
-  char buf[21];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value);
-  out.append(buf, static_cast<std::size_t>(ptr - buf));
-}
-
-void append_hex(std::string& out, std::uint64_t value) {
-  char buf[16];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value, 16);
-  out.append(buf, static_cast<std::size_t>(ptr - buf));
-}
-
-void append_compact_date(std::string& out, util::Day day) {
-  const util::CivilDate civil = util::to_civil(day);
-  if (civil.year < 1000 || civil.year > 9999) {
-    out.append(util::format_compact(day));  // out of fast-path range; rare
-    return;
-  }
-  char buf[8];
-  int year = civil.year;
-  for (int i = 3; i >= 0; --i) {
-    buf[i] = static_cast<char>('0' + year % 10);
-    year /= 10;
-  }
-  buf[4] = static_cast<char>('0' + civil.month / 10);
-  buf[5] = static_cast<char>('0' + civil.month % 10);
-  buf[6] = static_cast<char>('0' + civil.day / 10);
-  buf[7] = static_cast<char>('0' + civil.day % 10);
-  out.append(buf, sizeof buf);
-}
-
-class TextEncoder {
- public:
-  explicit TextEncoder(asn::Rir rir) {
-    out_.append(kTextMagic);
-    out_.push_back('|');
-    append_uint(out_, kTextInterchangeVersion);
-    out_.push_back('|');
-    out_.append(asn::file_token(rir));
-    out_.push_back('|');
-    count_offset_ = out_.size();
-    out_.append("00000000\n");
-  }
-
-  void add_day(const DayObservation& obs) {
-    out_.push_back('@');
-    out_.push_back('|');
-    append_compact_date(out_, obs.day);
-    out_.push_back('|');
-    out_.push_back(condition_char(obs.extended.condition));
-    out_.push_back('|');
-    append_int(out_, obs.extended.publish_minute);
-    out_.push_back('|');
-    out_.push_back(condition_char(obs.regular.condition));
-    out_.push_back('|');
-    append_int(out_, obs.regular.publish_minute);
-    out_.push_back('\n');
-    put_channel(obs.extended, 'x', 'X', 'u');
-    put_channel(obs.regular, 'r', 'R', 'v');
-    ++day_count_;
-  }
-
-  std::string finish() && {
-    char buf[9];
-    std::snprintf(buf, sizeof buf, "%08u", day_count_);
-    out_.replace(count_offset_, 8, buf, 8);
-    return std::move(out_);
-  }
-
- private:
-  void put_record(char tag, asn::Asn asn, const RecordState& state) {
-    out_.push_back(tag);
-    out_.push_back('|');
-    append_uint(out_, asn.value);
-    out_.push_back('|');
-    if (!state.country.unknown()) {
-      const auto [it, fresh] =
-          country_text_.try_emplace(state.country, std::string());
-      if (fresh) it->second = state.country.to_string();
-      out_.append(it->second);
-    }
-    out_.push_back('|');
-    if (state.registration_date.has_value())
-      append_compact_date(out_, *state.registration_date);
-    out_.push_back('|');
-    out_.append(status_token(state.status));
-    out_.push_back('|');
-    if (state.opaque_id != 0) append_hex(out_, state.opaque_id);
-    out_.push_back('\n');
-  }
-
-  void put_channel(const ChannelDelta& channel, char add_tag, char remove_tag,
-                   char duplicate_tag) {
-    for (const RecordChange& change : channel.changes) {
-      if (change.state.has_value()) {
-        put_record(add_tag, change.asn, *change.state);
-      } else {
-        out_.push_back(remove_tag);
-        out_.push_back('|');
-        append_uint(out_, change.asn.value);
-        out_.push_back('\n');
-      }
-    }
-    for (const auto& [asn, state] : channel.duplicates)
-      put_record(duplicate_tag, asn, state);
-  }
-
-  std::string out_;
-  std::size_t count_offset_ = 0;
-  std::uint32_t day_count_ = 0;
-  std::map<asn::CountryCode, std::string> country_text_;
-};
-
-// ===========================================================================
-// Binary reader.
-
-class BinaryDelegationReader final : public DeltaArchiveReader {
- public:
-  static pl::StatusOr<std::unique_ptr<DeltaArchiveReader>> open(
-      const EncodedArchive& archive) {
-    auto reader = std::make_unique<BinaryDelegationReader>();
-    pl::Status status = reader->init(archive);
-    if (!status.ok()) return status;
-    return pl::StatusOr<std::unique_ptr<DeltaArchiveReader>>(
-        std::move(reader));
-  }
-
-  asn::Rir registry() const noexcept override { return rir_; }
-
-  const pl::Status& status() const noexcept override { return status_; }
-
-  std::shared_ptr<const util::StringPool> names() const noexcept override {
-    return pool_;
-  }
-
-  const DayObservationView* next_view() override {
-    if (!status_.ok() || done_) return nullptr;
-    const std::string& bytes = archive_->bytes;
-    if (days_read_ == day_count_) {
-      if (offset_ != bytes.size()) {
-        fail("trailing bytes after final frame");
-        return nullptr;
-      }
-      done_ = true;
-      return nullptr;
-    }
-    ByteReader frame(bytes.data() + offset_, bytes.size() - offset_);
-    std::uint32_t payload_len = 0;
-    if (!frame.u32(payload_len) ||
-        frame.remaining() < static_cast<std::size_t>(payload_len) + 4u) {
-      fail("truncated frame");
-      return nullptr;
-    }
-    std::string_view payload;
-    std::uint32_t stored_crc = 0;
-    frame.view(payload_len, payload);
-    frame.u32(stored_crc);
-    if (stored_crc != util::crc32(payload)) {
-      fail("frame CRC mismatch");
-      return nullptr;
-    }
-    offset_ += 4u + payload_len + 4u;
-
-    arena_.reset();
-    ByteReader body(payload.data(), payload.size());
-    if (!body.zigzag(view_.day) ||
-        !decode_channel(body, view_.extended) ||
-        !decode_channel(body, view_.regular) ||
-        body.remaining() != 0) {
-      if (status_.ok()) fail("malformed day payload");
-      return nullptr;
-    }
-    ++days_read_;
-    return &view_;
-  }
-
- private:
-  pl::Status init(const EncodedArchive& archive) {
-    archive_ = &archive;
-    const std::string& bytes = archive.bytes;
-    ByteReader header(bytes.data(), bytes.size());
-    std::string_view magic;
-    if (!header.view(kBinaryMagic.size(), magic) || magic != kBinaryMagic)
-      return pl::data_loss_error("pl-dlg-bin: bad magic");
-    std::uint32_t version = 0;
-    if (!header.u32(version))
-      return pl::data_loss_error("pl-dlg-bin: truncated header");
-    if (version != kBinaryInterchangeVersion)
-      return pl::invalid_argument_error(
-          "pl-dlg-bin: unsupported version " + std::to_string(version));
-    std::uint32_t table_count = 0;
-    if (!header.u32(day_count_) || !header.u32(table_count))
-      return pl::data_loss_error("pl-dlg-bin: truncated header");
-    if (table_count > header.remaining())
-      return pl::data_loss_error("pl-dlg-bin: implausible string-table size");
-
-    std::vector<std::string> tokens;
-    tokens.reserve(table_count);
-    for (std::uint32_t i = 0; i < table_count; ++i) {
-      std::uint64_t length = 0;
-      std::string_view token;
-      if (!header.varint(length) || !header.view(length, token))
-        return pl::data_loss_error("pl-dlg-bin: truncated string table");
-      tokens.emplace_back(token);
-    }
-    std::optional<util::StringPool> pool =
-        util::StringPool::from_tokens(tokens);
-    if (!pool.has_value())
-      return pl::data_loss_error("pl-dlg-bin: duplicate string-table token");
-    pool_ = std::make_shared<util::StringPool>(std::move(*pool));
-
-    std::uint32_t rir_id = 0;
-    if (!header.varint32(rir_id) || rir_id >= pool_->size())
-      return pl::data_loss_error("pl-dlg-bin: bad registry id");
-    const std::optional<asn::Rir> rir = asn::parse_rir(pool_->at(rir_id));
-    if (!rir.has_value())
-      return pl::data_loss_error("pl-dlg-bin: unknown registry token");
-    if (*rir != archive.rir)
-      return pl::data_loss_error("pl-dlg-bin: registry mismatch");
-    rir_ = *rir;
-
-    // Resolve every table entry's meaning once; decode loops index vectors.
-    status_by_id_.assign(pool_->size(), 0xFF);
-    country_by_id_.assign(pool_->size(), asn::CountryCode());
-    country_ok_.assign(pool_->size(), false);
-    for (std::uint32_t id = 0; id < pool_->size(); ++id) {
-      const std::string_view token = pool_->at(id);
-      if (const auto status = parse_status_exact(token); status.has_value())
-        status_by_id_[id] = static_cast<std::uint8_t>(*status);
-      if (const auto country = parse_country_token(token);
-          country.has_value()) {
-        country_by_id_[id] = *country;
-        country_ok_[id] = true;
-      }
-    }
-
-    // Frames are at least 9 payload bytes plus 8 bytes of framing, so a
-    // day count larger than remaining/17 cannot be honest — reject before
-    // any decode loop trusts it.
-    if (day_count_ > header.remaining() / 17 + 1)
-      return pl::data_loss_error("pl-dlg-bin: implausible day count");
-    offset_ = bytes.size() - header.remaining();
-    return {};
-  }
-
-  void fail(std::string_view what) {
-    status_ = pl::data_loss_error(
-        "pl-dlg-bin[" + std::string(asn::file_token(rir_)) + " day index " +
-        std::to_string(days_read_) + "]: " + std::string(what));
-  }
-
-  bool decode_state(ByteReader& body, std::uint8_t flags, RecordState& out) {
-    std::uint32_t status_id = 0;
-    std::uint32_t country_id = 0;
-    if (!body.varint32(status_id) || !body.varint32(country_id)) return false;
-    if (status_id >= status_by_id_.size() || status_by_id_[status_id] == 0xFF)
-      return fail_decode("record references non-status table entry");
-    if (country_id >= country_ok_.size() || !country_ok_[country_id])
-      return fail_decode("record references non-country table entry");
-    out.status = static_cast<Status>(status_by_id_[status_id]);
-    out.country = country_by_id_[country_id];
-    if ((flags & 0x02) != 0) {
-      std::int32_t date = 0;
-      if (!body.zigzag(date)) return false;
-      out.registration_date = date;
-    } else {
-      out.registration_date = std::nullopt;
-    }
-    return body.varint(out.opaque_id);
-  }
-
-  bool fail_decode(std::string_view what) {
-    fail(what);
-    return false;
-  }
-
-  bool decode_channel(ByteReader& body, ChannelDeltaView& out) {
-    std::uint8_t condition = 0;
-    if (!body.u8(condition) || condition > 3)
-      return fail_decode("bad file condition");
-    out.condition = static_cast<FileCondition>(condition);
-    if (!body.zigzag(out.publish_minute)) return false;
-
-    std::uint64_t n_changes = 0;
-    if (!body.varint(n_changes) || n_changes > body.remaining() / 2)
-      return fail_decode("implausible change count");
-    const std::span<RecordChange> changes =
-        arena_.alloc_array<RecordChange>(n_changes);
-    for (RecordChange& slot : changes) {
-      // pl-lint: allow(naked-new) placement-new into arena storage; freed
-      // wholesale by arena_.reset(), and RecordChange is trivially
-      // destructible.
-      auto* change = ::new (&slot) RecordChange();
-      std::uint32_t asn = 0;
-      std::uint8_t flags = 0;
-      if (!body.varint32(asn) || !body.u8(flags)) return false;
-      change->asn = asn::Asn{asn};
-      if ((flags & 0x01) != 0) {
-        change->state.emplace();
-        if (!decode_state(body, flags, *change->state)) return false;
-      }
-    }
-    out.changes = changes;
-
-    std::uint64_t n_duplicates = 0;
-    if (!body.varint(n_duplicates) || n_duplicates > body.remaining() / 5)
-      return fail_decode("implausible duplicate count");
-    const std::span<std::pair<asn::Asn, RecordState>> duplicates =
-        arena_.alloc_array<std::pair<asn::Asn, RecordState>>(n_duplicates);
-    for (auto& slot : duplicates) {
-      // pl-lint: allow(naked-new) placement-new into arena storage, as above.
-      auto* duplicate = ::new (&slot) std::pair<asn::Asn, RecordState>();
-      std::uint32_t asn = 0;
-      std::uint8_t flags = 0;
-      if (!body.varint32(asn) || !body.u8(flags)) return false;
-      duplicate->first = asn::Asn{asn};
-      if (!decode_state(body, flags, duplicate->second)) return false;
-    }
-    out.duplicates = duplicates;
-    return true;
-  }
-
-  const EncodedArchive* archive_ = nullptr;  // borrowed; caller keeps alive
-  asn::Rir rir_ = asn::Rir::kArin;
-  std::shared_ptr<util::StringPool> pool_;
-  std::vector<std::uint8_t> status_by_id_;
-  std::vector<asn::CountryCode> country_by_id_;
-  std::vector<bool> country_ok_;
-  std::size_t offset_ = 0;
-  std::uint32_t day_count_ = 0;
-  std::uint32_t days_read_ = 0;
-  bool done_ = false;
-  util::Arena arena_;
-  DayObservationView view_;
-  pl::Status status_;
-};
-
-// ===========================================================================
-// Text reader.
-
-class TextDelegationReader final : public DeltaArchiveReader {
- public:
-  static pl::StatusOr<std::unique_ptr<DeltaArchiveReader>> open(
-      const EncodedArchive& archive) {
-    auto reader = std::make_unique<TextDelegationReader>();
-    pl::Status status = reader->init(archive);
-    if (!status.ok()) return status;
-    return pl::StatusOr<std::unique_ptr<DeltaArchiveReader>>(
-        std::move(reader));
-  }
-
-  asn::Rir registry() const noexcept override { return rir_; }
-
-  const pl::Status& status() const noexcept override { return status_; }
-
-  std::shared_ptr<const util::StringPool> names() const noexcept override {
-    return pool_;
-  }
-
-  const DayObservationView* next_view() override {
-    if (!status_.ok() || done_) return nullptr;
-    std::string_view line;
-    if (!take_line(line)) {
-      if (days_read_ == day_count_) {
-        done_ = true;
-      } else {
-        fail("archive truncated: fewer days than header promised");
-      }
-      return nullptr;
-    }
-    if (days_read_ == day_count_) {
-      fail("trailing lines after final day");
-      return nullptr;
-    }
-    std::array<std::string_view, 8> fields;
-    const std::size_t n = util::split_fields(line, '|', fields.data(), 8);
-    if (n != 6 || fields[0] != "@") {
-      fail("expected day header");
-      return nullptr;
-    }
-    const std::optional<util::Day> day = util::parse_compact_date(fields[1]);
-    const auto ext_condition = parse_condition(fields[2]);
-    const auto reg_condition = parse_condition(fields[4]);
-    std::int32_t ext_minute = 0;
-    std::int32_t reg_minute = 0;
-    if (!day.has_value() || !ext_condition.has_value() ||
-        !reg_condition.has_value() || !parse_i32(fields[3], ext_minute) ||
-        !parse_i32(fields[5], reg_minute)) {
-      fail("malformed day header");
-      return nullptr;
-    }
-    ext_changes_.clear();
-    ext_duplicates_.clear();
-    reg_changes_.clear();
-    reg_duplicates_.clear();
-    while (take_line(line)) {
-      if (!line.empty() && line[0] == '@') {
-        pending_ = line;  // next day's header; stop here
-        break;
-      }
-      if (!parse_record_line(line)) return nullptr;
-    }
-    view_.day = *day;
-    view_.extended = {*ext_condition, ext_minute, ext_changes_,
-                      ext_duplicates_};
-    view_.regular = {*reg_condition, reg_minute, reg_changes_,
-                     reg_duplicates_};
-    ++days_read_;
-    return &view_;
-  }
-
- private:
-  /// Lazily-resolved meaning of one interned token; parsed the first time a
-  /// record references it, then shared by every later occurrence.
-  struct TokenMeaning {
-    std::uint8_t status_state = 0;   // 0 = unresolved, 1 = invalid, 2 = valid
-    std::uint8_t country_state = 0;
-    Status status = Status::kAllocated;
-    asn::CountryCode country;
-  };
-
-  pl::Status init(const EncodedArchive& archive) {
-    pool_ = std::make_shared<util::StringPool>();
-    cursor_.emplace(archive.bytes);
-    std::string_view line;
-    if (!cursor_->next(line))
-      return pl::data_loss_error("pl-dlg-txt: empty archive");
-    std::array<std::string_view, 5> fields;
-    const std::size_t n = util::split_fields(line, '|', fields.data(), 5);
-    if (n != 4 || fields[0] != kTextMagic)
-      return pl::data_loss_error("pl-dlg-txt: bad magic");
-    std::uint32_t version = 0;
-    if (!parse_u32(fields[1], version))
-      return pl::data_loss_error("pl-dlg-txt: malformed version");
-    if (version != kTextInterchangeVersion)
-      return pl::invalid_argument_error(
-          "pl-dlg-txt: unsupported version " + std::to_string(version));
-    const std::optional<asn::Rir> rir = asn::parse_rir(fields[2]);
-    if (!rir.has_value())
-      return pl::data_loss_error("pl-dlg-txt: unknown registry token");
-    if (*rir != archive.rir)
-      return pl::data_loss_error("pl-dlg-txt: registry mismatch");
-    rir_ = *rir;
-    pool_->intern(fields[2]);
-    if (fields[3].size() != 8 || !parse_u32(fields[3], day_count_))
-      return pl::data_loss_error("pl-dlg-txt: malformed day count");
-    return {};
-  }
-
-  bool take_line(std::string_view& line) {
-    if (!pending_.empty()) {
-      line = pending_;
-      pending_ = {};
-      return true;
-    }
-    return cursor_->next(line);
-  }
-
-  static bool parse_u32(std::string_view field, std::uint32_t& out) noexcept {
-    const char* begin = field.data();
-    const char* end = begin + field.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, out);
-    return ec == std::errc{} && ptr == end;
-  }
-
-  static bool parse_i32(std::string_view field, std::int32_t& out) noexcept {
-    const char* begin = field.data();
-    const char* end = begin + field.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, out);
-    return ec == std::errc{} && ptr == end;
-  }
-
-  void fail(std::string_view what) {
-    status_ = pl::data_loss_error(
-        "pl-dlg-txt[" + std::string(asn::file_token(rir_)) + " day index " +
-        std::to_string(days_read_) + "]: " + std::string(what));
-  }
-
-  TokenMeaning& meaning_of(std::string_view token) {
-    const std::uint32_t id = pool_->intern(token);
-    if (id >= meanings_.size()) meanings_.resize(pool_->size());
-    return meanings_[id];
-  }
-
-  bool parse_state(const std::string_view* fields, RecordState& out) {
-    TokenMeaning& country = meaning_of(fields[2]);
-    if (country.country_state == 0) {
-      const auto parsed = parse_country_token(fields[2]);
-      country.country_state = parsed.has_value() ? 2 : 1;
-      if (parsed.has_value()) country.country = *parsed;
-    }
-    if (country.country_state != 2) {
-      fail("bad country code");
-      return false;
-    }
-    out.country = country.country;
-
-    if (fields[3].empty()) {
-      out.registration_date = std::nullopt;
-    } else {
-      const std::optional<util::Day> date =
-          util::parse_compact_date(fields[3]);
-      if (!date.has_value()) {
-        fail("bad registration date");
-        return false;
-      }
-      out.registration_date = date;
-    }
-
-    TokenMeaning& status = meaning_of(fields[4]);
-    if (status.status_state == 0) {
-      const auto parsed = parse_status_exact(fields[4]);
-      status.status_state = parsed.has_value() ? 2 : 1;
-      if (parsed.has_value()) status.status = *parsed;
-    }
-    if (status.status_state != 2) {
-      fail("bad status token");
-      return false;
-    }
-    out.status = status.status;
-
-    if (fields[5].empty()) {
-      out.opaque_id = 0;
-    } else {
-      const char* begin = fields[5].data();
-      const char* end = begin + fields[5].size();
-      const auto [ptr, ec] = std::from_chars(begin, end, out.opaque_id, 16);
-      if (ec != std::errc{} || ptr != end) {
-        fail("bad opaque id");
-        return false;
-      }
-    }
-    return true;
-  }
-
-  bool parse_record_line(std::string_view line) {
-    std::array<std::string_view, 7> fields;
-    const std::size_t n = util::split_fields(line, '|', fields.data(), 7);
-    if (fields[0].size() != 1) {
-      fail("bad record tag");
-      return false;
-    }
-    const char tag = fields[0][0];
-    std::uint32_t asn = 0;
-    if (n < 2 || !parse_u32(fields[1], asn)) {
-      fail("bad asn field");
-      return false;
-    }
-    switch (tag) {
-      case 'X':
-      case 'R': {
-        if (n != 2) {
-          fail("bad remove line");
-          return false;
-        }
-        auto& changes = tag == 'X' ? ext_changes_ : reg_changes_;
-        changes.push_back(RecordChange{asn::Asn{asn}, std::nullopt});
-        return true;
-      }
-      case 'x':
-      case 'r': {
-        if (n != 6) {
-          fail("bad change line");
-          return false;
-        }
-        RecordState state;
-        if (!parse_state(fields.data(), state)) return false;
-        auto& changes = tag == 'x' ? ext_changes_ : reg_changes_;
-        changes.push_back(RecordChange{asn::Asn{asn}, state});
-        return true;
-      }
-      case 'u':
-      case 'v': {
-        if (n != 6) {
-          fail("bad duplicate line");
-          return false;
-        }
-        RecordState state;
-        if (!parse_state(fields.data(), state)) return false;
-        auto& duplicates = tag == 'u' ? ext_duplicates_ : reg_duplicates_;
-        duplicates.emplace_back(asn::Asn{asn}, state);
-        return true;
-      }
-      default:
-        fail("unknown record tag");
-        return false;
-    }
-  }
-
-  asn::Rir rir_ = asn::Rir::kArin;
-  std::shared_ptr<util::StringPool> pool_;
-  std::vector<TokenMeaning> meanings_;
-  std::optional<util::LineCursor> cursor_;
-  std::string_view pending_;
-  std::uint32_t day_count_ = 0;
-  std::uint32_t days_read_ = 0;
-  bool done_ = false;
-  // Reusable scratch: cleared (capacity kept) each day; the view spans these.
-  std::vector<RecordChange> ext_changes_;
-  std::vector<std::pair<asn::Asn, RecordState>> ext_duplicates_;
-  std::vector<RecordChange> reg_changes_;
-  std::vector<std::pair<asn::Asn, RecordState>> reg_duplicates_;
-  DayObservationView view_;
-  pl::Status status_;
-};
-
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Bounds-checked byte reader (decoder side). Every accessor reports failure
+// through its return value; decode loops bail out on the first false, so a
+// truncated or bit-flipped archive can never run the cursor past `end_`.
+
+class DeltaArchiveReader::ByteReader {
+ public:
+  ByteReader(const char* data, std::size_t size) noexcept
+      : cursor_(data), end_(data + size) {}
+
+  std::size_t remaining() const noexcept {
+    return static_cast<std::size_t>(end_ - cursor_);
+  }
+
+  bool u8(std::uint8_t& out) noexcept {
+    if (cursor_ == end_) return false;
+    out = static_cast<std::uint8_t>(*cursor_++);
+    return true;
+  }
+
+  bool u32(std::uint32_t& out) noexcept {
+    if (remaining() < 4) return false;
+    std::uint32_t value = 0;
+    for (int i = 3; i >= 0; --i)
+      value = (value << 8) | static_cast<std::uint8_t>(cursor_[i]);
+    cursor_ += 4;
+    out = value;
+    return true;
+  }
+
+  bool varint(std::uint64_t& out) noexcept {
+    std::uint64_t value = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (cursor_ == end_) return false;
+      const auto byte = static_cast<std::uint8_t>(*cursor_++);
+      value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) {
+        out = value;
+        return true;
+      }
+    }
+    return false;  // > 10 bytes: not a valid varint
+  }
+
+  bool varint32(std::uint32_t& out) noexcept {
+    std::uint64_t wide = 0;
+    if (!varint(wide) || wide > 0xFFFFFFFFu) return false;
+    out = static_cast<std::uint32_t>(wide);
+    return true;
+  }
+
+  bool zigzag(std::int32_t& out) noexcept {
+    std::uint32_t raw = 0;
+    if (!varint32(raw)) return false;
+    out = unzigzag32(raw);
+    return true;
+  }
+
+  bool view(std::size_t size, std::string_view& out) noexcept {
+    if (remaining() < size) return false;
+    out = std::string_view(cursor_, size);
+    cursor_ += size;
+    return true;
+  }
+
+ private:
+  const char* cursor_;
+  const char* end_;
+};
+
+// ===========================================================================
+// Reader.
+
+DeltaArchiveReader::DeltaArchiveReader(const EncodedArchive& archive)
+    : archive_(&archive) {
+  status_ = init();
+}
+
+const DayObservationView* DeltaArchiveReader::next_view() {
+  if (!status_.ok() || done_) return nullptr;
+  const std::string& bytes = archive_->bytes;
+  if (days_read_ == day_count_) {
+    if (offset_ != bytes.size()) {
+      fail("trailing bytes after final frame");
+      return nullptr;
+    }
+    done_ = true;
+    return nullptr;
+  }
+  ByteReader frame(bytes.data() + offset_, bytes.size() - offset_);
+  std::uint32_t payload_len = 0;
+  if (!frame.u32(payload_len) ||
+      frame.remaining() < static_cast<std::size_t>(payload_len) + 4u) {
+    fail("truncated frame");
+    return nullptr;
+  }
+  std::string_view payload;
+  std::uint32_t stored_crc = 0;
+  frame.view(payload_len, payload);
+  frame.u32(stored_crc);
+  if (stored_crc != util::crc32(payload)) {
+    fail("frame CRC mismatch");
+    return nullptr;
+  }
+  offset_ += 4u + payload_len + 4u;
+
+  arena_.reset();
+  ByteReader body(payload.data(), payload.size());
+  if (!body.zigzag(view_.day) ||
+      !decode_channel(body, view_.extended) ||
+      !decode_channel(body, view_.regular) ||
+      body.remaining() != 0) {
+    if (status_.ok()) fail("malformed day payload");
+    return nullptr;
+  }
+  ++days_read_;
+  return &view_;
+}
+
+pl::Status DeltaArchiveReader::init() {
+  const std::string& bytes = archive_->bytes;
+  ByteReader header(bytes.data(), bytes.size());
+  std::string_view magic;
+  if (!header.view(kBinaryMagic.size(), magic) || magic != kBinaryMagic)
+    return pl::data_loss_error("pl-dlg-bin: bad magic");
+  std::uint32_t version = 0;
+  if (!header.u32(version))
+    return pl::data_loss_error("pl-dlg-bin: truncated header");
+  if (version != kBinaryInterchangeVersion)
+    return pl::invalid_argument_error(
+        "pl-dlg-bin: unsupported version " + std::to_string(version));
+  std::uint32_t table_count = 0;
+  if (!header.u32(day_count_) || !header.u32(table_count))
+    return pl::data_loss_error("pl-dlg-bin: truncated header");
+  if (table_count > header.remaining())
+    return pl::data_loss_error("pl-dlg-bin: implausible string-table size");
+
+  std::vector<std::string> tokens;
+  tokens.reserve(table_count);
+  for (std::uint32_t i = 0; i < table_count; ++i) {
+    std::uint64_t length = 0;
+    std::string_view token;
+    if (!header.varint(length) || !header.view(length, token))
+      return pl::data_loss_error("pl-dlg-bin: truncated string table");
+    tokens.emplace_back(token);
+  }
+  std::optional<util::StringPool> pool =
+      util::StringPool::from_tokens(tokens);
+  if (!pool.has_value())
+    return pl::data_loss_error("pl-dlg-bin: duplicate string-table token");
+  pool_ = std::make_shared<util::StringPool>(std::move(*pool));
+
+  std::uint32_t rir_id = 0;
+  if (!header.varint32(rir_id) || rir_id >= pool_->size())
+    return pl::data_loss_error("pl-dlg-bin: bad registry id");
+  const std::optional<asn::Rir> rir = asn::parse_rir(pool_->at(rir_id));
+  if (!rir.has_value())
+    return pl::data_loss_error("pl-dlg-bin: unknown registry token");
+  if (*rir != archive_->rir)
+    return pl::data_loss_error("pl-dlg-bin: registry mismatch");
+  rir_ = *rir;
+
+  // Resolve every table entry's meaning once; decode loops index vectors.
+  status_by_id_.assign(pool_->size(), 0xFF);
+  country_by_id_.assign(pool_->size(), asn::CountryCode());
+  country_ok_.assign(pool_->size(), false);
+  for (std::uint32_t id = 0; id < pool_->size(); ++id) {
+    const std::string_view token = pool_->at(id);
+    if (const auto status = parse_status_exact(token); status.has_value())
+      status_by_id_[id] = static_cast<std::uint8_t>(*status);
+    if (const auto country = parse_country_token(token);
+        country.has_value()) {
+      country_by_id_[id] = *country;
+      country_ok_[id] = true;
+    }
+  }
+
+  // Frames are at least 9 payload bytes plus 8 bytes of framing, so a
+  // day count larger than remaining/17 cannot be honest — reject before
+  // any decode loop trusts it.
+  if (day_count_ > header.remaining() / 17 + 1)
+    return pl::data_loss_error("pl-dlg-bin: implausible day count");
+  offset_ = bytes.size() - header.remaining();
+  return {};
+}
+
+void DeltaArchiveReader::fail(std::string_view what) {
+  status_ = pl::data_loss_error(
+      "pl-dlg-bin[" + std::string(asn::file_token(rir_)) + " day index " +
+      std::to_string(days_read_) + "]: " + std::string(what));
+}
+
+bool DeltaArchiveReader::decode_state(ByteReader& body, std::uint8_t flags,
+                                      RecordState& out) {
+  std::uint32_t status_id = 0;
+  std::uint32_t country_id = 0;
+  if (!body.varint32(status_id) || !body.varint32(country_id)) return false;
+  if (status_id >= status_by_id_.size() || status_by_id_[status_id] == 0xFF)
+    return fail_decode("record references non-status table entry");
+  if (country_id >= country_ok_.size() || !country_ok_[country_id])
+    return fail_decode("record references non-country table entry");
+  out.status = static_cast<Status>(status_by_id_[status_id]);
+  out.country = country_by_id_[country_id];
+  if ((flags & 0x02) != 0) {
+    std::int32_t date = 0;
+    if (!body.zigzag(date)) return false;
+    out.registration_date = date;
+  } else {
+    out.registration_date = std::nullopt;
+  }
+  return body.varint(out.opaque_id);
+}
+
+bool DeltaArchiveReader::fail_decode(std::string_view what) {
+  fail(what);
+  return false;
+}
+
+bool DeltaArchiveReader::decode_channel(ByteReader& body,
+                                        ChannelDeltaView& out) {
+  std::uint8_t condition = 0;
+  if (!body.u8(condition) || condition > 3)
+    return fail_decode("bad file condition");
+  out.condition = static_cast<FileCondition>(condition);
+  if (!body.zigzag(out.publish_minute)) return false;
+
+  std::uint64_t n_changes = 0;
+  if (!body.varint(n_changes) || n_changes > body.remaining() / 2)
+    return fail_decode("implausible change count");
+  const std::span<RecordChange> changes =
+      arena_.alloc_array<RecordChange>(n_changes);
+  for (RecordChange& slot : changes) {
+    // pl-lint: allow(naked-new) placement-new into arena storage; freed
+    // wholesale by arena_.reset(), and RecordChange is trivially
+    // destructible.
+    auto* change = ::new (&slot) RecordChange();
+    std::uint32_t asn = 0;
+    std::uint8_t flags = 0;
+    if (!body.varint32(asn) || !body.u8(flags)) return false;
+    change->asn = asn::Asn{asn};
+    if ((flags & 0x01) != 0) {
+      change->state.emplace();
+      if (!decode_state(body, flags, *change->state)) return false;
+    }
+  }
+  out.changes = changes;
+
+  std::uint64_t n_duplicates = 0;
+  if (!body.varint(n_duplicates) || n_duplicates > body.remaining() / 5)
+    return fail_decode("implausible duplicate count");
+  const std::span<std::pair<asn::Asn, RecordState>> duplicates =
+      arena_.alloc_array<std::pair<asn::Asn, RecordState>>(n_duplicates);
+  for (auto& slot : duplicates) {
+    // pl-lint: allow(naked-new) placement-new into arena storage, as above.
+    auto* duplicate = ::new (&slot) std::pair<asn::Asn, RecordState>();
+    std::uint32_t asn = 0;
+    std::uint8_t flags = 0;
+    if (!body.varint32(asn) || !body.u8(flags)) return false;
+    duplicate->first = asn::Asn{asn};
+    if (!decode_state(body, flags, duplicate->second)) return false;
+  }
+  out.duplicates = duplicates;
+  return true;
+}
+
+std::optional<DayObservation> DeltaArchiveReader::next() {
+  const DayObservationView* view = next_view();
+  if (view == nullptr) return std::nullopt;
+  return materialize(*view);
+}
 
 // ===========================================================================
 // Public surface.
 
-std::string_view interchange_token(Interchange format) noexcept {
-  switch (format) {
-    case Interchange::kText: return "text";
-    case Interchange::kBinary: return "binary";
-  }
-  return "?";
-}
-
-std::optional<Interchange> parse_interchange(std::string_view token) noexcept {
-  if (token == "text") return Interchange::kText;
-  if (token == "binary") return Interchange::kBinary;
-  return std::nullopt;
-}
-
-EncodedArchive encode_archive(ArchiveStream& stream, Interchange format) {
+EncodedArchive encode_archive(ArchiveStream& stream, Interchange /*format*/) {
   EncodedArchive out;
   out.rir = stream.registry();
-  out.format = format;
-  if (format == Interchange::kBinary) {
-    BinaryEncoder encoder(out.rir);
-    while (const std::optional<DayObservation> obs = stream.next())
-      encoder.add_day(*obs);
-    out.bytes = std::move(encoder).finish();
-  } else {
-    TextEncoder encoder(out.rir);
-    while (const std::optional<DayObservation> obs = stream.next())
-      encoder.add_day(*obs);
-    out.bytes = std::move(encoder).finish();
-  }
+  BinaryEncoder encoder(out.rir);
+  while (const std::optional<DayObservation> obs = stream.next())
+    encoder.add_day(*obs);
+  out.bytes = std::move(encoder).finish();
   return out;
 }
 
@@ -959,19 +486,11 @@ DayObservationView view_of(const DayObservation& obs) noexcept {
   return view;
 }
 
-std::optional<DayObservation> DeltaArchiveReader::next() {
-  const DayObservationView* view = next_view();
-  if (view == nullptr) return std::nullopt;
-  return materialize(*view);
-}
-
 pl::StatusOr<std::unique_ptr<DeltaArchiveReader>> open_archive(
     const EncodedArchive& archive) {
-  switch (archive.format) {
-    case Interchange::kBinary: return BinaryDelegationReader::open(archive);
-    case Interchange::kText: return TextDelegationReader::open(archive);
-  }
-  return pl::invalid_argument_error("unknown interchange format");
+  auto reader = std::make_unique<DeltaArchiveReader>(archive);
+  if (!reader->status().ok()) return reader->status();
+  return reader;
 }
 
 pl::StatusOr<std::vector<DayObservation>> decode_archive(

@@ -1,5 +1,6 @@
 #include "history/store.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -7,6 +8,7 @@
 #include <iterator>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "history/codec.hpp"
 #include "obs/latency.hpp"
@@ -177,25 +179,69 @@ HistoryStore& HistoryStore::operator=(HistoryStore&& other) {
 serve::DayDelta HistoryStore::slice_day(const restore::RestoredArchive& archive,
                                         const bgp::ActivityTable& activity,
                                         util::Day day) {
-  return serve::slice_day(archive, activity, day);
+  serve::DayDelta delta;
+  delta.day = day;
+  for (std::size_t r = 0; r < asn::kRirCount; ++r) {
+    const restore::RestoredRegistry& registry = archive.registries[r];
+    for (const auto& [asn_value, spans] : registry.spans) {
+      // Spans are sorted and disjoint: binary search the one covering day.
+      const auto it = std::upper_bound(
+          spans.begin(), spans.end(), day,
+          [](util::Day d, const restore::StateSpan& span) {
+            return d < span.days.first;
+          });
+      if (it == spans.begin()) continue;
+      const restore::StateSpan& span = *std::prev(it);
+      if (!span.days.contains(day)) continue;
+      delta.delegation.push_back(serve::DelegationFact{
+          asn::Asn{asn_value}, asn::kAllRirs[r], span.state});
+    }
+  }
+  for (const auto& [asn_key, days] : activity.entries())
+    if (days.contains(day)) delta.active.push_back(asn_key);
+  return delta;
 }
 
 restore::RestoredArchive HistoryStore::truncate_archive(
     const restore::RestoredArchive& archive, util::Day last_day) {
-  return serve::truncate_archive(archive, last_day);
+  restore::RestoredArchive out;
+  out.cross = archive.cross;
+  for (std::size_t r = 0; r < asn::kRirCount; ++r) {
+    out.registries[r].rir = archive.registries[r].rir;
+    out.registries[r].report = archive.registries[r].report;
+    for (const auto& [asn_value, spans] : archive.registries[r].spans) {
+      std::vector<restore::StateSpan> clipped;
+      for (const restore::StateSpan& span : spans) {
+        if (span.days.first > last_day) break;
+        restore::StateSpan copy = span;
+        copy.days.last = std::min(copy.days.last, last_day);
+        clipped.push_back(copy);
+      }
+      if (!clipped.empty())
+        out.registries[r].spans.emplace(asn_value, std::move(clipped));
+    }
+  }
+  return out;
 }
 
 bgp::ActivityTable HistoryStore::truncate_activity(
     const bgp::ActivityTable& activity, util::Day last_day) {
-  return serve::truncate_activity(activity, last_day);
+  bgp::ActivityTable out;
+  for (const auto& [asn_key, days] : activity.entries())
+    for (const util::DayInterval& run : days.runs()) {
+      if (run.first > last_day) break;
+      out.mark_active(asn_key,
+                      util::DayInterval{run.first,
+                                        std::min(run.last, last_day)});
+    }
+  return out;
 }
 
 serve::Snapshot HistoryStore::rebuild_at(
     const restore::RestoredArchive& archive, const bgp::ActivityTable& activity,
     util::Day day, const serve::SnapshotConfig& config) {
-  return serve::Snapshot::build(serve::truncate_archive(archive, day),
-                                serve::truncate_activity(activity, day), day,
-                                config);
+  return serve::Snapshot::build(truncate_archive(archive, day),
+                                truncate_activity(activity, day), day, config);
 }
 
 // -- construction -----------------------------------------------------------

@@ -94,18 +94,22 @@ class HistoryStore final : public serve::HistoryBackend {
   /// custom order detaches root_ before the old trace goes away.
   HistoryStore& operator=(HistoryStore&& other);
 
-  // -- world slicing (promoted from the serve free functions) --------------
-  // These are the one blessed way to cut a day — or a day-D world — out of
-  // full pipeline output; tests and tools go through them instead of
+  // -- world slicing ---------------------------------------------------------
+  // The one home for cutting a day — or a day-D world — out of full
+  // pipeline output; tests, tools and benches go through these instead of
   // hand-rolling truncation.
 
   /// One day of input: every registry's record state in force on `day`
-  /// plus the ASNs active on `day` (deterministic order; see serve).
+  /// plus the ASNs active on `day`. Facts are emitted registry-major
+  /// (kAllRirs order), ascending ASN within; active ASNs ascending —
+  /// deterministic input for serve::QueryService::advance_day().
   static serve::DayDelta slice_day(const restore::RestoredArchive& archive,
                                    const bgp::ActivityTable& activity,
                                    util::Day day);
 
-  /// The archive restricted to days <= `last_day`.
+  /// The archive restricted to days <= `last_day` (spans clipped, emptied
+  /// ASNs dropped; audit reports are left as-is — they describe the
+  /// original run).
   static restore::RestoredArchive truncate_archive(
       const restore::RestoredArchive& archive, util::Day last_day);
 

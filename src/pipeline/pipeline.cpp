@@ -170,9 +170,9 @@ Result run_simulated(const Config& config) {
   }
 
   // Delegation archive with every 3.1 defect class, rendered and serialized
-  // to the configured interchange format. The encode drains the generator
-  // here, so the render stage owns the whole cost of producing the archive;
-  // restore only pays for decoding.
+  // to pl-dlg-bin/1. The encode drains the generator here, so the render
+  // stage owns the whole cost of producing the archive; restore only pays
+  // for decoding.
   std::array<dele::EncodedArchive, asn::kRirCount> encoded;
   {
     obs::Span stage = run.child("render");
@@ -193,8 +193,6 @@ Result run_simulated(const Config& config) {
     std::int64_t archive_bytes = 0;
     for (const dele::EncodedArchive& a : encoded)
       archive_bytes += static_cast<std::int64_t>(a.bytes.size());
-    stage.note("interchange_binary",
-               config.interchange == dele::Interchange::kBinary ? 1 : 0);
     stage.note("archive_bytes", archive_bytes);
   }
 

@@ -38,12 +38,10 @@ struct Config {
   /// forces the serial path; N > 0 pins N workers for this run. Parallel
   /// runs are bit-identical to serial ones (see exec/pool.hpp).
   int threads = -1;
-  /// Wire format of the render→restore boundary: each registry's archive is
-  /// serialized (pl-dlg-txt/1 or pl-dlg-bin/1) at the end of the render
-  /// stage and decoded by the restore stage. Text is the default and the
-  /// conformance reference; binary is the zero-copy fast path. Both produce
-  /// bit-identical pipelines (tests/interchange_conformance_test.cpp).
-  dele::Interchange interchange = dele::Interchange::kText;
+  /// Wire format of the render→restore boundary. pl-dlg-bin/1 is the only
+  /// one; the field remains only because the frozen perfbench study code
+  /// reads it, and the next change to perfbench removes it.
+  dele::Interchange interchange = dele::Interchange::kBinary;
   restore::RestoreConfig restore;
   rirsim::InjectorConfig injector;      ///< seed/scale overridden from above
   bgpsim::OpWorldConfig operations;     ///< seeds/scales overridden

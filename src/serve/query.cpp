@@ -272,7 +272,7 @@ pl::StatusOr<util::Day> QueryService::first_flip(asn::Asn asn,
                              "history");
 }
 
-// -- serving paths (shared by query() and the shims) -----------------------
+// -- serving paths (one per query kind, dispatched from query()) -----------
 
 AsnAnswer QueryService::lookup_impl(const Snapshot& snap, asn::Asn asn,
                                     bool use_cache) {
@@ -571,42 +571,6 @@ std::vector<AsnAnswer> QueryService::scan_impl(const Snapshot& snap,
                obs::query_detail(obs::kCacheNone, 0, 0, !answers.empty()),
                static_cast<std::int64_t>(answers.size()));
   return answers;
-}
-
-// -- pre-redesign shims ----------------------------------------------------
-// Each forwards to the shared serving path with today-default options —
-// bit-identical answers, metrics, and flight events (oracle-test-locked).
-
-// pl-lint: allow(query-path-untraced) shim: lookup_impl records the event.
-AsnAnswer QueryService::lookup(asn::Asn asn) {
-  return lookup_impl(snapshot_, asn, config_.enable_cache);
-}
-
-// pl-lint: allow(query-path-untraced) shim: the impl opens the batch span.
-std::vector<AsnAnswer> QueryService::lookup_batch(
-    const std::vector<asn::Asn>& asns) {
-  return lookup_batch_impl(snapshot_, asns, config_.enable_cache);
-}
-
-// pl-lint: allow(query-path-untraced) shim: alive_impl records the event.
-AliveAnswer QueryService::alive_on(asn::Asn asn, util::Day day) {
-  return alive_impl(snapshot_, asn, day, config_.enable_cache);
-}
-
-// pl-lint: allow(query-path-untraced) shim: the impl opens the batch span.
-std::vector<AliveAnswer> QueryService::alive_on_batch(
-    const std::vector<asn::Asn>& asns, util::Day day) {
-  return alive_batch_impl(snapshot_, asns, day, config_.enable_cache);
-}
-
-// pl-lint: allow(query-path-untraced) shim: census_impl records the event.
-CensusAnswer QueryService::census(util::Day day) {
-  return census_impl(snapshot_, day);
-}
-
-// pl-lint: allow(query-path-untraced) shim: scan_impl opens the scan span.
-std::vector<AsnAnswer> QueryService::scan(const ScanQuery& query) {
-  return scan_impl(snapshot_, query);
 }
 
 pl::Status QueryService::advance_day(const DayDelta& delta) {

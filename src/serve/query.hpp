@@ -11,9 +11,7 @@
 // options say HOW — `QueryOptions::as_of` routes the question to a past
 // day through an attached `HistoryBackend` (DESIGN.md §16), and
 // `use_cache` lets a caller bypass the answer cache without changing the
-// answer. The pre-redesign entry points (`lookup`, `lookup_batch`,
-// `alive_on`, ...) remain as thin source-compat shims for one PR; they are
-// bit-identical to `query()` with default options.
+// answer. `query()` is the only question-answering entry point.
 //
 // Batch subjects are the primary API: vector-in/vector-out, misses computed
 // in parallel over the exec pool. Answers are deterministic — bit-identical
@@ -113,8 +111,8 @@ struct CensusAnswer {
 // -- the unified request shape ---------------------------------------------
 
 /// What kind of question a Query asks. Point and batch kinds stay distinct
-/// so the flight-event and metric shapes of the old entry points carry over
-/// exactly (a point lookup records one event, a batch one per item).
+/// because their flight-event and metric shapes differ (a point lookup
+/// records one event, a batch one per item).
 enum class QueryKind : std::uint8_t {
   kLookup,       ///< one ASN          → QueryResult::lookups[0]
   kLookupBatch,  ///< many ASNs        → QueryResult::lookups
@@ -125,7 +123,7 @@ enum class QueryKind : std::uint8_t {
 };
 
 /// How to answer: which day's snapshot, and whether the answer cache may
-/// serve/store the result. Defaults reproduce the old entry points exactly.
+/// serve/store the result. Defaults answer from the live snapshot, cached.
 struct QueryOptions {
   /// 0 (or the live archive end) = answer from the current snapshot. Any
   /// earlier day routes through the attached HistoryBackend: the answer is
@@ -233,23 +231,6 @@ class QueryService {
   /// already in force at the start of the recorded range counts as day
   /// one). kNotFound when it never happened within the recorded range.
   pl::StatusOr<util::Day> first_flip(asn::Asn asn, joint::Category category);
-
-  // -- point + batch shims (pre-redesign surface; one PR of source compat) --
-
-  AsnAnswer lookup(asn::Asn asn);
-  std::vector<AsnAnswer> lookup_batch(const std::vector<asn::Asn>& asns);
-
-  AliveAnswer alive_on(asn::Asn asn, util::Day day);
-  std::vector<AliveAnswer> alive_on_batch(const std::vector<asn::Asn>& asns,
-                                          util::Day day);
-
-  /// Whole-snapshot alive counts for one day (never cached: it is already
-  /// O(log n) on the snapshot's sorted event arrays).
-  CensusAnswer census(util::Day day);
-
-  /// Filtered range scan; answers computed fresh (scans are unbounded in
-  /// shape, so caching them would just churn the LRU).
-  std::vector<AsnAnswer> scan(const ScanQuery& query);
 
   // -- incremental update ------------------------------------------------
 

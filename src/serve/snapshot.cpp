@@ -514,64 +514,6 @@ bool operator==(const Snapshot& a, const Snapshot& b) {
          wa.open_asns == wb.open_asns;
 }
 
-DayDelta slice_day(const restore::RestoredArchive& archive,
-                   const bgp::ActivityTable& activity, util::Day day) {
-  DayDelta delta;
-  delta.day = day;
-  for (std::size_t r = 0; r < asn::kRirCount; ++r) {
-    const restore::RestoredRegistry& registry = archive.registries[r];
-    for (const auto& [asn_value, spans] : registry.spans) {
-      // Spans are sorted and disjoint: binary search the one covering day.
-      const auto it = std::upper_bound(
-          spans.begin(), spans.end(), day,
-          [](util::Day d, const StateSpan& span) { return d < span.days.first; });
-      if (it == spans.begin()) continue;
-      const StateSpan& span = *std::prev(it);
-      if (!span.days.contains(day)) continue;
-      delta.delegation.push_back(
-          DelegationFact{asn::Asn{asn_value}, asn::kAllRirs[r], span.state});
-    }
-  }
-  for (const auto& [asn_key, days] : activity.entries())
-    if (days.contains(day)) delta.active.push_back(asn_key);
-  return delta;
-}
-
-restore::RestoredArchive truncate_archive(
-    const restore::RestoredArchive& archive, util::Day last_day) {
-  restore::RestoredArchive out;
-  out.cross = archive.cross;
-  for (std::size_t r = 0; r < asn::kRirCount; ++r) {
-    out.registries[r].rir = archive.registries[r].rir;
-    out.registries[r].report = archive.registries[r].report;
-    for (const auto& [asn_value, spans] : archive.registries[r].spans) {
-      std::vector<StateSpan> clipped;
-      for (const StateSpan& span : spans) {
-        if (span.days.first > last_day) break;
-        StateSpan copy = span;
-        copy.days.last = std::min(copy.days.last, last_day);
-        clipped.push_back(copy);
-      }
-      if (!clipped.empty())
-        out.registries[r].spans.emplace(asn_value, std::move(clipped));
-    }
-  }
-  return out;
-}
-
-bgp::ActivityTable truncate_activity(const bgp::ActivityTable& activity,
-                                     util::Day last_day) {
-  bgp::ActivityTable out;
-  for (const auto& [asn_key, days] : activity.entries())
-    for (const util::DayInterval& run : days.runs()) {
-      if (run.first > last_day) break;
-      out.mark_active(asn_key,
-                      util::DayInterval{run.first,
-                                        std::min(run.last, last_day)});
-    }
-  return out;
-}
-
 void record_metrics(const Snapshot& snapshot, obs::Registry& metrics) {
   metrics.gauge("pl_serve_snapshot_asns")
       .set(static_cast<std::int64_t>(snapshot.asn_count()));

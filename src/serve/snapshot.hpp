@@ -113,9 +113,10 @@ struct DelegationFact {
 };
 
 /// One day of new input: the delegation facts of every registry plus the
-/// ASNs the BGP visibility rule marked active. `slice_day` cuts one out of
-/// a full archive; a deployment would assemble it from the day's delegation
-/// files and collector dump instead.
+/// ASNs the BGP visibility rule marked active.
+/// `history::HistoryStore::slice_day` cuts one out of a full archive; a
+/// deployment would assemble it from the day's delegation files and
+/// collector dump instead.
 struct DayDelta {
   util::Day day = 0;
   std::vector<DelegationFact> delegation;
@@ -263,22 +264,6 @@ class Snapshot {
 
   std::optional<WorkingSet> working_;
 };
-
-/// Cut one day out of a full archive + activity table: the per-registry
-/// record states in force on `day` plus the ASNs active on `day`. Facts are
-/// emitted registry-major (kAllRirs order), ascending ASN within; active
-/// ASNs ascending — deterministic input for advance_day().
-DayDelta slice_day(const restore::RestoredArchive& archive,
-                   const bgp::ActivityTable& activity, util::Day day);
-
-/// Restrict an archive to days <= `last_day` (spans clipped, emptied ASNs
-/// dropped; audit reports are left as-is — they describe the original run).
-restore::RestoredArchive truncate_archive(const restore::RestoredArchive& archive,
-                                          util::Day last_day);
-
-/// Restrict an activity table to days <= `last_day`.
-bgp::ActivityTable truncate_activity(const bgp::ActivityTable& activity,
-                                     util::Day last_day);
 
 /// Publish the snapshot census into a metrics registry (gauges
 /// `pl_serve_snapshot_asns` / `_admin_lives` / `_op_lives` and

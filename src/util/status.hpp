@@ -100,6 +100,12 @@ inline Status internal_error(std::string message) {
 /// `T` yields OK; constructing from a non-OK Status yields the error. The
 /// value accessors require `ok()` — checked callers branch on status first,
 /// the same discipline as StatusOr elsewhere.
+///
+/// Reading through a temporary StatusOr yields the value itself, moved out,
+/// never a reference into the dying temporary: `*make()` and
+/// `make().value()` return `T`, and `make()->field` does not compile. That
+/// makes `for (x : service.query(q)->lookups)` — a dangling read in C++20
+/// range-for — a compile error (tests/statusor_temporary_probe.cpp).
 template <typename T>
 class [[nodiscard]] StatusOr {
  public:
@@ -114,12 +120,15 @@ class [[nodiscard]] StatusOr {
 
   const T& value() const& { return *value_; }
   T& value() & { return *value_; }
-  T&& value() && { return std::move(*value_); }
+  T value() && { return std::move(*value_); }
 
   const T& operator*() const& { return *value_; }
   T& operator*() & { return *value_; }
-  const T* operator->() const { return &*value_; }
-  T* operator->() { return &*value_; }
+  T operator*() && { return std::move(*value_); }
+  const T* operator->() const& { return &*value_; }
+  T* operator->() & { return &*value_; }
+  const T* operator->() const&& = delete;
+  T* operator->() && = delete;
 
  private:
   Status status_;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 namespace pl::util {
 
@@ -18,44 +17,6 @@ std::vector<std::string_view> split(std::string_view text, char delimiter) {
     out.push_back(text.substr(start, pos - start));
     start = pos + 1;
   }
-}
-
-std::size_t split_fields(std::string_view text, char delimiter,
-                         std::string_view* out,
-                         std::size_t max_fields) noexcept {
-  if (text.empty()) {
-    if (max_fields > 0) out[0] = std::string_view();
-    return 1;
-  }
-  const char* cursor = text.data();
-  const char* const end = cursor + text.size();
-  std::size_t count = 0;
-  while (true) {
-    const auto* hit = static_cast<const char*>(
-        std::memchr(cursor, delimiter, static_cast<std::size_t>(end - cursor)));
-    const char* stop = hit != nullptr ? hit : end;
-    if (count < max_fields)
-      out[count] = std::string_view(cursor, static_cast<std::size_t>(stop - cursor));
-    ++count;
-    if (hit == nullptr) return count;
-    cursor = hit + 1;
-  }
-}
-
-bool LineCursor::next(std::string_view& line) noexcept {
-  if (rest_.empty()) return false;
-  const auto* hit = static_cast<const char*>(
-      std::memchr(rest_.data(), '\n', rest_.size()));
-  if (hit == nullptr) {
-    line = rest_;
-    rest_ = {};
-  } else {
-    line = std::string_view(rest_.data(),
-                            static_cast<std::size_t>(hit - rest_.data()));
-    rest_.remove_prefix(line.size() + 1);
-  }
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  return true;
 }
 
 std::string_view trim(std::string_view text) noexcept {

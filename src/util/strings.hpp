@@ -12,31 +12,6 @@ namespace pl::util {
 /// files use '|' with meaningful empty columns).
 std::vector<std::string_view> split(std::string_view text, char delimiter);
 
-/// Branch-light, memchr-driven splitter for hot parse loops: writes up to
-/// `max_fields` views into `out` and returns how many fields the line
-/// actually has (which may exceed `max_fields`; the overflow fields are not
-/// stored). Keeps empty fields, allocates nothing.
-std::size_t split_fields(std::string_view text, char delimiter,
-                         std::string_view* out,
-                         std::size_t max_fields) noexcept;
-
-/// Zero-allocation line iteration over a blob ('\n' separated, optional
-/// '\r' stripped, final newline optional) — the vector-returning lines()
-/// costs one allocation per call which the interchange text parser cannot
-/// afford per archive.
-class LineCursor {
- public:
-  explicit LineCursor(std::string_view blob) noexcept : rest_(blob) {}
-
-  /// Advance to the next line; false at end of blob.
-  bool next(std::string_view& line) noexcept;
-
-  bool done() const noexcept { return rest_.empty(); }
-
- private:
-  std::string_view rest_;
-};
-
 /// Strip leading/trailing whitespace.
 std::string_view trim(std::string_view text) noexcept;
 

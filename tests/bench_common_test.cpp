@@ -115,5 +115,17 @@ TEST(JsonWriter, PrettyOutputParsesBackAsObsDocument) {
   EXPECT_EQ(report->metrics.counter_sum("pl_x"), 3);
 }
 
+// The north-star output invariant: the paper-scale study (scale 1.0, seed
+// 42) must keep producing exactly these lifetimes and taxonomy. One serial
+// run; any change to an analysis stage's output moves the hash.
+TEST(Fingerprint, PaperScaleSeed42IsPinned) {
+  pipeline::Config config;
+  config.seed = 42;
+  config.scale = 1.0;
+  config.threads = 0;
+  EXPECT_EQ(fingerprint(pipeline::run_simulated(config)),
+            0x27d029edaaa3d797ULL);
+}
+
 }  // namespace
 }  // namespace pl::bench

@@ -1,10 +1,10 @@
 // The time-travel query surface: `Query{subject, options}` with
 // `QueryOptions::as_of` must answer exactly what a fresh QueryService over
-// the rebuilt day-D world would answer, the pre-redesign shims must stay
-// bit-identical to query() with default options, the temporal queries
-// (drift, first_flip) must match brute force over reconstructions, and a
-// DurableService must keep its attached history in lockstep — including
-// across a close/reopen with WAL replay.
+// the rebuilt day-D world would answer, point and batch kinds must agree
+// with each other, the temporal queries (drift, first_flip) must match
+// brute force over reconstructions, and a DurableService must keep its
+// attached history in lockstep — including across a close/reopen with WAL
+// replay.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -75,6 +75,13 @@ serve::QueryOptions as_of(util::Day day) {
   return options;
 }
 
+/// `q` answered with its own options; the query must succeed.
+serve::QueryResult answer(serve::QueryService& service, const serve::Query& q) {
+  auto result = service.query(q);
+  EXPECT_TRUE(result.ok()) << result.status().to_string();
+  return result.ok() ? *std::move(result) : serve::QueryResult{};
+}
+
 /// Replicates query.cpp's class_on: the admin category in force on `day`.
 std::optional<joint::Category> class_on(const serve::Snapshot& snap,
                                         asn::Asn asn, util::Day day) {
@@ -112,61 +119,70 @@ TEST(HistoryQuery, AsOfMatchesFreshServiceOverRebuild) {
       auto lookup = live.query(serve::Query::lookup(asn, as_of(day)));
       ASSERT_TRUE(lookup.ok()) << lookup.status().to_string();
       ASSERT_EQ(lookup->lookups.size(), 1u);
-      EXPECT_EQ(lookup->lookups[0], fresh.lookup(asn));
+      EXPECT_EQ(*lookup, answer(fresh, serve::Query::lookup(asn)));
 
       auto alive = live.query(
           serve::Query::alive(asn, day - 3, as_of(day)));
       ASSERT_TRUE(alive.ok()) << alive.status().to_string();
       ASSERT_EQ(alive->alive.size(), 1u);
-      EXPECT_EQ(alive->alive[0], fresh.alive_on(asn, day - 3));
+      EXPECT_EQ(*alive, answer(fresh, serve::Query::alive(asn, day - 3)));
     }
 
     auto batch = live.query(serve::Query::lookup_batch(asns, as_of(day)));
     ASSERT_TRUE(batch.ok()) << batch.status().to_string();
-    EXPECT_EQ(batch->lookups, fresh.lookup_batch(asns));
+    EXPECT_EQ(*batch, answer(fresh, serve::Query::lookup_batch(asns)));
 
     auto census = live.query(serve::Query::census(day, as_of(day)));
     ASSERT_TRUE(census.ok()) << census.status().to_string();
     ASSERT_TRUE(census->census.has_value());
-    EXPECT_EQ(*census->census, fresh.census(day));
+    EXPECT_EQ(*census, answer(fresh, serve::Query::census(day)));
 
     serve::ScanQuery filter;
     filter.admin_alive_on = day;
     filter.limit = 64;
     auto scan = live.query(serve::Query::scan(filter, as_of(day)));
     ASSERT_TRUE(scan.ok()) << scan.status().to_string();
-    EXPECT_EQ(scan->lookups, fresh.scan(filter));
+    EXPECT_EQ(*scan, answer(fresh, serve::Query::scan(filter)));
   }
 }
 
-TEST(HistoryQuery, UnifiedQueryMatchesShims) {
+TEST(HistoryQuery, PointAndBatchKindsAgree) {
   serve::QueryService service(live_snapshot());
   service.attach_history(&world().store);
   const std::vector<asn::Asn> asns = sample_asns(service.snapshot());
   const util::Day end = service.snapshot().archive_end();
 
-  for (const asn::Asn asn : asns) {
-    auto q = service.query(serve::Query::lookup(asn));
-    ASSERT_TRUE(q.ok());
-    EXPECT_EQ(q->lookups[0], service.lookup(asn));
-    auto a = service.query(serve::Query::alive(asn, end - 7));
-    ASSERT_TRUE(a.ok());
-    EXPECT_EQ(a->alive[0], service.alive_on(asn, end - 7));
+  const serve::QueryResult batch =
+      answer(service, serve::Query::lookup_batch(asns));
+  const serve::QueryResult alive_batch =
+      answer(service, serve::Query::alive_batch(asns, end - 7));
+  ASSERT_EQ(batch.lookups.size(), asns.size());
+  ASSERT_EQ(alive_batch.alive.size(), asns.size());
+  for (std::size_t i = 0; i < asns.size(); ++i) {
+    const serve::QueryResult point =
+        answer(service, serve::Query::lookup(asns[i]));
+    ASSERT_EQ(point.lookups.size(), 1u);
+    EXPECT_EQ(point.lookups[0], batch.lookups[i]);
+    const serve::QueryResult alive =
+        answer(service, serve::Query::alive(asns[i], end - 7));
+    ASSERT_EQ(alive.alive.size(), 1u);
+    EXPECT_EQ(alive.alive[0], alive_batch.alive[i]);
   }
-  auto batch = service.query(serve::Query::lookup_batch(asns));
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->lookups, service.lookup_batch(asns));
-  auto alive_batch = service.query(serve::Query::alive_batch(asns, end - 2));
-  ASSERT_TRUE(alive_batch.ok());
-  EXPECT_EQ(alive_batch->alive, service.alive_on_batch(asns, end - 2));
-  auto census = service.query(serve::Query::census(end));
-  ASSERT_TRUE(census.ok());
-  EXPECT_EQ(*census->census, service.census(end));
-  serve::ScanQuery filter;
-  filter.op_alive_on = end - 1;
-  auto scan = service.query(serve::Query::scan(filter));
-  ASSERT_TRUE(scan.ok());
-  EXPECT_EQ(scan->lookups, service.scan(filter));
+
+  // A scan restricted to one ASN answers exactly the point lookup.
+  for (const asn::Asn asn : asns) {
+    serve::ScanQuery filter;
+    filter.first = asn;
+    filter.last = asn;
+    const serve::QueryResult scan = answer(service, serve::Query::scan(filter));
+    const serve::QueryResult point = answer(service, serve::Query::lookup(asn));
+    ASSERT_EQ(point.lookups.size(), 1u);
+    if (point.lookups[0].known) {
+      EXPECT_EQ(scan.lookups, point.lookups);
+    } else {
+      EXPECT_TRUE(scan.lookups.empty());
+    }
+  }
 }
 
 TEST(HistoryQuery, CacheOptInvariance) {
@@ -340,7 +356,7 @@ TEST(HistoryQuery, DurableServiceKeepsHistoryInLockstep) {
     ASSERT_TRUE(census.ok()) << census.status().to_string();
     serve::QueryService oracle(HistoryStore::rebuild_at(
         w.result.restored, w.result.op_world.activity, past));
-    EXPECT_EQ(*census->census, oracle.census(past));
+    EXPECT_EQ(*census, answer(oracle, serve::Query::census(past)));
   }
 
   // Reopen with a FRESH store: open() must reseed it from the recovered

@@ -112,8 +112,9 @@ TEST(HistoryReconstruct, SeedAndIntervalMatrix) {
           trailing_store(world, 20, HistoryConfig{interval});
       ASSERT_TRUE(store.ok()) << store.status().to_string();
       expect_every_day_matches_cursor(*store, world);
-      if (interval == 1)
+      if (interval == 1) {
         EXPECT_EQ(store->stats().keyframes, 21);  // every day, base included
+      }
     }
   }
 }

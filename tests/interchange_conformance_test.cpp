@@ -1,229 +1,216 @@
-// Interchange conformance: the text (`pl-dlg-txt/1`) and binary
-// (`pl-dlg-bin/1`) wire formats must carry the exact same day-observation
-// model, so a pipeline run is bit-identical regardless of
-// `pipeline::Config::interchange` — for any seed and scale, with and without
-// transport chaos, and across a checkpoint/resume split driven from the
-// decoded binary stream.
+// Interchange conformance: the binary wire format (`pl-dlg-bin/1`) must carry
+// the exact day-observation model the generator produced. The reference is
+// the in-memory stream itself (`rirsim::SimulatedArchive::stream(rir)`,
+// drained through its materializing `next()`): for every seed × scale, the
+// decoded observations equal the generator's, and a registry restored from
+// the decoded archive equals one restored straight from the generator — in
+// a plain run, under FaultStream transport chaos, and across a
+// checkpoint/resume split driven from the decoded stream.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "delegation/fault_stream.hpp"
 #include "delegation/interchange.hpp"
-#include "pipeline/pipeline.hpp"
 #include "restore/pipeline.hpp"
 #include "rirsim/inject.hpp"
 #include "rirsim/world.hpp"
+#include "robust/chaos.hpp"
+#include "robust/error.hpp"
 
 namespace pl {
 namespace {
 
-using dele::Interchange;
-
-/// FNV-1a over the run-defining outputs — the same notion of "bit-identical"
-/// the perf harness (bench_pipeline_e2e) reports, kept in sync with it.
-std::uint64_t fingerprint_of(const pipeline::Result& result) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 0x100000001b3ULL;
-  };
-  mix(result.admin.lifetimes.size());
-  for (const lifetimes::AdminLifetime& life : result.admin.lifetimes) {
-    mix(life.asn.value);
-    mix(static_cast<std::uint64_t>(life.days.first));
-    mix(static_cast<std::uint64_t>(life.days.last));
-    mix(static_cast<std::uint64_t>(life.registration_date));
-    mix(static_cast<std::uint64_t>(life.registry));
-    mix(life.opaque_id);
-    mix(life.open_ended ? 1 : 0);
-    mix(life.transferred ? 1 : 0);
-  }
-  mix(result.op.lifetimes.size());
-  for (const lifetimes::OpLifetime& life : result.op.lifetimes) {
-    mix(life.asn.value);
-    mix(static_cast<std::uint64_t>(life.days.first));
-    mix(static_cast<std::uint64_t>(life.days.last));
-  }
-  for (const std::int64_t count : result.taxonomy.admin_counts)
-    mix(static_cast<std::uint64_t>(count));
-  for (const std::int64_t count : result.taxonomy.op_counts)
-    mix(static_cast<std::uint64_t>(count));
-  for (const std::int64_t link : result.taxonomy.op_to_admin)
-    mix(static_cast<std::uint64_t>(link));
-  mix(static_cast<std::uint64_t>(result.robustness.days_applied));
-  mix(static_cast<std::uint64_t>(result.robustness.days_delivered));
-  return hash;
-}
-
-/// Field-by-field comparison of everything downstream of the interchange
-/// boundary. The fingerprint already folds most of this, but on mismatch
-/// these assertions point at the first diverging field instead of a hash.
-void expect_identical_results(const pipeline::Result& text,
-                              const pipeline::Result& binary) {
-  for (asn::Rir rir : asn::kAllRirs) {
-    const restore::RestoredRegistry& t = text.restored.registry(rir);
-    const restore::RestoredRegistry& b = binary.restored.registry(rir);
-    ASSERT_EQ(t.spans.size(), b.spans.size()) << asn::display_name(rir);
-    auto t_it = t.spans.begin();
-    auto b_it = b.spans.begin();
-    for (; t_it != t.spans.end(); ++t_it, ++b_it) {
-      ASSERT_EQ(t_it->first, b_it->first) << asn::display_name(rir);
-      ASSERT_EQ(t_it->second, b_it->second)
-          << asn::display_name(rir) << " asn " << t_it->first;
-    }
-    EXPECT_EQ(t.report, b.report) << asn::display_name(rir);
-  }
-  ASSERT_EQ(text.admin.lifetimes, binary.admin.lifetimes);
-  ASSERT_EQ(text.op.lifetimes, binary.op.lifetimes);
-  EXPECT_EQ(text.taxonomy.admin_counts, binary.taxonomy.admin_counts);
-  EXPECT_EQ(text.taxonomy.op_counts, binary.taxonomy.op_counts);
-  EXPECT_EQ(text.taxonomy.op_to_admin, binary.taxonomy.op_to_admin);
-  EXPECT_EQ(text.robustness.days_applied, binary.robustness.days_applied);
-  EXPECT_EQ(text.robustness.days_delivered, binary.robustness.days_delivered);
-  EXPECT_EQ(fingerprint_of(text), fingerprint_of(binary));
-}
-
-pipeline::Result run_with(Interchange format, std::uint64_t seed,
-                          double scale, bool chaos) {
-  pipeline::Config config;
-  config.seed = seed;
-  config.scale = scale;
-  config.threads = 0;
-  config.interchange = format;
-  config.inject_chaos = chaos;
-  if (chaos) config.chaos.seed = seed * 13 + 5;
-  return pipeline::run_simulated(config);
-}
-
-class InterchangeSweep
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
-
-TEST_P(InterchangeSweep, TextAndBinaryPipelinesAreBitIdentical) {
-  const auto [seed, scale] = GetParam();
-  const pipeline::Result text =
-      run_with(Interchange::kText, seed, scale, /*chaos=*/false);
-  const pipeline::Result binary =
-      run_with(Interchange::kBinary, seed, scale, /*chaos=*/false);
-  expect_identical_results(text, binary);
-}
-
-TEST_P(InterchangeSweep, ChaoticPipelinesAreBitIdentical) {
-  const auto [seed, scale] = GetParam();
-  const pipeline::Result text =
-      run_with(Interchange::kText, seed, scale, /*chaos=*/true);
-  const pipeline::Result binary =
-      run_with(Interchange::kBinary, seed, scale, /*chaos=*/true);
-  // Chaos must actually have exercised the fault path for the comparison to
-  // mean anything.
-  EXPECT_GT(text.robustness.days_delivered, 0);
-  expect_identical_results(text, binary);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsByScales, InterchangeSweep,
-    ::testing::Combine(::testing::Values<std::uint64_t>(42, 7, 2026),
-                       ::testing::Values(0.02, 0.05)));
-
-/// Round-trip at the wire level: every day observation decoded from the
-/// binary archive equals its text-decoded counterpart, channel by channel.
-TEST(InterchangeConformance, DecodedObservationsMatchAcrossFormats) {
-  const rirsim::GroundTruth truth =
-      rirsim::build_world(rirsim::WorldConfig::test_scale(42, 0.02));
+/// One simulated world plus the archive generator over it, wired with the
+/// same seed offsets `pipeline::run_simulated` uses.
+struct World {
+  rirsim::GroundTruth truth;
   rirsim::InjectorConfig injector;
-  injector.scale = 0.02;
-  const rirsim::SimulatedArchive archive(truth, injector);
+};
 
+const World& world_for(std::uint64_t seed, double scale) {
+  static std::map<std::pair<std::uint64_t, double>, std::unique_ptr<World>>
+      cache;
+  std::unique_ptr<World>& slot = cache[{seed, scale}];
+  if (slot == nullptr) {
+    slot = std::make_unique<World>();
+    slot->truth =
+        rirsim::build_world(rirsim::WorldConfig::test_scale(seed, scale));
+    slot->injector.seed = seed + 4;
+    slot->injector.scale = scale;
+  }
+  return *slot;
+}
+
+std::vector<dele::DayObservation> drain(dele::ArchiveStream& stream) {
+  std::vector<dele::DayObservation> days;
+  while (std::optional<dele::DayObservation> obs = stream.next())
+    days.push_back(std::move(*obs));
+  return days;
+}
+
+/// Field-by-field registry comparison, so a mismatch names the first
+/// diverging ASN instead of a bare inequality.
+void expect_same_registry(const restore::RestoredRegistry& expected,
+                          const restore::RestoredRegistry& actual,
+                          asn::Rir rir) {
+  ASSERT_EQ(expected.spans.size(), actual.spans.size())
+      << asn::display_name(rir);
+  auto expected_it = expected.spans.begin();
+  auto actual_it = actual.spans.begin();
+  for (; expected_it != expected.spans.end(); ++expected_it, ++actual_it) {
+    ASSERT_EQ(expected_it->first, actual_it->first) << asn::display_name(rir);
+    ASSERT_EQ(expected_it->second, actual_it->second)
+        << asn::display_name(rir) << " asn " << expected_it->first;
+  }
+  EXPECT_EQ(expected.report, actual.report) << asn::display_name(rir);
+}
+
+class InterchangeConformance
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {
+ protected:
+  const World& world() const {
+    const auto [seed, scale] = GetParam();
+    return world_for(seed, scale);
+  }
+
+  dele::EncodedArchive encode(const rirsim::SimulatedArchive& archive,
+                              asn::Rir rir) const {
+    return dele::encode_archive(*archive.stream(rir));
+  }
+};
+
+TEST_P(InterchangeConformance, DecodedObservationsMatchGeneratorStream) {
+  const rirsim::SimulatedArchive archive(world().truth, world().injector);
   for (asn::Rir rir : asn::kAllRirs) {
-    const dele::EncodedArchive text =
-        dele::encode_archive(*archive.stream(rir), Interchange::kText);
-    const dele::EncodedArchive binary =
-        dele::encode_archive(*archive.stream(rir), Interchange::kBinary);
-    auto text_days = dele::decode_archive(text);
-    auto binary_days = dele::decode_archive(binary);
-    ASSERT_TRUE(text_days.ok()) << text_days.status().message();
-    ASSERT_TRUE(binary_days.ok()) << binary_days.status().message();
-    ASSERT_EQ(text_days->size(), binary_days->size())
-        << asn::display_name(rir);
-    for (std::size_t i = 0; i < text_days->size(); ++i) {
-      const dele::DayObservation& t = (*text_days)[i];
-      const dele::DayObservation& b = (*binary_days)[i];
-      ASSERT_EQ(t.day, b.day);
-      const auto expect_channel_eq = [&](const dele::ChannelDelta& tc,
-                                         const dele::ChannelDelta& bc) {
-        EXPECT_EQ(tc.condition, bc.condition);
-        EXPECT_EQ(tc.publish_minute, bc.publish_minute);
-        ASSERT_EQ(tc.changes, bc.changes) << "day " << t.day;
-        ASSERT_EQ(tc.duplicates, bc.duplicates) << "day " << t.day;
+    const std::vector<dele::DayObservation> expected =
+        drain(*archive.stream(rir));
+    const dele::EncodedArchive encoded = encode(archive, rir);
+    auto decoded = dele::decode_archive(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    ASSERT_EQ(expected.size(), decoded->size()) << asn::display_name(rir);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const dele::DayObservation& e = expected[i];
+      const dele::DayObservation& d = (*decoded)[i];
+      ASSERT_EQ(e.day, d.day);
+      const auto expect_channel_eq = [&](const dele::ChannelDelta& ec,
+                                         const dele::ChannelDelta& dc) {
+        EXPECT_EQ(ec.condition, dc.condition) << "day " << e.day;
+        EXPECT_EQ(ec.publish_minute, dc.publish_minute) << "day " << e.day;
+        ASSERT_EQ(ec.changes, dc.changes) << "day " << e.day;
+        ASSERT_EQ(ec.duplicates, dc.duplicates) << "day " << e.day;
       };
-      expect_channel_eq(t.extended, b.extended);
-      expect_channel_eq(t.regular, b.regular);
+      expect_channel_eq(e.extended, d.extended);
+      expect_channel_eq(e.regular, d.regular);
     }
   }
 }
 
-/// Checkpoint/resume driven from the decoded *binary* stream must land on
-/// the same restored registry as an uninterrupted text-driven restore.
-TEST(InterchangeConformance, CheckpointResumeOverBinaryStream) {
-  const rirsim::GroundTruth truth =
-      rirsim::build_world(rirsim::WorldConfig::test_scale(42, 0.02));
-  rirsim::InjectorConfig injector;
-  injector.scale = 0.02;
-  const rirsim::SimulatedArchive archive(truth, injector);
+TEST_P(InterchangeConformance, RestoredRegistriesMatchGeneratorStream) {
+  const rirsim::SimulatedArchive archive(world().truth, world().injector);
   const restore::RestoreConfig config;
-
   for (asn::Rir rir : asn::kAllRirs) {
-    const dele::EncodedArchive text =
-        dele::encode_archive(*archive.stream(rir), Interchange::kText);
-    const dele::EncodedArchive binary =
-        dele::encode_archive(*archive.stream(rir), Interchange::kBinary);
+    const restore::RestoredRegistry expected = restore::restore_registry(
+        *archive.stream(rir), config, &world().truth.erx);
+    const dele::EncodedArchive encoded = encode(archive, rir);
+    auto reader = dele::open_archive(encoded);
+    ASSERT_TRUE(reader.ok()) << reader.status().message();
+    const restore::RestoredRegistry actual =
+        restore::restore_registry(**reader, config, &world().truth.erx);
+    ASSERT_TRUE((*reader)->status().ok()) << (*reader)->status().message();
+    expect_same_registry(expected, actual, rir);
+  }
+}
 
-    auto text_reader = dele::open_archive(text);
-    ASSERT_TRUE(text_reader.ok()) << text_reader.status().message();
-    const restore::RestoredRegistry baseline =
-        restore::restore_registry(**text_reader, config, &truth.erx);
+TEST_P(InterchangeConformance, ChaoticRestoresMatchGeneratorStream) {
+  const auto [seed, scale] = GetParam();
+  const rirsim::SimulatedArchive archive(world().truth, world().injector);
+  const restore::RestoreConfig config;
+  for (asn::Rir rir : asn::kAllRirs) {
+    const robust::ChaosConfig chaos =
+        robust::ChaosConfig::uniform(0.05, seed * 13 + asn::index_of(rir));
 
-    auto binary_reader = dele::open_archive(binary);
-    ASSERT_TRUE(binary_reader.ok()) << binary_reader.status().message();
-    restore::StreamingRestorer first(rir, config, &truth.erx);
-    const std::int64_t split = baseline.report.days_processed / 2;
+    robust::ErrorSink expected_sink;
+    dele::FaultStream expected_stream(archive.stream(rir), chaos,
+                                      &expected_sink);
+    const restore::RestoredRegistry expected = restore::restore_registry(
+        expected_stream, config, &world().truth.erx, nullptr, &expected_sink);
+
+    const dele::EncodedArchive encoded = encode(archive, rir);
+    auto reader = dele::open_archive(encoded);
+    ASSERT_TRUE(reader.ok()) << reader.status().message();
+    robust::ErrorSink actual_sink;
+    dele::FaultStream actual_stream(std::move(*reader), chaos, &actual_sink);
+    const restore::RestoredRegistry actual = restore::restore_registry(
+        actual_stream, config, &world().truth.erx, nullptr, &actual_sink);
+
+    expect_same_registry(expected, actual, rir);
+    const robust::RobustnessReport& e = expected_sink.counters();
+    const robust::RobustnessReport& a = actual_sink.counters();
+    // Chaos must actually have exercised the fault path for the comparison
+    // to mean anything.
+    EXPECT_GT(e.days_dropped + e.days_duplicated + e.days_reordered, 0)
+        << asn::display_name(rir);
+    EXPECT_EQ(e.days_input, a.days_input);
+    EXPECT_EQ(e.days_delivered, a.days_delivered);
+    EXPECT_EQ(e.days_dropped, a.days_dropped);
+    EXPECT_EQ(e.days_duplicated, a.days_duplicated);
+    EXPECT_EQ(e.days_reordered, a.days_reordered);
+    EXPECT_EQ(e.channels_corrupted, a.channels_corrupted);
+    EXPECT_EQ(e.days_applied, a.days_applied);
+    EXPECT_EQ(e.days_quarantined_duplicate, a.days_quarantined_duplicate);
+    EXPECT_EQ(e.days_quarantined_late, a.days_quarantined_late);
+    EXPECT_EQ(e.days_reorder_recovered, a.days_reorder_recovered);
+    EXPECT_EQ(e.warnings, a.warnings);
+    EXPECT_EQ(e.errors, a.errors);
+  }
+}
+
+/// Checkpoint/resume driven from the decoded stream must land on the same
+/// restored registry as an uninterrupted restore over the generator.
+TEST_P(InterchangeConformance, CheckpointResumeMatchesGeneratorStream) {
+  const rirsim::SimulatedArchive archive(world().truth, world().injector);
+  const restore::RestoreConfig config;
+  const restore::ErxDates* erx = &world().truth.erx;
+  for (asn::Rir rir : asn::kAllRirs) {
+    const restore::RestoredRegistry expected =
+        restore::restore_registry(*archive.stream(rir), config, erx);
+
+    const dele::EncodedArchive encoded = encode(archive, rir);
+    auto reader = dele::open_archive(encoded);
+    ASSERT_TRUE(reader.ok()) << reader.status().message();
+    restore::StreamingRestorer first(rir, config, erx);
+    const std::int64_t split = expected.report.days_processed / 2;
     std::int64_t consumed = 0;
     const dele::DayObservationView* view = nullptr;
-    while (consumed < split &&
-           (view = (*binary_reader)->next_view()) != nullptr) {
+    while (consumed < split && (view = (*reader)->next_view()) != nullptr) {
       first.consume(*view);
       ++consumed;
     }
-    ASSERT_TRUE((*binary_reader)->status().ok())
-        << (*binary_reader)->status().message();
+    ASSERT_TRUE((*reader)->status().ok()) << (*reader)->status().message();
 
     // Simulated crash: the first restorer is abandoned mid-archive and a
     // fresh one resumes from its checkpoint over the rest of the stream.
     auto resumed = restore::StreamingRestorer::from_checkpoint(
-        first.checkpoint(), config, &truth.erx);
+        first.checkpoint(), config, erx);
     ASSERT_TRUE(resumed.has_value()) << asn::display_name(rir);
-    while ((view = (*binary_reader)->next_view()) != nullptr)
-      resumed->consume(*view);
-    ASSERT_TRUE((*binary_reader)->status().ok())
-        << (*binary_reader)->status().message();
+    while ((view = (*reader)->next_view()) != nullptr) resumed->consume(*view);
+    ASSERT_TRUE((*reader)->status().ok()) << (*reader)->status().message();
 
-    const restore::RestoredRegistry rebuilt = std::move(*resumed).finalize();
-    ASSERT_EQ(baseline.spans.size(), rebuilt.spans.size())
-        << asn::display_name(rir);
-    auto base_it = baseline.spans.begin();
-    auto rebuilt_it = rebuilt.spans.begin();
-    for (; base_it != baseline.spans.end(); ++base_it, ++rebuilt_it) {
-      ASSERT_EQ(base_it->first, rebuilt_it->first) << asn::display_name(rir);
-      ASSERT_EQ(base_it->second, rebuilt_it->second)
-          << asn::display_name(rir) << " asn " << base_it->first;
-    }
-    EXPECT_EQ(baseline.report, rebuilt.report) << asn::display_name(rir);
+    expect_same_registry(expected, std::move(*resumed).finalize(), rir);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsByScales, InterchangeConformance,
+    ::testing::Combine(::testing::Values<std::uint64_t>(42, 7, 2026),
+                       ::testing::Values(0.02, 0.05)));
 
 }  // namespace
 }  // namespace pl

@@ -78,8 +78,7 @@ EncodedArchive small_binary_archive() {
   rirsim::InjectorConfig injector;
   injector.scale = 0.01;
   const rirsim::SimulatedArchive archive(truth, injector);
-  return encode_archive(*archive.stream(asn::Rir::kRipeNcc),
-                        Interchange::kBinary);
+  return encode_archive(*archive.stream(asn::Rir::kRipeNcc));
 }
 
 /// Open and drain, checking the decode loop is bounded. Returns the final
@@ -115,7 +114,6 @@ class BinaryDecoderFuzz : public ::testing::Test {
   static EncodedArchive damaged(std::string bytes) {
     EncodedArchive copy;
     copy.rir = pristine_->rir;
-    copy.format = Interchange::kBinary;
     copy.bytes = std::move(bytes);
     return copy;
   }

@@ -233,20 +233,24 @@ serve::Snapshot small_snapshot() {
 /// The full query workload both services run: points, batches, census,
 /// scan. Returns the ASNs used so expectations can be derived.
 std::vector<asn::Asn> run_workload(serve::QueryService& service) {
+  using serve::Query;
+  const auto ask = [&service](const Query& q) {
+    EXPECT_TRUE(service.query(q).ok());
+  };
   std::vector<asn::Asn> asns;
   for (std::uint32_t v = 1; v <= 8; ++v) asns.push_back(asn::Asn{v * 1000});
-  for (const asn::Asn asn : asns) service.lookup(asn);
-  service.lookup_batch(asns);
-  service.lookup_batch(asns);  // second pass: hits where caching is on
+  for (const asn::Asn asn : asns) ask(Query::lookup(asn));
+  ask(Query::lookup_batch(asns));
+  ask(Query::lookup_batch(asns));  // second pass: hits where caching is on
   const util::Day day = service.snapshot().archive_end();
-  for (const asn::Asn asn : asns) service.alive_on(asn, day);
-  service.alive_on_batch(asns, day);
-  service.census(day);
+  for (const asn::Asn asn : asns) ask(Query::alive(asn, day));
+  ask(Query::alive_batch(asns, day));
+  ask(Query::census(day));
   serve::ScanQuery scan;
   scan.first = asn::Asn{0};
   scan.last = asn::Asn{50000};
   scan.limit = 10;
-  service.scan(scan);
+  ask(Query::scan(scan));
   return asns;
 }
 
@@ -319,7 +323,7 @@ TEST(QueryAttribution, BatchItemsGetDistinctRequestIds) {
   serve::QueryService service(snapshot, {});
   std::vector<asn::Asn> asns;
   for (std::uint32_t v = 1; v <= 16; ++v) asns.push_back(asn::Asn{v * 500});
-  service.lookup_batch(asns);
+  ASSERT_TRUE(service.query(serve::Query::lookup_batch(asns)).ok());
 
   if constexpr (!kEnabled) {
     EXPECT_TRUE(service.flight().events().empty());
@@ -342,8 +346,9 @@ TEST(QueryAttribution, LatencyHistogramsPopulateForServePaths) {
   serve::QueryService service(snapshot, {});
   std::vector<asn::Asn> asns;
   for (std::uint32_t v = 1; v <= 8; ++v) asns.push_back(asn::Asn{v * 1000});
-  service.lookup_batch(asns);
-  service.census(snapshot.archive_end());
+  ASSERT_TRUE(service.query(serve::Query::lookup_batch(asns)).ok());
+  ASSERT_TRUE(
+      service.query(serve::Query::census(snapshot.archive_end())).ok());
 
   const Snapshot metrics = service.report().metrics;
   if constexpr (!kEnabled) {

@@ -16,6 +16,9 @@
 namespace pl::serve {
 namespace {
 
+// World slicing lives on HistoryStore.
+constexpr auto slice_day = &history::HistoryStore::slice_day;
+
 void advance_equals_rebuild(const pipeline::Config& config, int days_back) {
   const pipeline::Result extended = pipeline::run_simulated(config);
   const util::Day end = extended.truth.archive_end;

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "history/store.hpp"
 #include "obs/flight.hpp"
 #include "pipeline/pipeline.hpp"
 #include "serve/durable.hpp"
@@ -26,6 +27,11 @@
 
 namespace pl::serve {
 namespace {
+
+// World slicing lives on HistoryStore.
+constexpr auto slice_day = &history::HistoryStore::slice_day;
+constexpr auto truncate_archive = &history::HistoryStore::truncate_archive;
+constexpr auto truncate_activity = &history::HistoryStore::truncate_activity;
 
 struct World {
   pipeline::Result extended;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "history/store.hpp"
 #include "pipeline/pipeline.hpp"
 #include "robust/chaos.hpp"
 #include "serve/durable.hpp"
@@ -23,6 +24,11 @@
 
 namespace pl::serve {
 namespace {
+
+// World slicing lives on HistoryStore.
+constexpr auto slice_day = &history::HistoryStore::slice_day;
+constexpr auto truncate_archive = &history::HistoryStore::truncate_archive;
+constexpr auto truncate_activity = &history::HistoryStore::truncate_activity;
 
 struct World {
   pipeline::Result extended;

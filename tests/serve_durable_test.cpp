@@ -8,6 +8,7 @@
 #include <fstream>
 #include <string>
 
+#include "history/store.hpp"
 #include "pipeline/pipeline.hpp"
 #include "robust/checkpoint.hpp"
 #include "serve/durable.hpp"
@@ -16,6 +17,11 @@
 
 namespace pl::serve {
 namespace {
+
+// World slicing lives on HistoryStore.
+constexpr auto slice_day = &history::HistoryStore::slice_day;
+constexpr auto truncate_archive = &history::HistoryStore::truncate_archive;
+constexpr auto truncate_activity = &history::HistoryStore::truncate_activity;
 
 pipeline::Config small_config() {
   pipeline::Config config;
@@ -381,7 +387,10 @@ TEST(DurableService, QuarantinedDayDegradesButKeepsServing) {
 
   // Still answering queries from the last good state.
   EXPECT_EQ(service->archive_end(), end - 2);
-  EXPECT_EQ(service->queries().census(end - 2).day, end - 2);
+  auto census = service->queries().query(Query::census(end - 2));
+  ASSERT_TRUE(census.ok()) << census.status().to_string();
+  ASSERT_TRUE(census->census.has_value());
+  EXPECT_EQ(census->census->day, end - 2);
 
   // Reopen replays the poisoned record, quarantines it again, and reports
   // the same degradation — deterministic recovery, no silent skip.

@@ -18,6 +18,13 @@
 namespace pl::serve {
 namespace {
 
+/// `q` answered by `service`; the query must succeed.
+QueryResult answer(QueryService& service, const Query& q) {
+  auto result = service.query(q);
+  EXPECT_TRUE(result.ok()) << result.status().to_string();
+  return result.ok() ? *std::move(result) : QueryResult{};
+}
+
 struct Oracle {
   pipeline::Result result;
   std::set<std::uint32_t> dormant_asns;   ///< ASNs with a dormant-squat life
@@ -146,7 +153,8 @@ TEST_F(ServeOracleTest, PointAndBatchLookupsMatchLinearScan) {
     util::Rng rng(0xF00D);
     for (int round = 0; round < 4; ++round) {
       const std::vector<asn::Asn> asns = random_asns(rng, 200);
-      const std::vector<AsnAnswer> batch = service.lookup_batch(asns);
+      const std::vector<AsnAnswer> batch =
+          answer(service, Query::lookup_batch(asns)).lookups;
       ASSERT_EQ(batch.size(), asns.size());
       for (std::size_t i = 0; i < asns.size(); ++i) {
         const AsnAnswer expected = oracle_->lookup(asns[i]);
@@ -154,7 +162,8 @@ TEST_F(ServeOracleTest, PointAndBatchLookupsMatchLinearScan) {
             << "asn " << asns[i].value << " cache=" << enable_cache;
         // Point path answers identically to the batch path (and, second
         // time around, from the cache).
-        EXPECT_EQ(service.lookup(asns[i]), expected);
+        EXPECT_EQ(answer(service, Query::lookup(asns[i])).lookups,
+                  std::vector<AsnAnswer>{expected});
       }
     }
   }
@@ -172,13 +181,15 @@ TEST_F(ServeOracleTest, AliveQueriesMatchLinearScan) {
     for (int round = 0; round < 3; ++round) {
       const std::vector<asn::Asn> asns = random_asns(rng, 100);
       const util::Day day = begin + rng.uniform(0, end - begin);
-      const std::vector<AliveAnswer> batch = service.alive_on_batch(asns, day);
+      const std::vector<AliveAnswer> batch =
+          answer(service, Query::alive_batch(asns, day)).alive;
       ASSERT_EQ(batch.size(), asns.size());
       for (std::size_t i = 0; i < asns.size(); ++i) {
         const AliveAnswer expected = oracle_->alive(asns[i], day);
         EXPECT_EQ(batch[i], expected)
             << "asn " << asns[i].value << " day " << day;
-        EXPECT_EQ(service.alive_on(asns[i], day), expected);
+        EXPECT_EQ(answer(service, Query::alive(asns[i], day)).alive,
+                  std::vector<AliveAnswer>{expected});
       }
     }
   }
@@ -204,7 +215,8 @@ TEST_F(ServeOracleTest, ScansMatchLinearFilter) {
     if (rng.uniform(0, 1) == 0)
       query.admin_alive_on = begin + rng.uniform(0, end - begin);
 
-    const std::vector<AsnAnswer> got = service.scan(query);
+    const std::vector<AsnAnswer> got =
+        answer(service, Query::scan(query)).lookups;
 
     // Expected ASNs by linear scan over the admin/op datasets.
     std::set<std::uint32_t> expected;
@@ -255,9 +267,11 @@ TEST_F(ServeOracleTest, CensusMatchesLinearCountEverywhere) {
     std::int64_t op_alive = 0;
     for (const lifetimes::OpLifetime& life : oracle_->result.op.lifetimes)
       if (life.days.contains(day)) ++op_alive;
-    const CensusAnswer census = service.census(day);
-    EXPECT_EQ(census.admin_alive, admin_alive) << "day " << day;
-    EXPECT_EQ(census.op_alive, op_alive) << "day " << day;
+    const std::optional<CensusAnswer> census =
+        answer(service, Query::census(day)).census;
+    ASSERT_TRUE(census.has_value()) << "day " << day;
+    EXPECT_EQ(census->admin_alive, admin_alive) << "day " << day;
+    EXPECT_EQ(census->op_alive, op_alive) << "day " << day;
   }
 }
 

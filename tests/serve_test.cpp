@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "history/store.hpp"
 #include "lifetimes/dataset_io.hpp"
 #include "obs/export.hpp"
 #include "pipeline/pipeline.hpp"
@@ -26,6 +27,13 @@ pipeline::Result small_pipeline() {
 Snapshot small_snapshot(const pipeline::Result& result) {
   return Snapshot::build(result.restored, result.op_world.activity,
                          result.truth.archive_end);
+}
+
+/// `q` answered by `service`; the query must succeed.
+QueryResult answer(QueryService& service, const Query& q) {
+  auto result = service.query(q);
+  EXPECT_TRUE(result.ok()) << result.status().to_string();
+  return result.ok() ? *std::move(result) : QueryResult{};
 }
 
 TEST(Status, DefaultIsOkAndFactoriesCarryCodes) {
@@ -180,8 +188,8 @@ TEST(QueryService, SecondIdenticalBatchIsAllHits) {
     batch.push_back(asn::Asn{asn_value});
     if (batch.size() == 64) break;
   }
-  const std::vector<AsnAnswer> first = service.lookup_batch(batch);
-  const std::vector<AsnAnswer> second = service.lookup_batch(batch);
+  const QueryResult first = answer(service, Query::lookup_batch(batch));
+  const QueryResult second = answer(service, Query::lookup_batch(batch));
   EXPECT_EQ(first, second);
 
   if (obs::kEnabled) {
@@ -202,7 +210,7 @@ TEST(QueryService, TinyCacheEvicts) {
   std::vector<asn::Asn> batch;
   for (const auto& [asn_value, indices] : result.admin.by_asn)
     batch.push_back(asn::Asn{asn_value});
-  (void)service.lookup_batch(batch);
+  ASSERT_TRUE(service.query(Query::lookup_batch(batch)).ok());
   if (obs::kEnabled) {
     EXPECT_GT(
         service.report().metrics.counter_value("pl_serve_cache_evictions"),
@@ -213,8 +221,9 @@ TEST(QueryService, TinyCacheEvicts) {
 TEST(QueryService, ReportCarriesServeSpansAndExports) {
   const pipeline::Result result = small_pipeline();
   QueryService service(small_snapshot(result));
-  (void)service.lookup_batch({asn::Asn{1}, asn::Asn{2}});
-  (void)service.scan(ScanQuery{});
+  ASSERT_TRUE(
+      service.query(Query::lookup_batch({asn::Asn{1}, asn::Asn{2}})).ok());
+  ASSERT_TRUE(service.query(Query::scan(ScanQuery{})).ok());
   if (!obs::kEnabled) return;  // obs-off: report is empty by design
 
   const obs::Report report = service.report();
@@ -236,19 +245,20 @@ TEST(QueryService, ScanFiltersCompose) {
 
   ScanQuery by_registry;
   by_registry.registry = asn::Rir::kRipeNcc;
-  const std::vector<AsnAnswer> ripe = service.scan(by_registry);
+  const std::vector<AsnAnswer> ripe =
+      answer(service, Query::scan(by_registry)).lookups;
   EXPECT_GT(ripe.size(), 0u);
   for (std::size_t i = 1; i < ripe.size(); ++i)
     EXPECT_LT(ripe[i - 1].asn, ripe[i].asn);
 
   ScanQuery limited = by_registry;
   limited.limit = 5;
-  EXPECT_EQ(service.scan(limited).size(), 5u);
+  EXPECT_EQ(answer(service, Query::scan(limited)).lookups.size(), 5u);
 
   ScanQuery alive = by_registry;
   alive.admin_alive_on = result.truth.archive_end;
-  for (const AsnAnswer& answer : service.scan(alive))
-    EXPECT_TRUE(answer.currently_allocated);
+  for (const AsnAnswer& row : answer(service, Query::scan(alive)).lookups)
+    EXPECT_TRUE(row.currently_allocated);
 }
 
 TEST(QueryService, QueryOnlySnapshotRefusesAdvance) {
@@ -275,9 +285,9 @@ TEST(QueryService, AdvanceClearsCachesAndBumpsVersion) {
   QueryService service(small_snapshot(result));
 
   const asn::Asn probe{result.admin.lifetimes.front().asn.value};
-  (void)service.lookup(probe);
-  DayDelta delta = slice_day(result.restored, result.op_world.activity,
-                             result.truth.archive_end);
+  ASSERT_TRUE(service.query(Query::lookup(probe)).ok());
+  DayDelta delta = history::HistoryStore::slice_day(
+      result.restored, result.op_world.activity, result.truth.archive_end);
   delta.day = result.truth.archive_end + 1;
   ASSERT_TRUE(service.advance_day(delta).ok());
   EXPECT_EQ(service.version(), 1u);

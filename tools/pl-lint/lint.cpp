@@ -801,8 +801,8 @@ void rule_status_ignored(const Context& ctx) {
 // restore and delegation layers run once per record over 17 years x 5
 // registries of archive, so stream-based tokenization (std::stringstream /
 // istringstream / ostringstream) and `std::stoi` over a `.substr(...)`
-// temporary are banned there — tokenize with the memchr field splitter
-// (util/strings.hpp) and parse numbers in place. Genuinely cold paths
+// temporary are banned there — slice std::string_view fields and parse
+// numbers in place with std::from_chars. Genuinely cold paths
 // (once-per-run reports, error formatting) take an allow() with a
 // justification.
 
@@ -821,9 +821,9 @@ void rule_hot_path_alloc(const Context& ctx) {
       // either — any ident hit is a real use or a declaration).
       ctx.flag("hot-path-alloc", tokens[i].line,
                "'std::" + text +
-                   "' allocates per use on the ingest hot path; tokenize "
-                   "with the memchr splitter (util/strings.hpp) or justify "
-                   "with an allow(hot-path-alloc) comment");
+                   "' allocates per use on the ingest hot path; slice "
+                   "std::string_view fields and parse with std::from_chars, "
+                   "or justify with an allow(hot-path-alloc) comment");
     } else if (text == "stoi" || text == "stol" || text == "stoul" ||
                text == "stoll" || text == "stoull" || text == "stod") {
       if (!is_punct(tokens, i + 1, "(")) continue;
@@ -834,9 +834,9 @@ void rule_hot_path_alloc(const Context& ctx) {
         ctx.flag("hot-path-alloc", tokens[i].line,
                  "'" + text +
                      "' over a '.substr(...)' temporary allocates per "
-                     "field; parse in place (std::from_chars / the field "
-                     "splitter) or justify with an allow(hot-path-alloc) "
-                     "comment");
+                     "field; parse in place with std::from_chars over a "
+                     "std::string_view slice, or justify with an "
+                     "allow(hot-path-alloc) comment");
     }
   }
 }
@@ -942,7 +942,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "or carry a justified allow()"},
       {"hot-path-alloc",
        "no stream tokenization or stoi-on-substr in src/restore and "
-       "src/delegation; use the memchr splitter or a justified allow()"},
+       "src/delegation; parse string_view slices with std::from_chars or "
+       "add a justified allow()"},
       {"query-path-untraced",
        "non-const QueryService/DurableService definitions in src/serve must "
        "open a span or record a flight/request event"},
