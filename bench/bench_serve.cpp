@@ -1,6 +1,6 @@
 // Serving-layer performance harness: builds the serve::Snapshot from the
 // shared bench pipeline, then measures the query paths a deployment cares
-// about — cold and warm point lookups, batch lookups, alive-on batches —
+// about — point lookups, batch lookups, alive-on batches —
 // and the incremental update: advance_day latency vs. rebuilding the whole
 // snapshot, with the bit-identity of the two re-checked in passing. Writes
 // machine-readable BENCH_serve.json so successive PRs accumulate a perf
@@ -13,14 +13,14 @@
 //   PL_KEYFRAME_INTERVAL  history keyframe spacing in days (default 16;
 //                         EXPERIMENTS.md discusses the trade-off)
 //
-// JSON format (schema pl-bench-serve/4; /3 plus the history block):
+// JSON format (schema pl-bench-serve/5; /4 without the answer cache's
+// cold/warm split and hit/miss counts):
 //   {
-//     "schema": "pl-bench-serve/4", "scale": ..., "seed": ...,
+//     "schema": "pl-bench-serve/5", "scale": ..., "seed": ...,
 //     "snapshot": {"asns": n, "admin_lives": n, "op_lives": n,
 //                  "build_ms": ms},
-//     "queries": {"point_cold_qps": x, "point_warm_qps": x,
-//                 "batch_qps": x, "alive_qps": x, "scan_full_ms": ms,
-//                 "census_ms": ms, "cache_hits": n, "cache_misses": n},
+//     "queries": {"point_qps": x, "batch_qps": x, "alive_qps": x,
+//                 "scan_full_ms": ms, "census_ms": ms},
 //     "advance": {"days": n, "mean_ms": ms, "max_ms": ms,
 //                 "rebuild_ms": ms, "speedup_vs_rebuild": x,
 //                 "identical": true},
@@ -35,7 +35,7 @@
 //                 "reconstruct": shared percentile summary, ns,
 //                 "identical": true},
 //     "observability": {"enabled": bool, "instr_ns_per_query": x,
-//                       "warm_ns_per_query": x, "overhead_pct": x,
+//                       "point_ns_per_query": x, "overhead_pct": x,
 //                       "latency": {"point"|"batch"|"alive"|"scan"|"census":
 //                                   shared percentile summary
 //                                   (bench/common.hpp), ns}}
@@ -43,7 +43,7 @@
 //
 // Exit status is non-zero when advance/rebuild bit-identity breaks, when a
 // sampled history reconstruction deviates from a fresh rebuild, or when the
-// per-query observability tax exceeds 3% of the warm point-lookup cost
+// per-query observability tax exceeds 3% of the point-lookup cost
 // (DESIGN.md §14's always-on budget).
 
 #include <chrono>
@@ -73,7 +73,7 @@ double ms_since(Clock::time_point start) {
 }
 
 /// Query mix the oracle test uses too: mostly ASNs the study knows, some it
-/// never saw (misses exercise the not-found path and the cache equally).
+/// never saw (those exercise the not-found path).
 std::vector<pl::asn::Asn> query_mix(const pl::serve::Snapshot& snapshot,
                                     std::size_t count) {
   pl::util::Rng rng(0x5EED);
@@ -136,8 +136,8 @@ int main() {
   const std::int64_t snapshot_op =
       static_cast<std::int64_t>(snapshot.op_life_count());
 
-  // --- Query throughput. One service, cache on: the first pass over the
-  // mix is all misses (cold), the second pass all hits (warm).
+  // --- Query throughput. One service; the first pass over the mix warms
+  // the processor caches, the second pass is the one timed.
   const std::size_t kQueries = 20000;
   const std::vector<asn::Asn> mix = query_mix(snapshot, kQueries);
   serve::QueryService service(std::move(snapshot));
@@ -150,13 +150,10 @@ int main() {
     return result.ok() ? *std::move(result) : serve::QueryResult{};
   };
 
+  for (const asn::Asn asn : mix) ask(serve::Query::lookup(asn));
   auto start = Clock::now();
   for (const asn::Asn asn : mix) ask(serve::Query::lookup(asn));
-  const double cold_ms = ms_since(start);
-
-  start = Clock::now();
-  for (const asn::Asn asn : mix) ask(serve::Query::lookup(asn));
-  const double warm_ms = ms_since(start);
+  const double point_ms = ms_since(start);
 
   start = Clock::now();
   ask(serve::Query::lookup_batch(mix));
@@ -183,13 +180,9 @@ int main() {
     return ms > 0 ? 1000.0 * static_cast<double>(kQueries) / ms : 0.0;
   };
   const obs::Snapshot metrics = service.report().metrics;
-  const std::int64_t hits = metrics.counter_value("pl_serve_cache_hits");
-  const std::int64_t misses = metrics.counter_value("pl_serve_cache_misses");
-  std::cout << "point lookups: cold " << bench::fmt_count(
-                   static_cast<std::int64_t>(qps(cold_ms)))
-            << " qps, warm " << bench::fmt_count(
-                   static_cast<std::int64_t>(qps(warm_ms)))
-            << " qps (cache " << hits << " hits / " << misses << " misses)\n";
+  std::cout << "point lookups: " << bench::fmt_count(
+                   static_cast<std::int64_t>(qps(point_ms)))
+            << " qps\n";
   std::cout << "batch lookup:  " << bench::fmt_count(
                    static_cast<std::int64_t>(qps(batch_ms)))
             << " qps over one " << kQueries << "-ASN batch\n";
@@ -203,7 +196,7 @@ int main() {
   // --- Observability tax. The point path pays, per query: one RequestId
   // derivation, one flight-ring record, and a 1-in-8 decimated latency
   // sample (serve/query.cpp). Replay exactly that sequence in a tight loop
-  // and price it against the warm per-lookup cost measured above — the
+  // and price it against the per-lookup cost timed above — the
   // always-on budget is <=3% (DESIGN.md §14). Under PL_OBS_OFF the shells
   // compile to nothing and the tax reads ~0 by construction.
   const std::size_t kInstrOps = 1u << 21;
@@ -216,23 +209,23 @@ int main() {
         obs::derive_request_id(obs::kQueryStream, 0, i);
     instr_flight.record(obs::FlightEvent{
         request.value, static_cast<std::uint32_t>(obs::EventKind::kLookup),
-        obs::query_detail(obs::kCacheHit, 0, 0, true),
+        obs::query_detail(obs::kCacheNone, 0, 0, true),
         static_cast<std::int64_t>(i), 0});
     if ((i & 7) == 0) instr_latency.observe(static_cast<std::int64_t>(i));
   }
   const double instr_ms = ms_since(start);
   const double instr_ns_per_query =
       1e6 * instr_ms / static_cast<double>(kInstrOps);
-  const double warm_ns_per_query =
-      1e6 * warm_ms / static_cast<double>(kQueries);
+  const double point_ns_per_query =
+      1e6 * point_ms / static_cast<double>(kQueries);
   const double overhead_pct =
-      warm_ns_per_query > 0
-          ? 100.0 * instr_ns_per_query / warm_ns_per_query
+      point_ns_per_query > 0
+          ? 100.0 * instr_ns_per_query / point_ns_per_query
           : 0.0;
   const bool obs_ok = !obs::kEnabled || overhead_pct <= 3.0;
   std::cout << "observability: " << (obs::kEnabled ? "on" : "off (PL_OBS_OFF)")
             << ", instrumentation " << instr_ns_per_query
-            << " ns/query vs warm lookup " << warm_ns_per_query
+            << " ns/query vs point lookup " << point_ns_per_query
             << " ns/query = " << overhead_pct << "% overhead"
             << (obs_ok ? "" : " — OVER THE 3% BUDGET") << "\n\n";
 
@@ -432,7 +425,7 @@ int main() {
   // --- Machine-readable artifact.
   bench::JsonWriter json;
   json.begin_object();
-  json.key("schema").value("pl-bench-serve/4");
+  json.key("schema").value("pl-bench-serve/5");
   json.key("scale").value(pipeline.scale);
   json.key("seed").value(static_cast<std::uint64_t>(pipeline.seed));
   json.key("snapshot").begin_object();
@@ -442,14 +435,11 @@ int main() {
   json.key("build_ms").value(build_ms);
   json.end_object();
   json.key("queries").begin_object();
-  json.key("point_cold_qps").value(qps(cold_ms), 0);
-  json.key("point_warm_qps").value(qps(warm_ms), 0);
+  json.key("point_qps").value(qps(point_ms), 0);
   json.key("batch_qps").value(qps(batch_ms), 0);
   json.key("alive_qps").value(qps(alive_ms), 0);
   json.key("scan_full_ms").value(scan_ms);
   json.key("census_ms").value(census_ms);
-  json.key("cache_hits").value(hits);
-  json.key("cache_misses").value(misses);
   json.end_object();
   json.key("advance").begin_object();
   json.key("days").value(kDays);
@@ -487,7 +477,7 @@ int main() {
   json.key("observability").begin_object();
   json.key("enabled").value(obs::kEnabled);
   json.key("instr_ns_per_query").value(instr_ns_per_query);
-  json.key("warm_ns_per_query").value(warm_ns_per_query);
+  json.key("point_ns_per_query").value(point_ns_per_query);
   json.key("overhead_pct").value(overhead_pct);
   json.key("latency").begin_object();
   for (const char* kind : {"point", "batch", "alive", "scan", "census"}) {

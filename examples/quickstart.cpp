@@ -21,6 +21,7 @@
 //       PL_TRACE=run.json ./quickstart
 #include <cstdlib>
 #include <iostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -80,8 +81,8 @@ int main(int argc, char** argv) {
               << " op\n";
 
   // --- Serve it. The snapshot joins both datasets plus the taxonomy and
-  // detector verdicts into one per-ASN index; QueryService fronts it with a
-  // cache and batch APIs.
+  // detector verdicts into one per-ASN index; QueryService fronts it with
+  // point and batch APIs.
   std::cout << "\n  snapshot: "
             << util::with_commas(static_cast<std::int64_t>(
                    world.snapshot.asn_count()))
@@ -203,11 +204,14 @@ int main(int argc, char** argv) {
   const obs::Snapshot serve_metrics = service.report().metrics;
   std::cout << "\n  observability: "
             << result.report.metrics.counters.size()
-            << " pipeline counters; serve cache "
-            << serve_metrics.counter_value("pl_serve_cache_hits") << " hits / "
-            << serve_metrics.counter_value("pl_serve_cache_misses")
-            << " misses; restore stage " << result.timings.restore_ms
-            << " ms of " << result.timings.total_ms << " ms total\n";
+            << " pipeline counters; serve queries";
+  for (const char* kind : {"point", "batch", "alive", "census", "scan",
+                           "as_of", "drift"})
+    std::cout << " " << kind << "="
+              << serve_metrics.counter_value(
+                     std::string("pl_serve_queries{kind=\"") + kind + "\"}");
+  std::cout << "; restore stage " << result.timings.restore_ms << " ms of "
+            << result.timings.total_ms << " ms total\n";
   if (std::getenv("PL_TRACE") == nullptr &&
       std::getenv("PL_PROM") == nullptr)
     std::cout << "  (PL_TRACE=run.json dumps the span tree + metrics as "

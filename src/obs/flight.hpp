@@ -67,11 +67,11 @@ constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
 /// RequestId = mix(stream ^ golden*sequence ^ prime*item). `stream`
 /// distinguishes services, `sequence` is the service's monotonically
 /// increasing API-call counter, `item` the index within a batch (0 for
-/// point calls). Pure integer math — identical across thread counts and
-/// cache configurations. A single avalanche pass: mix64 is bijective, so
-/// ids differ whenever the seeded inputs differ, and the derivation sits
-/// on the per-query hot path inside the <=3% always-on budget that
-/// bench_serve enforces — one multiply chain, not two.
+/// point calls). Pure integer math — identical across thread counts. A
+/// single avalanche pass: mix64 is bijective, so ids differ whenever the
+/// seeded inputs differ, and the derivation sits on the per-query hot path
+/// inside the <=3% always-on budget that bench_serve enforces — one
+/// multiply chain, not two.
 constexpr RequestId derive_request_id(std::uint64_t stream,
                                       std::uint64_t sequence,
                                       std::uint64_t item) noexcept {
@@ -108,13 +108,14 @@ enum class EventKind : std::uint32_t {
 ///   bits 2-9   cache shard index (0 when uncached)
 ///   bits 10-17 status code (robust::StatusCode numeric value; 0 = ok)
 ///   bit  18    found / answered flag
+/// The query service answers without a cache and writes bits 0-9 as 0
+/// (kCacheNone, shard 0); kCacheHit/kCacheMiss stay so that dumps written
+/// by older builds still render.
 /// Durability events put event-specific payloads (e.g. crc32 of the crash
 /// site) in the full 32 bits instead.
 inline constexpr std::uint32_t kCacheNone = 0;
 inline constexpr std::uint32_t kCacheHit = 1;
 inline constexpr std::uint32_t kCacheMiss = 2;
-/// Mask clearing the cache bits — the cache-on/off invariant view.
-inline constexpr std::uint32_t kQueryDetailCacheMask = ~std::uint32_t{0x3FF};
 
 constexpr std::uint32_t query_detail(std::uint32_t cache, std::uint32_t shard,
                                      std::uint32_t status,

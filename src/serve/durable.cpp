@@ -545,9 +545,8 @@ const std::vector<std::string_view> kAdvanceCrashSites = {
     "durable.checkpoint.after_tmp",   "durable.checkpoint.after_rename",
 };
 
-DurableService::DurableService(DurableConfig config, QueryConfig query_config)
+DurableService::DurableService(DurableConfig config)
     : config_(std::move(config)),
-      query_config_(query_config),
       metrics_(std::make_unique<obs::Registry>()),
       trace_(std::make_unique<obs::Trace>()),
       root_(trace_->root("serve.durable")),
@@ -585,11 +584,10 @@ void DurableService::note_degraded() {
 // pl-lint: allow(query-path-untraced) static factory: open_impl below opens
 // the serve.durable.open span and records the kOpen flight event.
 pl::StatusOr<DurableService> DurableService::open(Snapshot bootstrap,
-                                                  DurableConfig config,
-                                                  QueryConfig query_config) {
+                                                  DurableConfig config) {
   if (config.dir.empty())
     return pl::invalid_argument_error("DurableConfig.dir is empty");
-  DurableService service(std::move(config), query_config);
+  DurableService service(std::move(config));
   pl::Status opened = service.open_impl(std::move(bootstrap));
   if (!opened.ok()) return opened;
   return service;
@@ -641,8 +639,7 @@ pl::Status DurableService::open_impl(Snapshot bootstrap) {
   span.note("snapshot_day", health_.snapshot_day);
 
   service_ =
-      std::make_unique<QueryService>(std::move(base), query_config_,
-                                     flight_.get());
+      std::make_unique<QueryService>(std::move(base), flight_.get());
 
   if (config_.history != nullptr) {
     // Seed (or re-anchor) the history at the recovered base state so the

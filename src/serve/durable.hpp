@@ -203,8 +203,7 @@ class DurableService {
   /// the base state. Any WAL is then replayed on top. Fails only on hard
   /// filesystem errors or an empty `config.dir`.
   static pl::StatusOr<DurableService> open(Snapshot bootstrap,
-                                           DurableConfig config,
-                                           QueryConfig query_config = {});
+                                           DurableConfig config);
 
   DurableService(DurableService&&) = default;
   DurableService& operator=(DurableService&&) = default;
@@ -240,7 +239,7 @@ class DurableService {
   const obs::FlightRecorder& flight() const noexcept { return *flight_; }
 
  private:
-  DurableService(DurableConfig config, QueryConfig query_config);
+  explicit DurableService(DurableConfig config);
 
   pl::Status open_impl(Snapshot bootstrap);
   pl::Status checkpoint_impl(obs::Span& parent);
@@ -264,7 +263,6 @@ class DurableService {
   void note_degraded();
 
   DurableConfig config_;
-  QueryConfig query_config_;
 
   // Behind unique_ptr: Registry/Trace own mutexes and QueryService holds
   // references into its registry, so none of them are movable in place.

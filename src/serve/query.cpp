@@ -12,6 +12,12 @@ namespace {
 /// Batch-size histogram edges: singles, small scripts, analysis sweeps.
 std::vector<std::int64_t> batch_bounds() { return {1, 8, 64, 512, 4096}; }
 
+/// Flight detail for one answered query. Nothing is cached, so the cache
+/// and shard fields of the pl-flight/1 layout are always zero.
+constexpr std::uint32_t answered(bool found) noexcept {
+  return obs::query_detail(obs::kCacheNone, 0, 0, found);
+}
+
 /// The admin classification of `asn` in force on `day` (the category of
 /// the admin life covering it), nullopt when no life covers the day.
 std::optional<joint::Category> class_on(const Snapshot& snap, asn::Asn asn,
@@ -91,20 +97,24 @@ Query Query::scan(ScanQuery scan, QueryOptions options) {
 
 // -- QueryService ----------------------------------------------------------
 
-QueryService::QueryService(Snapshot snapshot, QueryConfig config,
-                           obs::FlightRecorder* flight)
+QueryService::QueryService(Snapshot snapshot, obs::FlightRecorder* flight)
     : snapshot_(std::move(snapshot)),
-      config_(config),
       root_(trace_.root("serve")),
       owned_flight_(flight == nullptr
                         ? std::make_unique<obs::FlightRecorder>()
                         : nullptr),
       flight_(flight == nullptr ? owned_flight_.get() : flight),
-      lookup_cache_(config.enable_cache ? config.cache_capacity : 0),
-      alive_cache_(config.enable_cache ? config.cache_capacity : 0),
-      hits_(metrics_.counter("pl_serve_cache_hits")),
-      misses_(metrics_.counter("pl_serve_cache_misses")),
-      evictions_(metrics_.counter("pl_serve_cache_evictions")),
+      point_counter_(metrics_.counter("pl_serve_queries{kind=\"point\"}")),
+      batch_counter_(metrics_.counter("pl_serve_queries{kind=\"batch\"}")),
+      alive_counter_(metrics_.counter("pl_serve_queries{kind=\"alive\"}")),
+      census_counter_(
+          metrics_.counter("pl_serve_queries{kind=\"census\"}")),
+      scan_counter_(metrics_.counter("pl_serve_queries{kind=\"scan\"}")),
+      as_of_counter_(metrics_.counter("pl_serve_queries{kind=\"as_of\"}")),
+      drift_counter_(metrics_.counter("pl_serve_queries{kind=\"drift\"}")),
+      first_flip_counter_(
+          metrics_.counter("pl_serve_queries{kind=\"first_flip\"}")),
+      batch_items_(metrics_.histogram("pl_serve_batch_items", batch_bounds())),
       point_latency_(metrics_.latency("pl_serve_latency_ns{kind=\"point\"}")),
       alive_latency_(metrics_.latency("pl_serve_latency_ns{kind=\"alive\"}")),
       batch_latency_(metrics_.latency("pl_serve_latency_ns{kind=\"batch\"}")),
@@ -169,10 +179,6 @@ AliveAnswer QueryService::alive_for(const Snapshot& snap, asn::Asn asn,
 pl::StatusOr<QueryResult> QueryService::query(const Query& q) {
   auto snap = snapshot_as_of(q.options.as_of);
   if (!snap.ok()) return snap.status();
-  // The answer caches are keyed by ASN against the LIVE snapshot; a past
-  // reconstruction must never probe or fill them.
-  const bool live = *snap == &snapshot_;
-  const bool use_cache = config_.enable_cache && q.options.use_cache && live;
 
   const QuerySubject& subject = q.subject;
   const bool point =
@@ -184,19 +190,17 @@ pl::StatusOr<QueryResult> QueryService::query(const Query& q) {
   QueryResult result;
   switch (subject.kind) {
     case QueryKind::kLookup:
-      result.lookups.push_back(
-          lookup_impl(**snap, subject.asns.front(), use_cache));
+      result.lookups.push_back(lookup_impl(**snap, subject.asns.front()));
       break;
     case QueryKind::kLookupBatch:
-      result.lookups = lookup_batch_impl(**snap, subject.asns, use_cache);
+      result.lookups = lookup_batch_impl(**snap, subject.asns);
       break;
     case QueryKind::kAlive:
       result.alive.push_back(
-          alive_impl(**snap, subject.asns.front(), subject.day, use_cache));
+          alive_impl(**snap, subject.asns.front(), subject.day));
       break;
     case QueryKind::kAliveBatch:
-      result.alive =
-          alive_batch_impl(**snap, subject.asns, subject.day, use_cache);
+      result.alive = alive_batch_impl(**snap, subject.asns, subject.day);
       break;
     case QueryKind::kCensus:
       result.census = census_impl(**snap, subject.day);
@@ -218,7 +222,7 @@ pl::StatusOr<const Snapshot*> QueryService::snapshot_as_of(util::Day day) {
   if (history_ == nullptr)
     return pl::failed_precondition_error(
         "as_of queries need a history store; call attach_history() first");
-  metrics_.counter("pl_serve_queries{kind=\"as_of\"}").add(1);
+  as_of_counter_.add(1);
   return history_->at(day);
 }
 
@@ -228,7 +232,7 @@ pl::StatusOr<DriftAnswer> QueryService::drift(util::Day from, util::Day to) {
   obs::Span span = root_.child("serve.drift");
   span.note("from", from);
   span.note("to", to);
-  metrics_.counter("pl_serve_queries{kind=\"drift\"}").add(1);
+  drift_counter_.add(1);
   DriftAnswer answer;
   answer.from = from;
   answer.to = to;
@@ -247,7 +251,7 @@ pl::StatusOr<util::Day> QueryService::first_flip(asn::Asn asn,
                                                  joint::Category category) {
   obs::Span span = root_.child("serve.first_flip");
   span.note("asn", asn.value);
-  metrics_.counter("pl_serve_queries{kind=\"first_flip\"}").add(1);
+  first_flip_counter_.add(1);
   if (history_ == nullptr)
     return pl::failed_precondition_error(
         "first_flip needs a history store; call attach_history() first");
@@ -274,221 +278,93 @@ pl::StatusOr<util::Day> QueryService::first_flip(asn::Asn asn,
 
 // -- serving paths (one per query kind, dispatched from query()) -----------
 
-AsnAnswer QueryService::lookup_impl(const Snapshot& snap, asn::Asn asn,
-                                    bool use_cache) {
+AsnAnswer QueryService::lookup_impl(const Snapshot& snap, asn::Asn asn) {
   const std::uint64_t seq = next_sequence();
   std::optional<obs::ScopedLatency> timer;
   if constexpr (obs::kEnabled)
     if ((seq & 7) == 0) timer.emplace(point_latency_);  // 1-in-8 sampling
-  metrics_.counter("pl_serve_queries{kind=\"point\"}").add(1);
-  const obs::RequestId rid =
-      obs::derive_request_id(obs::kQueryStream, seq, 0);
-  const auto shard =
-      static_cast<std::uint32_t>(lookup_cache_.shard_index(asn.value));
-  if (use_cache) {
-    if (std::optional<AsnAnswer> cached = lookup_cache_.get(asn.value)) {
-      hits_.add(1);
-      record_event(rid, obs::EventKind::kLookup,
-                   obs::query_detail(obs::kCacheHit, shard, 0, cached->known),
-                   snap.archive_end());
-      return *cached;
-    }
-    misses_.add(1);
-  }
+  point_counter_.add(1);
   AsnAnswer answer = answer_for(snap, asn);
-  if (use_cache)
-    evictions_.add(static_cast<std::int64_t>(
-        lookup_cache_.put(asn.value, answer)));
-  record_event(rid, obs::EventKind::kLookup,
-               obs::query_detail(
-                   use_cache ? obs::kCacheMiss : obs::kCacheNone,
-                   shard, 0, answer.known),
+  record_event(obs::derive_request_id(obs::kQueryStream, seq, 0),
+               obs::EventKind::kLookup, answered(answer.known),
                snap.archive_end());
   return answer;
 }
 
+// Both batch paths compute every slot on its own in parallel (a repeated
+// ASN is simply answered again) and then record one event per slot,
+// serially in index order — deterministic across thread counts.
+
 std::vector<AsnAnswer> QueryService::lookup_batch_impl(
-    const Snapshot& snap, const std::vector<asn::Asn>& asns, bool use_cache) {
+    const Snapshot& snap, const std::vector<asn::Asn>& asns) {
   obs::Span span = root_.child("serve.lookup_batch");
   span.note("items", static_cast<std::int64_t>(asns.size()));
   const std::uint64_t seq = next_sequence();
   const obs::ScopedLatency timer(batch_latency_);
-  metrics_.counter("pl_serve_queries{kind=\"batch\"}").add(1);
-  metrics_.histogram("pl_serve_batch_items", batch_bounds())
-      .observe(static_cast<std::int64_t>(asns.size()));
+  batch_counter_.add(1);
+  batch_items_.observe(static_cast<std::int64_t>(asns.size()));
 
   std::vector<AsnAnswer> answers(asns.size());
-
-  // Probe phase (serial): cache hits fill immediately; misses are grouped
-  // by ASN so duplicate keys in one batch compute once. Hit events are
-  // recorded here; miss events in the (also serial) merge phase below.
-  std::map<std::uint32_t, std::vector<std::size_t>> pending;
-  for (std::size_t i = 0; i < asns.size(); ++i) {
-    if (use_cache) {
-      if (std::optional<AsnAnswer> cached = lookup_cache_.get(asns[i].value)) {
-        hits_.add(1);
-        answers[i] = *cached;
-        record_event(
-            obs::derive_request_id(obs::kQueryStream, seq, i),
-            obs::EventKind::kLookup,
-            obs::query_detail(
-                obs::kCacheHit,
-                static_cast<std::uint32_t>(
-                    lookup_cache_.shard_index(asns[i].value)),
-                0, cached->known),
-            snap.archive_end());
-        continue;
-      }
-      misses_.add(1);
-    }
-    pending[asns[i].value].push_back(i);
-  }
-  span.note("misses", static_cast<std::int64_t>(pending.size()));
-
-  // Miss phase: compute per-key answers into slots in parallel, then merge
-  // serially in ascending key order — deterministic across thread counts.
-  std::vector<std::pair<std::uint32_t, const std::vector<std::size_t>*>> keys;
-  keys.reserve(pending.size());
-  for (const auto& [key, indices] : pending) keys.emplace_back(key, &indices);
-  std::vector<AsnAnswer> computed(keys.size());
   exec::parallel_for(
-      keys.size(),
+      asns.size(),
       [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k)
-          computed[k] = answer_for(snap, asn::Asn{keys[k].first});
+        for (std::size_t i = begin; i < end; ++i)
+          answers[i] = answer_for(snap, asns[i]);
       },
       /*grain=*/32);
-  const std::uint32_t miss_bits =
-      use_cache ? obs::kCacheMiss : obs::kCacheNone;
-  for (std::size_t k = 0; k < keys.size(); ++k) {
-    const auto shard = static_cast<std::uint32_t>(
-        lookup_cache_.shard_index(keys[k].first));
-    for (const std::size_t i : *keys[k].second) {
-      answers[i] = computed[k];
-      record_event(obs::derive_request_id(obs::kQueryStream, seq, i),
-                   obs::EventKind::kLookup,
-                   obs::query_detail(miss_bits, shard, 0, computed[k].known),
-                   snap.archive_end());
-    }
-    if (use_cache)
-      evictions_.add(static_cast<std::int64_t>(
-          lookup_cache_.put(keys[k].first, computed[k])));
-  }
+  for (std::size_t i = 0; i < answers.size(); ++i)
+    record_event(obs::derive_request_id(obs::kQueryStream, seq, i),
+                 obs::EventKind::kLookup, answered(answers[i].known),
+                 snap.archive_end());
   return answers;
 }
 
 AliveAnswer QueryService::alive_impl(const Snapshot& snap, asn::Asn asn,
-                                     util::Day day, bool use_cache) {
+                                     util::Day day) {
   const std::uint64_t seq = next_sequence();
   std::optional<obs::ScopedLatency> timer;
   if constexpr (obs::kEnabled)
     if ((seq & 7) == 0) timer.emplace(alive_latency_);  // 1-in-8 sampling
-  metrics_.counter("pl_serve_queries{kind=\"alive\"}").add(1);
-  const std::uint64_t key = alive_key(asn, day);
-  const obs::RequestId rid =
-      obs::derive_request_id(obs::kQueryStream, seq, 0);
-  const auto shard =
-      static_cast<std::uint32_t>(alive_cache_.shard_index(key));
-  if (use_cache) {
-    if (std::optional<AliveAnswer> cached = alive_cache_.get(key)) {
-      hits_.add(1);
-      record_event(rid, obs::EventKind::kAlive,
-                   obs::query_detail(obs::kCacheHit, shard, 0,
-                                     cached->admin_alive || cached->op_alive),
-                   day);
-      return *cached;
-    }
-    misses_.add(1);
-  }
+  alive_counter_.add(1);
   AliveAnswer answer = alive_for(snap, asn, day);
-  if (use_cache)
-    evictions_.add(static_cast<std::int64_t>(alive_cache_.put(key, answer)));
-  record_event(rid, obs::EventKind::kAlive,
-               obs::query_detail(
-                   use_cache ? obs::kCacheMiss : obs::kCacheNone,
-                   shard, 0, answer.admin_alive || answer.op_alive),
-               day);
+  record_event(obs::derive_request_id(obs::kQueryStream, seq, 0),
+               obs::EventKind::kAlive,
+               answered(answer.admin_alive || answer.op_alive), day);
   return answer;
 }
 
 std::vector<AliveAnswer> QueryService::alive_batch_impl(
-    const Snapshot& snap, const std::vector<asn::Asn>& asns, util::Day day,
-    bool use_cache) {
+    const Snapshot& snap, const std::vector<asn::Asn>& asns, util::Day day) {
   obs::Span span = root_.child("serve.alive_on_batch");
   span.note("items", static_cast<std::int64_t>(asns.size()));
   const std::uint64_t seq = next_sequence();
-  const obs::ScopedLatency timer(batch_latency_);
-  metrics_.counter("pl_serve_queries{kind=\"alive\"}").add(1);
-  metrics_.histogram("pl_serve_batch_items", batch_bounds())
-      .observe(static_cast<std::int64_t>(asns.size()));
+  const obs::ScopedLatency timer(alive_latency_);
+  alive_counter_.add(1);
+  batch_items_.observe(static_cast<std::int64_t>(asns.size()));
 
   std::vector<AliveAnswer> answers(asns.size());
-  std::map<std::uint32_t, std::vector<std::size_t>> pending;
-  for (std::size_t i = 0; i < asns.size(); ++i) {
-    const std::uint64_t key = alive_key(asns[i], day);
-    if (use_cache) {
-      if (std::optional<AliveAnswer> cached = alive_cache_.get(key)) {
-        hits_.add(1);
-        answers[i] = *cached;
-        record_event(
-            obs::derive_request_id(obs::kQueryStream, seq, i),
-            obs::EventKind::kAlive,
-            obs::query_detail(
-                obs::kCacheHit,
-                static_cast<std::uint32_t>(alive_cache_.shard_index(key)),
-                0, cached->admin_alive || cached->op_alive),
-            day);
-        continue;
-      }
-      misses_.add(1);
-    }
-    pending[asns[i].value].push_back(i);
-  }
-  span.note("misses", static_cast<std::int64_t>(pending.size()));
-
-  std::vector<std::pair<std::uint32_t, const std::vector<std::size_t>*>> keys;
-  keys.reserve(pending.size());
-  for (const auto& [key, indices] : pending) keys.emplace_back(key, &indices);
-  std::vector<AliveAnswer> computed(keys.size());
   exec::parallel_for(
-      keys.size(),
+      asns.size(),
       [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k)
-          computed[k] = alive_for(snap, asn::Asn{keys[k].first}, day);
+        for (std::size_t i = begin; i < end; ++i)
+          answers[i] = alive_for(snap, asns[i], day);
       },
       /*grain=*/32);
-  const std::uint32_t miss_bits =
-      use_cache ? obs::kCacheMiss : obs::kCacheNone;
-  for (std::size_t k = 0; k < keys.size(); ++k) {
-    const std::uint64_t key = alive_key(asn::Asn{keys[k].first}, day);
-    const auto shard =
-        static_cast<std::uint32_t>(alive_cache_.shard_index(key));
-    for (const std::size_t i : *keys[k].second) {
-      answers[i] = computed[k];
-      record_event(obs::derive_request_id(obs::kQueryStream, seq, i),
-                   obs::EventKind::kAlive,
-                   obs::query_detail(
-                       miss_bits, shard, 0,
-                       computed[k].admin_alive || computed[k].op_alive),
-                   day);
-    }
-    if (use_cache)
-      evictions_.add(
-          static_cast<std::int64_t>(alive_cache_.put(key, computed[k])));
-  }
+  for (std::size_t i = 0; i < answers.size(); ++i)
+    record_event(obs::derive_request_id(obs::kQueryStream, seq, i),
+                 obs::EventKind::kAlive,
+                 answered(answers[i].admin_alive || answers[i].op_alive), day);
   return answers;
 }
 
 CensusAnswer QueryService::census_impl(const Snapshot& snap, util::Day day) {
   const std::uint64_t seq = next_sequence();
   const obs::ScopedLatency timer(census_latency_);
-  metrics_.counter("pl_serve_queries{kind=\"census\"}").add(1);
+  census_counter_.add(1);
   const AliveCensus counts = snap.alive_census(day);
   record_event(obs::derive_request_id(obs::kQueryStream, seq, 0),
                obs::EventKind::kCensus,
-               obs::query_detail(obs::kCacheNone, 0, 0,
-                                 counts.admin_alive + counts.op_alive > 0),
-               day);
+               answered(counts.admin_alive + counts.op_alive > 0), day);
   return CensusAnswer{day, counts.admin_alive, counts.op_alive};
 }
 
@@ -499,7 +375,7 @@ std::vector<AsnAnswer> QueryService::scan_impl(const Snapshot& snap,
   const obs::ScopedLatency timer(scan_latency_);
   const obs::RequestId rid =
       obs::derive_request_id(obs::kQueryStream, seq, 0);
-  metrics_.counter("pl_serve_queries{kind=\"scan\"}").add(1);
+  scan_counter_.add(1);
 
   std::vector<AsnAnswer> answers;
   const auto& rows = snap.rows();
@@ -514,8 +390,7 @@ std::vector<AsnAnswer> QueryService::scan_impl(const Snapshot& snap,
     const auto it = by_country.find(*query.country);
     if (it == by_country.end()) {
       span.note("results", 0);
-      record_event(rid, obs::EventKind::kScan,
-                   obs::query_detail(obs::kCacheNone, 0, 0, false), 0);
+      record_event(rid, obs::EventKind::kScan, answered(false), 0);
       return answers;
     }
     // Prefer the country list when both filters are set and it is shorter.
@@ -567,8 +442,7 @@ std::vector<AsnAnswer> QueryService::scan_impl(const Snapshot& snap,
     }
   }
   span.note("results", static_cast<std::int64_t>(answers.size()));
-  record_event(rid, obs::EventKind::kScan,
-               obs::query_detail(obs::kCacheNone, 0, 0, !answers.empty()),
+  record_event(rid, obs::EventKind::kScan, answered(!answers.empty()),
                static_cast<std::int64_t>(answers.size()));
   return answers;
 }
@@ -597,8 +471,6 @@ pl::Status QueryService::advance_day(const DayDelta& delta) {
   span.note("touched_op", stats.touched_op);
   span.note("reclassified", stats.reclassified);
   metrics_.counter("pl_serve_advance_days").add(1);
-  lookup_cache_.clear();
-  alive_cache_.clear();
   ++version_;
   record_metrics(snapshot_, metrics_);
   return status;

@@ -2,22 +2,21 @@
 //
 // QueryService answers the questions the paper's analyses keep asking —
 // "what do we know about AS X?", "was it alive on day D?", "which ASNs in
-// registry R / country C match?" — with flat value-type answers, a sharded
-// LRU answer cache, and full obs instrumentation (`serve.*` spans,
-// `pl_serve_*` metrics).
+// registry R / country C match?" — with flat value-type answers read
+// straight off the Snapshot (one binary search per ASN) and full obs
+// instrumentation (`serve.*` spans, `pl_serve_*` metrics).
 //
 // The request shape is one struct: `Query{subject, options}`. The subject
 // says WHAT is asked (point lookup, batch, alive, census, scan); the
-// options say HOW — `QueryOptions::as_of` routes the question to a past
-// day through an attached `HistoryBackend` (DESIGN.md §16), and
-// `use_cache` lets a caller bypass the answer cache without changing the
-// answer. `query()` is the only question-answering entry point.
+// options say WHEN — `QueryOptions::as_of` routes the question to a past
+// day through an attached `HistoryBackend` (DESIGN.md §16). `query()` is
+// the only question-answering entry point.
 //
-// Batch subjects are the primary API: vector-in/vector-out, misses computed
-// in parallel over the exec pool. Answers are deterministic — bit-identical
-// across PL_THREADS settings and cache on/off (the serve oracle test locks
-// this) — because the cache stores full answers keyed by the full query and
-// the parallel miss phase writes into per-index slots merged in order.
+// Batch subjects are the primary API: vector-in/vector-out, computed in
+// parallel over the exec pool. Answers are deterministic — bit-identical
+// across PL_THREADS settings (the serve oracle test locks this) — because
+// every batch slot is computed on its own into its own index, and the
+// flight events are then recorded serially in index order.
 //
 // Temporal queries ride the same history routing: `drift(from, to)` tallies
 // the Table-3 taxonomy at two as-of days, `first_flip(asn, category)` finds
@@ -27,7 +26,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -38,19 +36,10 @@
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "serve/cache.hpp"
 #include "serve/history_backend.hpp"
 #include "serve/snapshot.hpp"
 
 namespace pl::serve {
-
-struct QueryConfig {
-  /// Total cached answers across both answer caches (0 disables storage).
-  std::size_t cache_capacity = 4096;
-  bool enable_cache = true;
-
-  friend bool operator==(const QueryConfig&, const QueryConfig&) = default;
-};
 
 /// Everything the snapshot knows about one ASN, flattened for consumers
 /// that don't want to walk life rows. `latest_*` describe the most recent
@@ -122,18 +111,13 @@ enum class QueryKind : std::uint8_t {
   kScan,         ///< ScanQuery filter → QueryResult::lookups
 };
 
-/// How to answer: which day's snapshot, and whether the answer cache may
-/// serve/store the result. Defaults answer from the live snapshot, cached.
+/// Which day's snapshot answers. Defaults answer from the live snapshot.
 struct QueryOptions {
   /// 0 (or the live archive end) = answer from the current snapshot. Any
   /// earlier day routes through the attached HistoryBackend: the answer is
   /// what the service would have said on that day. Requires
   /// `attach_history()`; fails kFailedPrecondition otherwise.
   util::Day as_of = 0;
-  /// false = compute fresh, never probe or fill the cache. Answers are
-  /// bit-identical either way (the oracle test locks this); as-of answers
-  /// always bypass the cache, which is keyed by the live snapshot.
-  bool use_cache = true;
 
   friend bool operator==(const QueryOptions&, const QueryOptions&) = default;
 };
@@ -188,7 +172,7 @@ struct DriftAnswer {
   friend bool operator==(const DriftAnswer&, const DriftAnswer&) = default;
 };
 
-/// Query front-end owning a Snapshot, its caches, and its obs state.
+/// Query front-end owning a Snapshot and its obs state.
 /// Thread-compatible: concurrent reads are safe against each other but not
 /// against advance_day(); callers serialize advances externally.
 class QueryService {
@@ -197,7 +181,7 @@ class QueryService {
   /// its own so query and durability events interleave in one timeline. A
   /// stand-alone service owns a recorder of the default capacity instead,
   /// so every query is attributable either way.
-  explicit QueryService(Snapshot snapshot, QueryConfig config = {},
+  explicit QueryService(Snapshot snapshot,
                         obs::FlightRecorder* flight = nullptr);
 
   QueryService(const QueryService&) = delete;
@@ -234,15 +218,13 @@ class QueryService {
 
   // -- incremental update ------------------------------------------------
 
-  /// Fold one day into the snapshot. On success the answer caches are
-  /// dropped (their archive-end-dependent bits went stale) and version()
-  /// increments.
+  /// Fold one day into the snapshot. On success version() increments; the
+  /// next query reads the folded snapshot.
   pl::Status advance_day(const DayDelta& delta);
 
   // -- introspection -----------------------------------------------------
 
   const Snapshot& snapshot() const noexcept { return snapshot_; }
-  const QueryConfig& config() const noexcept { return config_; }
   std::uint64_t version() const noexcept { return version_; }
 
   /// Trace tree + metrics snapshot for this service (pl-obs/2 exportable).
@@ -253,23 +235,19 @@ class QueryService {
   const obs::FlightRecorder& flight() const noexcept { return *flight_; }
 
  private:
-  // Every serving path is parameterized on the snapshot it answers from
-  // (the live one or a history reconstruction) and on whether the cache
-  // may participate — `use_cache` is only ever true for the live snapshot,
-  // so past-day answers can never poison the (ASN-keyed) caches.
+  // Every serving path is parameterized on the snapshot it answers from:
+  // the live one or a history reconstruction.
   AsnAnswer answer_for(const Snapshot& snap, asn::Asn asn) const;
   AliveAnswer alive_for(const Snapshot& snap, asn::Asn asn,
                         util::Day day) const;
 
-  AsnAnswer lookup_impl(const Snapshot& snap, asn::Asn asn, bool use_cache);
+  AsnAnswer lookup_impl(const Snapshot& snap, asn::Asn asn);
   std::vector<AsnAnswer> lookup_batch_impl(const Snapshot& snap,
-                                           const std::vector<asn::Asn>& asns,
-                                           bool use_cache);
-  AliveAnswer alive_impl(const Snapshot& snap, asn::Asn asn, util::Day day,
-                         bool use_cache);
+                                           const std::vector<asn::Asn>& asns);
+  AliveAnswer alive_impl(const Snapshot& snap, asn::Asn asn, util::Day day);
   std::vector<AliveAnswer> alive_batch_impl(const Snapshot& snap,
                                             const std::vector<asn::Asn>& asns,
-                                            util::Day day, bool use_cache);
+                                            util::Day day);
   CensusAnswer census_impl(const Snapshot& snap, util::Day day);
   std::vector<AsnAnswer> scan_impl(const Snapshot& snap,
                                    const ScanQuery& query);
@@ -278,11 +256,6 @@ class QueryService {
   /// 0 / the current archive end, a history reconstruction otherwise. The
   /// pointer follows HistoryBackend::at()'s validity rule.
   pl::StatusOr<const Snapshot*> snapshot_as_of(util::Day day);
-
-  static std::uint64_t alive_key(asn::Asn asn, util::Day day) noexcept {
-    return (static_cast<std::uint64_t>(asn.value) << 32) |
-           static_cast<std::uint32_t>(day);
-  }
 
   /// Per-API-call sequence number feeding RequestId derivation. Gated on
   /// obs::kEnabled so the PL_OBS_OFF build pays nothing.
@@ -300,7 +273,6 @@ class QueryService {
   }
 
   Snapshot snapshot_;
-  QueryConfig config_;
   HistoryBackend* history_ = nullptr;  ///< as_of routing; not owned
 
   obs::Registry metrics_;
@@ -312,13 +284,18 @@ class QueryService {
   std::unique_ptr<obs::FlightRecorder> owned_flight_;
   obs::FlightRecorder* flight_;
 
-  ShardedLruCache<AsnAnswer> lookup_cache_;
-  ShardedLruCache<AliveAnswer> alive_cache_;
-
-  // Hot counters hoisted once (get-or-create takes the registry mutex).
-  obs::Counter& hits_;
-  obs::Counter& misses_;
-  obs::Counter& evictions_;
+  // Per-kind `pl_serve_queries{kind=...}` counters and the batch-size
+  // histogram, hoisted once: get-or-create builds the name and takes the
+  // registry mutex, which the point path must not pay per query.
+  obs::Counter& point_counter_;
+  obs::Counter& batch_counter_;
+  obs::Counter& alive_counter_;
+  obs::Counter& census_counter_;
+  obs::Counter& scan_counter_;
+  obs::Counter& as_of_counter_;
+  obs::Counter& drift_counter_;
+  obs::Counter& first_flip_counter_;
+  obs::Histogram& batch_items_;
 
   // Latency histograms hoisted the same way. Point-path samples are
   // decimated 1-in-8 (DESIGN.md §14.4) to keep the clock reads off the

@@ -185,21 +185,6 @@ TEST(HistoryQuery, PointAndBatchKindsAgree) {
   }
 }
 
-TEST(HistoryQuery, CacheOptInvariance) {
-  serve::QueryService service(live_snapshot());
-  service.attach_history(&world().store);
-  const std::vector<asn::Asn> asns = sample_asns(service.snapshot());
-  serve::QueryOptions no_cache;
-  no_cache.use_cache = false;
-  for (const asn::Asn asn : asns) {
-    auto cached = service.query(serve::Query::lookup(asn));
-    auto fresh = service.query(serve::Query::lookup(asn, no_cache));
-    ASSERT_TRUE(cached.ok());
-    ASSERT_TRUE(fresh.ok());
-    EXPECT_EQ(*cached, *fresh);
-  }
-}
-
 TEST(HistoryQuery, AsOfArchiveEndServesLive) {
   World& w = world();
   serve::QueryService service(live_snapshot());

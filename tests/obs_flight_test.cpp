@@ -7,10 +7,10 @@
 //     bit-flip damage must salvage what survives as kDataLoss and NEVER
 //     crash;
 //   * the serving integration — every QueryService answer is attributable
-//     via its deterministic RequestId, with cache/shard/status events
-//     identical across cache on/off (and across PL_THREADS settings: the
-//     _serial/_mt ctest variants rerun this binary under both extremes and
-//     the golden RequestId assertions must hold in each).
+//     via its deterministic RequestId, one event per batch slot, and two
+//     identical services record identical timelines (across PL_THREADS
+//     settings too: the _serial/_mt ctest variants rerun this binary under
+//     both extremes and the golden RequestId assertions must hold in each).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -230,46 +230,50 @@ serve::Snapshot small_snapshot() {
                                 result.truth.archive_end);
 }
 
-/// The full query workload both services run: points, batches, census,
-/// scan. Returns the ASNs used so expectations can be derived.
-std::vector<asn::Asn> run_workload(serve::QueryService& service) {
+/// The full query workload both services run: points, batches (one with
+/// repeated ASNs), census, scan. Returns the RequestId every answer must
+/// carry — one per point query and one per batch slot, derived from the
+/// call's sequence number and the slot index alone.
+std::vector<std::uint64_t> run_workload(serve::QueryService& service) {
   using serve::Query;
-  const auto ask = [&service](const Query& q) {
+  std::vector<std::uint64_t> ids;
+  std::uint64_t seq = 0;
+  const auto ask = [&](const Query& q, std::size_t answers) {
     EXPECT_TRUE(service.query(q).ok());
+    for (std::size_t i = 0; i < answers; ++i)
+      ids.push_back(derive_request_id(kQueryStream, seq, i).value);
+    ++seq;
   };
   std::vector<asn::Asn> asns;
   for (std::uint32_t v = 1; v <= 8; ++v) asns.push_back(asn::Asn{v * 1000});
-  for (const asn::Asn asn : asns) ask(Query::lookup(asn));
-  ask(Query::lookup_batch(asns));
-  ask(Query::lookup_batch(asns));  // second pass: hits where caching is on
+  for (const asn::Asn asn : asns) ask(Query::lookup(asn), 1);
+  ask(Query::lookup_batch(asns), asns.size());
+  std::vector<asn::Asn> repeated = asns;
+  repeated.insert(repeated.end(), asns.begin(), asns.begin() + 3);
+  repeated.push_back(asns.front());
+  ask(Query::lookup_batch(repeated), repeated.size());
   const util::Day day = service.snapshot().archive_end();
-  for (const asn::Asn asn : asns) ask(Query::alive(asn, day));
-  ask(Query::alive_batch(asns, day));
-  ask(Query::census(day));
+  for (const asn::Asn asn : asns) ask(Query::alive(asn, day), 1);
+  ask(Query::alive_batch(repeated, day), repeated.size());
+  ask(Query::census(day), 1);
   serve::ScanQuery scan;
   scan.first = asn::Asn{0};
   scan.last = asn::Asn{50000};
   scan.limit = 10;
-  ask(Query::scan(scan));
-  return asns;
+  ask(Query::scan(scan), 1);
+  return ids;
 }
 
-TEST(QueryAttribution, EveryQueryIsAttributableAndCacheInvariant) {
+TEST(QueryAttribution, IdenticalServicesRecordIdenticalTimelines) {
   const serve::Snapshot snapshot = small_snapshot();
+  serve::QueryService first(snapshot);
+  serve::QueryService second(snapshot);
 
-  serve::QueryConfig cached;
-  cached.enable_cache = true;
-  serve::QueryService with_cache(snapshot, cached);
+  std::vector<std::uint64_t> expected = run_workload(first);
+  EXPECT_EQ(run_workload(second), expected);
 
-  serve::QueryConfig uncached;
-  uncached.enable_cache = false;
-  serve::QueryService without_cache(snapshot, uncached);
-
-  run_workload(with_cache);
-  run_workload(without_cache);
-
-  std::vector<FlightEvent> a = with_cache.flight().attribution();
-  std::vector<FlightEvent> b = without_cache.flight().attribution();
+  const std::vector<FlightEvent> a = first.flight().attribution();
+  const std::vector<FlightEvent> b = second.flight().attribution();
 
   if constexpr (!kEnabled) {
     EXPECT_TRUE(a.empty());
@@ -277,50 +281,31 @@ TEST(QueryAttribution, EveryQueryIsAttributableAndCacheInvariant) {
     return;
   }
 
-  // One event per query answer, no overwrites at this volume.
-  EXPECT_EQ(with_cache.flight().overwritten(), 0u);
-  ASSERT_EQ(a.size(), b.size());
+  // No overwrites at this volume, and the two timelines are bit-identical:
+  // what was answered cannot depend on which service (or how many pool
+  // threads — the _serial/_mt variants rerun this) computed it.
+  EXPECT_EQ(first.flight().overwritten(), 0u);
+  EXPECT_EQ(a, b);
 
-  // Masking the cache/shard bits, the two timelines are bit-identical:
-  // what was answered (and whether it was found) cannot depend on caching.
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].request, b[i].request);
-    EXPECT_EQ(a[i].kind, b[i].kind);
-    EXPECT_EQ(a[i].a, b[i].a);
-    EXPECT_EQ(a[i].detail & kQueryDetailCacheMask,
-              b[i].detail & kQueryDetailCacheMask)
-        << "status/found bits diverged at attribution index " << i;
+  // One event per point query and per batch slot (repeats included), each
+  // carrying exactly the id derived from (sequence, slot).
+  ASSERT_EQ(a.size(), expected.size());
+  std::vector<std::uint64_t> recorded;
+  for (const FlightEvent& event : a) recorded.push_back(event.request);
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(recorded, expected);
+
+  // Every query event carries the uncached detail bits: kCacheNone and
+  // shard 0, with only the status/found fields set.
+  for (const FlightEvent& event : a) {
+    EXPECT_EQ(detail_cache(event.detail), kCacheNone);
+    EXPECT_EQ(detail_shard(event.detail), 0u);
   }
-
-  // The cached run must actually exercise the cache: the second identical
-  // batch is all hits, the uncached run records kCacheNone everywhere.
-  const auto cache_of = [](const FlightEvent& event) {
-    return detail_cache(event.detail);
-  };
-  EXPECT_TRUE(std::any_of(a.begin(), a.end(), [&](const FlightEvent& e) {
-    return cache_of(e) == kCacheHit;
-  }));
-  EXPECT_TRUE(std::all_of(b.begin(), b.end(), [&](const FlightEvent& e) {
-    return e.kind != static_cast<std::uint32_t>(EventKind::kLookup) ||
-           cache_of(e) == kCacheNone;
-  }));
-
-  // Golden request-id check: the very first lookup of the run is sequence
-  // 0, item 0 on the query stream — reproducible from the call order alone,
-  // under any PL_THREADS setting (the _serial/_mt variants rerun this).
-  const std::uint64_t first_id = derive_request_id(kQueryStream, 0, 0).value;
-  EXPECT_TRUE(std::any_of(a.begin(), a.end(), [&](const FlightEvent& e) {
-    return e.request == first_id;
-  }));
-
-  // Every event is attributable: a nonzero request id on every query event.
-  for (const FlightEvent& event : a)
-    EXPECT_NE(event.request, 0u);
 }
 
 TEST(QueryAttribution, BatchItemsGetDistinctRequestIds) {
   const serve::Snapshot snapshot = small_snapshot();
-  serve::QueryService service(snapshot, {});
+  serve::QueryService service(snapshot);
   std::vector<asn::Asn> asns;
   for (std::uint32_t v = 1; v <= 16; ++v) asns.push_back(asn::Asn{v * 500});
   ASSERT_TRUE(service.query(serve::Query::lookup_batch(asns)).ok());
@@ -343,10 +328,12 @@ TEST(QueryAttribution, BatchItemsGetDistinctRequestIds) {
 
 TEST(QueryAttribution, LatencyHistogramsPopulateForServePaths) {
   const serve::Snapshot snapshot = small_snapshot();
-  serve::QueryService service(snapshot, {});
+  serve::QueryService service(snapshot);
   std::vector<asn::Asn> asns;
   for (std::uint32_t v = 1; v <= 8; ++v) asns.push_back(asn::Asn{v * 1000});
   ASSERT_TRUE(service.query(serve::Query::lookup_batch(asns)).ok());
+  ASSERT_TRUE(service.query(
+      serve::Query::alive_batch(asns, snapshot.archive_end())).ok());
   ASSERT_TRUE(
       service.query(serve::Query::census(snapshot.archive_end())).ok());
 
@@ -360,6 +347,11 @@ TEST(QueryAttribution, LatencyHistogramsPopulateForServePaths) {
   ASSERT_NE(batch, metrics.latencies.end());
   EXPECT_EQ(batch->second.count, 1);
   EXPECT_GT(batch->second.percentile(0.50), 0);
+  // The alive batch times into the alive histogram, not the batch one.
+  const auto alive =
+      metrics.latencies.find("pl_serve_latency_ns{kind=\"alive\"}");
+  ASSERT_NE(alive, metrics.latencies.end());
+  EXPECT_EQ(alive->second.count, 1);
   const auto census =
       metrics.latencies.find("pl_serve_latency_ns{kind=\"census\"}");
   ASSERT_NE(census, metrics.latencies.end());

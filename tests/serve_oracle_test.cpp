@@ -1,8 +1,9 @@
 // Oracle fuzz for the serving layer: every query answered by the
 // QueryService is checked against a naive linear scan over the pipeline's
-// own datasets, with the cache on and off — and the whole suite runs under
-// both PL_THREADS extremes via the _serial/_mt ctest variants. Any
-// divergence (cache state, thread count, snapshot indexing) fails here.
+// own datasets — batches include deliberate duplicate ASNs, and the whole
+// suite runs under both PL_THREADS extremes via the _serial/_mt ctest
+// variants. Any divergence (thread count, batch slotting, snapshot
+// indexing) fails here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,7 +43,7 @@ struct Oracle {
       outside_asns.insert(candidate.asn.value);
   }
 
-  /// Linear-scan answer for one ASN — no index, no cache, no snapshot.
+  /// Linear-scan answer for one ASN — no index, no snapshot.
   AsnAnswer lookup(asn::Asn asn) const {
     AsnAnswer answer;
     answer.asn = asn;
@@ -137,6 +138,20 @@ class ServeOracleTest : public testing::Test {
     return asns;
   }
 
+  /// `asns` with deliberate repeats: every fourth ASN again, one ASN twice
+  /// in a row, and the second half again in reverse. Each repeat is its own
+  /// batch slot, computed independently of the first.
+  static std::vector<asn::Asn> with_duplicates(util::Rng& rng,
+                                               std::vector<asn::Asn> asns) {
+    const std::size_t n = asns.size();
+    for (std::size_t i = 0; i < n; i += 4) asns.push_back(asns[i]);
+    const std::size_t pick = static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(n) - 1));
+    asns.insert(asns.begin() + static_cast<std::ptrdiff_t>(pick), asns[pick]);
+    for (std::size_t i = n; i-- > n / 2;) asns.push_back(asns[i]);
+    return asns;
+  }
+
   static Oracle* oracle_;
   static Snapshot* snapshot_;
 };
@@ -145,26 +160,20 @@ Oracle* ServeOracleTest::oracle_ = nullptr;
 Snapshot* ServeOracleTest::snapshot_ = nullptr;
 
 TEST_F(ServeOracleTest, PointAndBatchLookupsMatchLinearScan) {
-  for (const bool enable_cache : {true, false}) {
-    QueryConfig config;
-    config.enable_cache = enable_cache;
-    QueryService service(*snapshot_, config);
-
-    util::Rng rng(0xF00D);
-    for (int round = 0; round < 4; ++round) {
-      const std::vector<asn::Asn> asns = random_asns(rng, 200);
-      const std::vector<AsnAnswer> batch =
-          answer(service, Query::lookup_batch(asns)).lookups;
-      ASSERT_EQ(batch.size(), asns.size());
-      for (std::size_t i = 0; i < asns.size(); ++i) {
-        const AsnAnswer expected = oracle_->lookup(asns[i]);
-        EXPECT_EQ(batch[i], expected)
-            << "asn " << asns[i].value << " cache=" << enable_cache;
-        // Point path answers identically to the batch path (and, second
-        // time around, from the cache).
-        EXPECT_EQ(answer(service, Query::lookup(asns[i])).lookups,
-                  std::vector<AsnAnswer>{expected});
-      }
+  QueryService service(*snapshot_);
+  util::Rng rng(0xF00D);
+  for (int round = 0; round < 4; ++round) {
+    const std::vector<asn::Asn> asns =
+        with_duplicates(rng, random_asns(rng, 200));
+    const std::vector<AsnAnswer> batch =
+        answer(service, Query::lookup_batch(asns)).lookups;
+    ASSERT_EQ(batch.size(), asns.size());
+    for (std::size_t i = 0; i < asns.size(); ++i) {
+      const AsnAnswer expected = oracle_->lookup(asns[i]);
+      EXPECT_EQ(batch[i], expected) << "asn " << asns[i].value << " slot " << i;
+      // The point path answers identically to the batch path.
+      EXPECT_EQ(answer(service, Query::lookup(asns[i])).lookups,
+                std::vector<AsnAnswer>{expected});
     }
   }
 }
@@ -172,25 +181,21 @@ TEST_F(ServeOracleTest, PointAndBatchLookupsMatchLinearScan) {
 TEST_F(ServeOracleTest, AliveQueriesMatchLinearScan) {
   const util::Day begin = oracle_->result.truth.archive_begin;
   const util::Day end = oracle_->result.truth.archive_end;
-  for (const bool enable_cache : {true, false}) {
-    QueryConfig config;
-    config.enable_cache = enable_cache;
-    QueryService service(*snapshot_, config);
-
-    util::Rng rng(0xBEEF);
-    for (int round = 0; round < 3; ++round) {
-      const std::vector<asn::Asn> asns = random_asns(rng, 100);
-      const util::Day day = begin + rng.uniform(0, end - begin);
-      const std::vector<AliveAnswer> batch =
-          answer(service, Query::alive_batch(asns, day)).alive;
-      ASSERT_EQ(batch.size(), asns.size());
-      for (std::size_t i = 0; i < asns.size(); ++i) {
-        const AliveAnswer expected = oracle_->alive(asns[i], day);
-        EXPECT_EQ(batch[i], expected)
-            << "asn " << asns[i].value << " day " << day;
-        EXPECT_EQ(answer(service, Query::alive(asns[i], day)).alive,
-                  std::vector<AliveAnswer>{expected});
-      }
+  QueryService service(*snapshot_);
+  util::Rng rng(0xBEEF);
+  for (int round = 0; round < 3; ++round) {
+    const std::vector<asn::Asn> asns =
+        with_duplicates(rng, random_asns(rng, 100));
+    const util::Day day = begin + rng.uniform(0, end - begin);
+    const std::vector<AliveAnswer> batch =
+        answer(service, Query::alive_batch(asns, day)).alive;
+    ASSERT_EQ(batch.size(), asns.size());
+    for (std::size_t i = 0; i < asns.size(); ++i) {
+      const AliveAnswer expected = oracle_->alive(asns[i], day);
+      EXPECT_EQ(batch[i], expected)
+          << "asn " << asns[i].value << " day " << day << " slot " << i;
+      EXPECT_EQ(answer(service, Query::alive(asns[i], day)).alive,
+                std::vector<AliveAnswer>{expected});
     }
   }
 }

@@ -1,5 +1,5 @@
 // The serving layer: Status plumbing, dataset round-trips, snapshot
-// queries, the QueryService cache ledger, and the pipeline post_stage hook.
+// queries, the QueryService metrics, and the pipeline post_stage hook.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -179,45 +179,6 @@ TEST(Snapshot, FindMissesUnknownAsn) {
   EXPECT_EQ(snapshot.find(asn::Asn{4294967295u}), nullptr);
 }
 
-TEST(QueryService, SecondIdenticalBatchIsAllHits) {
-  const pipeline::Result result = small_pipeline();
-  QueryService service(small_snapshot(result));
-
-  std::vector<asn::Asn> batch;
-  for (const auto& [asn_value, indices] : result.admin.by_asn) {
-    batch.push_back(asn::Asn{asn_value});
-    if (batch.size() == 64) break;
-  }
-  const QueryResult first = answer(service, Query::lookup_batch(batch));
-  const QueryResult second = answer(service, Query::lookup_batch(batch));
-  EXPECT_EQ(first, second);
-
-  if (obs::kEnabled) {
-    const obs::Snapshot metrics = service.report().metrics;
-    EXPECT_EQ(metrics.counter_value("pl_serve_cache_misses"),
-              static_cast<std::int64_t>(batch.size()));
-    EXPECT_EQ(metrics.counter_value("pl_serve_cache_hits"),
-              static_cast<std::int64_t>(batch.size()));
-  }
-}
-
-TEST(QueryService, TinyCacheEvicts) {
-  const pipeline::Result result = small_pipeline();
-  QueryConfig config;
-  config.cache_capacity = 8;
-  QueryService service(small_snapshot(result), config);
-
-  std::vector<asn::Asn> batch;
-  for (const auto& [asn_value, indices] : result.admin.by_asn)
-    batch.push_back(asn::Asn{asn_value});
-  ASSERT_TRUE(service.query(Query::lookup_batch(batch)).ok());
-  if (obs::kEnabled) {
-    EXPECT_GT(
-        service.report().metrics.counter_value("pl_serve_cache_evictions"),
-        0);
-  }
-}
-
 TEST(QueryService, ReportCarriesServeSpansAndExports) {
   const pipeline::Result result = small_pipeline();
   QueryService service(small_snapshot(result));
@@ -233,9 +194,9 @@ TEST(QueryService, ReportCarriesServeSpansAndExports) {
 
   const std::string json = obs::to_json(report);
   EXPECT_NE(json.find("pl-obs/2"), std::string::npos);
-  EXPECT_NE(json.find("pl_serve_cache_hits"), std::string::npos);
+  EXPECT_NE(json.find("pl_serve_queries"), std::string::npos);
   const std::string prom = obs::to_prometheus(report.metrics);
-  EXPECT_NE(prom.find("pl_serve_cache_hits"), std::string::npos);
+  EXPECT_NE(prom.find("pl_serve_queries"), std::string::npos);
   EXPECT_NE(prom.find("pl_serve_snapshot_asns"), std::string::npos);
 }
 
@@ -280,7 +241,7 @@ TEST(QueryService, WrongDayAdvanceIsInvalidArgument) {
   EXPECT_EQ(service.version(), 0u);
 }
 
-TEST(QueryService, AdvanceClearsCachesAndBumpsVersion) {
+TEST(QueryService, AdvanceBumpsVersionAndServesFoldedDay) {
   const pipeline::Result result = small_pipeline();
   QueryService service(small_snapshot(result));
 
@@ -292,6 +253,11 @@ TEST(QueryService, AdvanceClearsCachesAndBumpsVersion) {
   ASSERT_TRUE(service.advance_day(delta).ok());
   EXPECT_EQ(service.version(), 1u);
   EXPECT_EQ(service.snapshot().archive_end(), result.truth.archive_end + 1);
+  // The next answer reads the folded snapshot: the same as a fresh service
+  // over it.
+  QueryService fresh(service.snapshot());
+  EXPECT_EQ(answer(service, Query::lookup(probe)),
+            answer(fresh, Query::lookup(probe)));
   if (obs::kEnabled) {
     EXPECT_GT(
         service.report().metrics.counter_value("pl_serve_advance_days"), 0);
