@@ -3,31 +3,19 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "history/codec.hpp"
 #include "obs/latency.hpp"
 #include "robust/checkpoint.hpp"
 
 namespace pl::history {
 namespace {
-
-pl::StatusOr<std::string> read_file(const std::string& path) {
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec))
-    return pl::not_found_error("no such file: " + path);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return pl::unavailable_error("cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return pl::unavailable_error("read failed: " + path);
-  return bytes;
-}
 
 pl::Status write_file_atomic(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
@@ -41,44 +29,6 @@ pl::Status write_file_atomic(const std::string& path, std::string_view bytes) {
   if (std::rename(tmp.c_str(), path.c_str()) != 0)
     return pl::unavailable_error("rename failed: " + tmp + " -> " + path);
   return {};
-}
-
-// -- frame scanning (same physical layout as the WAL: a concatenation of
-// robust/checkpoint.hpp CRC frames; here every frame must be whole) --------
-
-constexpr std::size_t kFrameHeaderBytes = 16;  // "PLCK" + u32 ver + u64 len
-constexpr std::size_t kFrameTrailerBytes = 4;  // crc32
-
-std::uint64_t read_le(std::string_view bytes, std::size_t offset, int width) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < width; ++i)
-    value |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(bytes[offset + i]))
-             << (8 * i);
-  return value;
-}
-
-/// Split a history file into its frames. Unlike WAL replay there is no
-/// torn-tail tolerance: a history file is written atomically, so anything
-/// that does not parse as exactly whole frames is corruption.
-pl::StatusOr<std::vector<std::string_view>> split_frames(
-    std::string_view blob) {
-  std::vector<std::string_view> frames;
-  std::size_t offset = 0;
-  while (offset < blob.size()) {
-    const std::size_t remaining = blob.size() - offset;
-    if (remaining < kFrameHeaderBytes + kFrameTrailerBytes ||
-        blob.compare(offset, 4, "PLCK") != 0)
-      return pl::data_loss_error("history file torn mid-frame");
-    const std::uint64_t payload_len = read_le(blob, offset + 8, 8);
-    if (payload_len > remaining - kFrameHeaderBytes - kFrameTrailerBytes)
-      return pl::data_loss_error("history file frame length exceeds file");
-    const std::size_t frame_len = static_cast<std::size_t>(
-        kFrameHeaderBytes + payload_len + kFrameTrailerBytes);
-    frames.push_back(blob.substr(offset, frame_len));
-    offset += frame_len;
-  }
-  return frames;
 }
 
 /// Manifest fields shared by open() and inspect().
@@ -125,6 +75,57 @@ pl::StatusOr<Manifest> decode_manifest(std::string_view frame) {
       static_cast<std::uint64_t>(m.last_day - m.base_day))
     return pl::data_loss_error("history manifest delta count mismatch");
   return m;
+}
+
+/// A history file read and validated whole: manifest consistency, exact
+/// frame count, and every frame's CRC. Unlike WAL replay there is no
+/// torn-tail tolerance — a history file is written atomically, so anything
+/// that is not exactly the promised whole frames is corruption, and a
+/// damaged day fails the whole load instead of surfacing later as a
+/// mid-query kDataLoss.
+struct HistoryFile {
+  Manifest manifest;
+  std::vector<std::string> keyframes;  ///< in manifest.keyframe_days order
+  std::vector<std::string> deltas;     ///< base_day + 1 .. last_day
+};
+
+pl::StatusOr<HistoryFile> load_history_file(const std::string& path) {
+  pl::StatusOr<std::string> bytes = robust::read_file(path);
+  if (!bytes.ok()) return bytes.status();
+  std::vector<std::string_view> frames;
+  for (std::string_view rest = *bytes; !rest.empty();) {
+    const std::optional<std::size_t> length = robust::frame_length(rest);
+    if (!length.has_value())
+      return pl::data_loss_error("history file torn mid-frame");
+    frames.push_back(rest.substr(0, *length));
+    rest.remove_prefix(*length);
+  }
+  if (frames.empty())
+    return pl::data_loss_error("history file has no manifest frame");
+  pl::StatusOr<Manifest> manifest = decode_manifest(frames.front());
+  if (!manifest.ok()) return manifest.status();
+  const std::size_t expected =
+      1 + manifest->keyframe_days.size() + manifest->delta_count;
+  if (frames.size() != expected)
+    return pl::data_loss_error(
+        "history file frame count mismatch: manifest promises " +
+        std::to_string(expected - 1) + " frames, file holds " +
+        std::to_string(frames.size() - 1));
+  for (std::size_t i = 1; i < frames.size(); ++i) {
+    const robust::CheckpointReader probe(frames[i]);
+    if (!probe.ok())
+      return pl::data_loss_error("history file frame " + std::to_string(i) +
+                                 " rejected: " + std::string(probe.error()));
+  }
+
+  HistoryFile file;
+  file.manifest = std::move(*manifest);
+  const auto first_delta =
+      frames.begin() + 1 +
+      static_cast<std::ptrdiff_t>(file.manifest.keyframe_days.size());
+  file.keyframes.assign(frames.begin() + 1, first_delta);
+  file.deltas.assign(first_delta, frames.end());
+  return file;
 }
 
 std::string encode_manifest(util::Day base_day, util::Day last_day,
@@ -319,7 +320,7 @@ pl::Status HistoryStore::append_day(const serve::DayDelta& delta,
         std::to_string(after.archive_end()) + ", delta is for day " +
         std::to_string(delta.day));
 
-  std::string frame = encode_compact_delta(delta);
+  std::string frame = serve::encode_day_delta(delta);
   delta_bytes_ += static_cast<std::int64_t>(frame.size());
   deltas_.push_back(std::move(frame));
   last_day_ = delta.day;
@@ -383,7 +384,7 @@ pl::Status HistoryStore::materialize(util::Day day) {
   }
   while (cached_day_ < day) {
     pl::StatusOr<serve::DayDelta> delta =
-        decode_compact_delta(deltas_[delta_index(cached_day_ + 1)]);
+        serve::decode_day_delta(deltas_[delta_index(cached_day_ + 1)]);
     if (!delta.ok()) {
       cached_valid_ = false;
       return delta.status();
@@ -414,45 +415,21 @@ pl::Status HistoryStore::save(const std::string& path) const {
 }
 
 pl::StatusOr<HistoryStore> HistoryStore::open(const std::string& path) {
-  pl::StatusOr<std::string> bytes = read_file(path);
-  if (!bytes.ok()) return bytes.status();
-  pl::StatusOr<std::vector<std::string_view>> frames = split_frames(*bytes);
-  if (!frames.ok()) return frames.status();
-  if (frames->empty())
-    return pl::data_loss_error("history file has no manifest frame");
-  pl::StatusOr<Manifest> manifest = decode_manifest(frames->front());
-  if (!manifest.ok()) return manifest.status();
-  const std::size_t expected =
-      1 + manifest->keyframe_days.size() + manifest->delta_count;
-  if (frames->size() != expected)
-    return pl::data_loss_error(
-        "history file frame count mismatch: manifest promises " +
-        std::to_string(expected - 1) + " frames, file holds " +
-        std::to_string(frames->size() - 1));
-  // CRC-validate every frame up front: a damaged day must fail the whole
-  // open, not surface later as a mid-query kDataLoss.
-  for (std::size_t i = 1; i < frames->size(); ++i) {
-    const robust::CheckpointReader probe((*frames)[i]);
-    if (!probe.ok())
-      return pl::data_loss_error("history file frame " + std::to_string(i) +
-                                 " rejected: " + std::string(probe.error()));
-  }
+  pl::StatusOr<HistoryFile> file = load_history_file(path);
+  if (!file.ok()) return file.status();
+  const Manifest& manifest = file->manifest;
 
-  HistoryStore store(HistoryConfig{manifest->keyframe_interval});
-  store.base_day_ = manifest->base_day;
-  store.last_day_ = manifest->last_day;
-  std::size_t next = 1;
-  for (const util::Day day : manifest->keyframe_days) {
-    std::string frame((*frames)[next++]);
+  HistoryStore store(HistoryConfig{manifest.keyframe_interval});
+  store.base_day_ = manifest.base_day;
+  store.last_day_ = manifest.last_day;
+  for (std::size_t i = 0; i < manifest.keyframe_days.size(); ++i) {
+    std::string& frame = file->keyframes[i];
     store.keyframe_bytes_ += static_cast<std::int64_t>(frame.size());
-    store.keyframes_.emplace(day, std::move(frame));
+    store.keyframes_.emplace(manifest.keyframe_days[i], std::move(frame));
   }
-  store.deltas_.reserve(manifest->delta_count);
-  for (std::uint64_t i = 0; i < manifest->delta_count; ++i) {
-    std::string frame((*frames)[next++]);
+  for (const std::string& frame : file->deltas)
     store.delta_bytes_ += static_cast<std::int64_t>(frame.size());
-    store.deltas_.push_back(std::move(frame));
-  }
+  store.deltas_ = std::move(file->deltas);
   store.metrics_->counter("pl_history_opens").add(1);
   record_metrics(store, *store.metrics_);
   return store;
@@ -488,40 +465,20 @@ void record_metrics(const HistoryStore& store, obs::Registry& metrics) {
 }
 
 pl::StatusOr<HistoryFileInfo> inspect(const std::string& path) {
-  pl::StatusOr<std::string> bytes = read_file(path);
-  if (!bytes.ok()) return bytes.status();
-  pl::StatusOr<std::vector<std::string_view>> frames = split_frames(*bytes);
-  if (!frames.ok()) return frames.status();
-  if (frames->empty())
-    return pl::data_loss_error("history file has no manifest frame");
-  pl::StatusOr<Manifest> manifest = decode_manifest(frames->front());
-  if (!manifest.ok()) return manifest.status();
-  const std::size_t expected =
-      1 + manifest->keyframe_days.size() + manifest->delta_count;
-  if (frames->size() != expected)
-    return pl::data_loss_error("history file frame count mismatch");
-
-  // CRC-probe each frame (CheckpointReader construction; no payload decode)
-  // so a flipped bit anywhere in the file is reported, not summarized.
-  for (std::size_t i = 1; i < frames->size(); ++i) {
-    const robust::CheckpointReader probe((*frames)[i]);
-    if (!probe.ok())
-      return pl::data_loss_error("history file frame " + std::to_string(i) +
-                                 " rejected: " + std::string(probe.error()));
-  }
-
+  pl::StatusOr<HistoryFile> file = load_history_file(path);
+  if (!file.ok()) return file.status();
+  const Manifest& manifest = file->manifest;
   HistoryFileInfo info;
   info.version = kHistoryFormatVersion;
-  info.base_day = manifest->base_day;
-  info.last_day = manifest->last_day;
-  info.keyframe_interval = manifest->keyframe_interval;
-  info.keyframes = static_cast<std::int64_t>(manifest->keyframe_days.size());
-  info.deltas = static_cast<std::int64_t>(manifest->delta_count);
-  std::size_t next = 1;
-  for (std::size_t i = 0; i < manifest->keyframe_days.size(); ++i)
-    info.keyframe_bytes += static_cast<std::int64_t>((*frames)[next++].size());
-  for (std::uint64_t i = 0; i < manifest->delta_count; ++i)
-    info.delta_bytes += static_cast<std::int64_t>((*frames)[next++].size());
+  info.base_day = manifest.base_day;
+  info.last_day = manifest.last_day;
+  info.keyframe_interval = manifest.keyframe_interval;
+  info.keyframes = static_cast<std::int64_t>(file->keyframes.size());
+  info.deltas = static_cast<std::int64_t>(file->deltas.size());
+  for (const std::string& frame : file->keyframes)
+    info.keyframe_bytes += static_cast<std::int64_t>(frame.size());
+  for (const std::string& frame : file->deltas)
+    info.delta_bytes += static_cast<std::int64_t>(frame.size());
   return info;
 }
 

@@ -7,9 +7,9 @@
 //
 //   * a KEYFRAME — a full `serve::encode_snapshot` frame — every N days
 //     (`HistoryConfig::keyframe_interval`), starting at the base day;
-//   * a compact per-day forward DELTA (history/codec.hpp: varint/zigzag
-//     row diffs over an interned country table) for every day after the
-//     base.
+//   * a compact per-day forward DELTA (`serve::encode_day_delta`: varint/
+//     zigzag row diffs over an interned country table — byte for byte the
+//     WAL record) for every day after the base.
 //
 // `at(D)` materializes "the snapshot as of day D" into ONE internal cache
 // slot: it decodes the nearest keyframe at or below D — or, cheaper, reuses
@@ -46,8 +46,10 @@
 
 namespace pl::history {
 
-/// On-disk history file schema version (manifest frame payload).
-inline constexpr std::uint32_t kHistoryFormatVersion = 1;
+/// On-disk history file schema version (manifest frame payload). Version 2
+/// is the first whose delta frames carry `serve::kDayDeltaFormatVersion` 2,
+/// so a version-1 file is refused whole at open().
+inline constexpr std::uint32_t kHistoryFormatVersion = 2;
 
 struct HistoryConfig {
   /// Days between keyframes; 1 = every day is a keyframe (fastest random

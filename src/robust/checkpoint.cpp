@@ -1,5 +1,9 @@
 #include "robust/checkpoint.hpp"
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
 #include "util/crc32.hpp"
 
 namespace pl::robust {
@@ -29,8 +33,25 @@ std::uint64_t read_le64(std::string_view bytes, std::size_t at) noexcept {
 
 }  // namespace
 
-std::uint32_t crc32(std::string_view bytes) noexcept {
-  return util::crc32(bytes);
+std::optional<std::size_t> frame_length(std::string_view bytes) noexcept {
+  if (bytes.size() < kHeaderSize + kTrailerSize ||
+      bytes.substr(0, 4) != kMagic)
+    return std::nullopt;
+  const std::uint64_t length = read_le64(bytes, 8);
+  if (length > bytes.size() - kHeaderSize - kTrailerSize) return std::nullopt;
+  return kHeaderSize + static_cast<std::size_t>(length) + kTrailerSize;
+}
+
+pl::StatusOr<std::string> read_file(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec))
+    return pl::not_found_error("no such file: " + path);
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return pl::unavailable_error("cannot open " + path);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  if (in.bad()) return pl::unavailable_error("read failed: " + path);
+  return bytes;
 }
 
 std::string CheckpointWriter::finish() && {
@@ -44,7 +65,7 @@ std::string CheckpointWriter::finish() && {
   for (int i = 0; i < 8; ++i)
     framed.push_back(static_cast<char>((length >> (8 * i)) & 0xFF));
   framed.append(buffer_);
-  const std::uint32_t checksum = crc32(buffer_);
+  const std::uint32_t checksum = util::crc32(buffer_);
   for (int i = 0; i < 4; ++i)
     framed.push_back(static_cast<char>((checksum >> (8 * i)) & 0xFF));
   buffer_.clear();
@@ -52,24 +73,17 @@ std::string CheckpointWriter::finish() && {
 }
 
 CheckpointReader::CheckpointReader(std::string_view blob) {
-  if (blob.size() < kHeaderSize + kTrailerSize ||
-      blob.substr(0, 4) != kMagic) {
-    fail("bad magic");
+  if (frame_length(blob) != blob.size()) {
+    fail("not one whole frame (bad magic or torn write?)");
     return;
   }
   if (read_le32(blob, 4) != kCheckpointVersion) {
     fail("unsupported checkpoint version");
     return;
   }
-  const std::uint64_t length = read_le64(blob, 8);
-  if (length != blob.size() - kHeaderSize - kTrailerSize) {
-    fail("length mismatch (torn write?)");
-    return;
-  }
-  payload_ = blob.substr(kHeaderSize, static_cast<std::size_t>(length));
-  const std::uint32_t stored =
-      read_le32(blob, kHeaderSize + static_cast<std::size_t>(length));
-  if (stored != crc32(payload_)) {
+  const std::size_t length = blob.size() - kHeaderSize - kTrailerSize;
+  payload_ = blob.substr(kHeaderSize, length);
+  if (read_le32(blob, kHeaderSize + length) != util::crc32(payload_)) {
     fail("checksum mismatch");
     return;
   }

@@ -5,12 +5,14 @@
 // serializes its streaming state through these primitives: a little-endian
 // byte writer/reader pair plus a self-describing frame
 //
-//   "PLCK" | version:u32 | payload-length:u64 | payload | crc32(payload)
+//   magic PLCK | version:u32 | payload-length:u64 | payload | crc32(payload)
 //
 // so a torn write, a flipped bit, or a blob from an incompatible build is
 // detected on resume instead of silently corrupting the timeline. The
 // encoding layer is deliberately schema-free (the restorer owns its schema);
-// this module only guarantees integrity and bounded reads.
+// this module only guarantees integrity and bounded reads. Every file of
+// frames (snapshot, WAL, history) is walked with the one `frame_length`
+// scanner below.
 #pragma once
 
 #include <cstdint>
@@ -18,12 +20,21 @@
 #include <string>
 #include <string_view>
 
+#include "util/status.hpp"
+
 namespace pl::robust {
 
-/// CRC-32 (IEEE 802.3 polynomial, bit-reflected) over a byte string.
-std::uint32_t crc32(std::string_view bytes) noexcept;
-
 inline constexpr std::uint32_t kCheckpointVersion = 1;
+
+/// Length of the whole frame (header + payload + CRC) at the front of
+/// `bytes`, or nullopt when no whole frame starts there: too short for a
+/// header, no magic, or a payload length that runs past the end (a torn
+/// write). Only the boundary is checked; version and CRC are the reader's.
+std::optional<std::size_t> frame_length(std::string_view bytes) noexcept;
+
+/// Read a whole file of frames. kNotFound when `path` does not exist,
+/// kUnavailable when it cannot be read.
+pl::StatusOr<std::string> read_file(const std::string& path);
 
 /// Append-only byte writer. All integers are little-endian; varints are
 /// LEB128 (the same convention as the MRT codec).
@@ -74,7 +85,7 @@ class CheckpointReader {
   explicit CheckpointReader(std::string_view blob);
 
   bool ok() const noexcept { return ok_; }
-  /// Human-readable reason for the first failure ("bad magic", ...).
+  /// Human-readable reason for the first failure ("checksum mismatch", ...).
   std::string_view error() const noexcept { return error_; }
   /// True when the payload was consumed exactly.
   bool at_end() const noexcept { return ok_ && offset_ == payload_.size(); }

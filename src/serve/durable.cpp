@@ -4,10 +4,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <utility>
 
 #include "robust/checkpoint.hpp"
 #include "util/crc32.hpp"
+#include "util/intern.hpp"
 
 namespace pl::serve {
 namespace {
@@ -17,18 +19,6 @@ namespace {
 bool file_exists(const std::string& path) {
   std::error_code ec;
   return std::filesystem::exists(path, ec);
-}
-
-pl::StatusOr<std::string> read_file(const std::string& path) {
-  if (!file_exists(path))
-    return pl::not_found_error("no such file: " + path);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open())
-    return pl::unavailable_error("cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return pl::unavailable_error("read failed: " + path);
-  return bytes;
 }
 
 /// Write `bytes` to `path` (truncating), flushing before returning.
@@ -146,62 +136,40 @@ pl::StatusOr<lifetimes::AdminLifetime> decode_admin_life(
   return life;
 }
 
-// -- WAL record codec ------------------------------------------------------
+// -- day-delta codec helpers ----------------------------------------------
 
-void encode_day_delta(robust::CheckpointWriter& w, const DayDelta& delta) {
-  w.u32(kWalFormatVersion);
-  w.i32(delta.day);
-  w.varint(delta.delegation.size());
-  for (const DelegationFact& fact : delta.delegation) {
-    w.u32(fact.asn.value);
-    w.u8(static_cast<std::uint8_t>(asn::index_of(fact.registry)));
-    encode_record_state(w, fact.state);
-  }
-  w.varint(delta.active.size());
-  for (const asn::Asn active : delta.active) w.u32(active.value);
+std::uint64_t zigzag(std::int64_t value) noexcept {
+  return (static_cast<std::uint64_t>(value) << 1) ^
+         static_cast<std::uint64_t>(value >> 63);
 }
 
-pl::StatusOr<DayDelta> decode_day_delta(robust::CheckpointReader& r) {
-  const std::uint32_t version = r.u32();
-  if (r.ok() && version != kWalFormatVersion)
-    return pl::data_loss_error("WAL format version skew");
-  DayDelta delta;
-  delta.day = r.i32();
-  const std::uint64_t facts = r.container_size(7);
-  delta.delegation.reserve(facts);
-  for (std::uint64_t i = 0; r.ok() && i < facts; ++i) {
-    DelegationFact fact;
-    fact.asn = asn::Asn{r.u32()};
-    auto rir = decode_rir(r);
-    if (!rir.ok()) return rir.status();
-    fact.registry = *rir;
-    auto state = decode_record_state(r);
-    if (!state.ok()) return state.status();
-    fact.state = *state;
-    delta.delegation.push_back(fact);
-  }
-  const std::uint64_t active = r.container_size(4);
-  delta.active.reserve(active);
-  for (std::uint64_t i = 0; r.ok() && i < active; ++i)
-    delta.active.push_back(asn::Asn{r.u32()});
-  if (!r.ok() || !r.at_end())
-    return pl::data_loss_error("WAL record failed to decode: " +
-                               std::string(r.error()));
-  return delta;
+std::int64_t unzigzag(std::uint64_t value) noexcept {
+  return static_cast<std::int64_t>(value >> 1) ^
+         -static_cast<std::int64_t>(value & 1);
 }
 
-// -- frame scanning (WAL is a concatenation of checkpoint frames) ----------
+// Per-fact head byte: status (2 bits) | registry index (3 bits) |
+// has-registration-date (1 bit). The top two bits must stay zero — a
+// nonzero one is corruption, not a future extension.
+constexpr std::uint8_t kHeadStatusMask = 0x03;
+constexpr std::uint8_t kHeadRegistryShift = 2;
+constexpr std::uint8_t kHeadRegistryMask = 0x07;
+constexpr std::uint8_t kHeadHasDateBit = 0x20;
+constexpr std::uint8_t kHeadReservedMask = 0xC0;
 
-constexpr std::size_t kFrameHeaderBytes = 16;  // "PLCK" + u32 ver + u64 len
-constexpr std::size_t kFrameTrailerBytes = 4;  // crc32
+static_assert(static_cast<std::uint8_t>(dele::Status::kReserved) <=
+                  kHeadStatusMask,
+              "delegation status no longer fits the 2-bit head field");
+static_assert(asn::kRirCount <= kHeadRegistryMask + 1,
+              "registry index no longer fits the 3-bit head field");
 
-std::uint64_t read_le(std::string_view bytes, std::size_t offset, int width) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < width; ++i)
-    value |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(bytes[offset + i]))
-             << (8 * i);
-  return value;
+/// Day values must survive the int64 arithmetic and land back in Day range.
+bool day_in_range(std::int64_t value) noexcept {
+  return value >= INT32_MIN && value <= INT32_MAX;
+}
+
+bool asn_in_range(std::int64_t value) noexcept {
+  return value >= 0 && value <= 0xFFFFFFFFll;
 }
 
 }  // namespace
@@ -440,18 +408,140 @@ pl::Status save_snapshot(const Snapshot& snapshot, const std::string& path,
 }
 
 pl::StatusOr<Snapshot> open_snapshot(const std::string& path) {
-  auto bytes = read_file(path);
+  auto bytes = robust::read_file(path);
   if (!bytes.ok()) return bytes.status();
   return decode_snapshot(*bytes);
+}
+
+// -- day-delta codec -------------------------------------------------------
+
+std::string encode_day_delta(const DayDelta& delta) {
+  // Intern the country codes into a per-frame table (first-seen order) so
+  // each fact references one by a single varint id; 0 = unknown country.
+  util::StringPool countries;
+  for (const DelegationFact& fact : delta.delegation)
+    if (!fact.state.country.unknown())
+      countries.intern(fact.state.country.to_string());
+
+  robust::CheckpointWriter w;
+  w.varint(kDayDeltaFormatVersion);
+  w.varint(zigzag(delta.day));
+  w.varint(countries.size());
+  for (const std::string& token : countries.tokens()) w.str(token);
+
+  w.varint(delta.delegation.size());
+  std::int64_t prev_asn = 0;
+  for (const DelegationFact& fact : delta.delegation) {
+    const dele::RecordState& state = fact.state;
+    const std::uint8_t head = static_cast<std::uint8_t>(
+        static_cast<std::uint8_t>(state.status) |
+        (static_cast<std::uint8_t>(asn::index_of(fact.registry))
+         << kHeadRegistryShift) |
+        (state.registration_date.has_value() ? kHeadHasDateBit : 0));
+    w.u8(head);
+    w.varint(zigzag(static_cast<std::int64_t>(fact.asn.value) - prev_asn));
+    prev_asn = fact.asn.value;
+    if (state.registration_date.has_value())
+      w.varint(zigzag(static_cast<std::int64_t>(*state.registration_date) -
+                      delta.day));
+    w.varint(state.country.unknown()
+                 ? 0
+                 : countries.find(state.country.to_string()) + 1);
+    w.varint(state.opaque_id);
+  }
+
+  w.varint(delta.active.size());
+  std::int64_t prev_active = 0;
+  for (const asn::Asn active : delta.active) {
+    w.varint(zigzag(static_cast<std::int64_t>(active.value) - prev_active));
+    prev_active = active.value;
+  }
+  return std::move(w).finish();
+}
+
+pl::StatusOr<DayDelta> decode_day_delta(std::string_view frame) {
+  robust::CheckpointReader r(frame);
+  if (!r.ok())
+    return pl::data_loss_error("day delta rejected: " +
+                               std::string(r.error()));
+  const std::uint64_t version = r.varint();
+  if (r.ok() && version != kDayDeltaFormatVersion)
+    return pl::data_loss_error("day delta format version skew");
+
+  DayDelta delta;
+  const std::int64_t day = unzigzag(r.varint());
+  if (r.ok() && !day_in_range(day))
+    return pl::data_loss_error("day delta day out of range");
+  delta.day = static_cast<util::Day>(day);
+
+  const std::uint64_t country_count = r.container_size(1);
+  std::vector<asn::CountryCode> countries;
+  countries.reserve(country_count);
+  for (std::uint64_t i = 0; r.ok() && i < country_count; ++i) {
+    const std::string_view token = r.str();
+    const std::optional<asn::CountryCode> parsed =
+        asn::CountryCode::parse(token);
+    if (!r.ok() || !parsed.has_value() || parsed->unknown())
+      return pl::data_loss_error("bad country token in day delta");
+    countries.push_back(*parsed);
+  }
+
+  const std::uint64_t facts = r.container_size(4);
+  delta.delegation.reserve(facts);
+  std::int64_t prev_asn = 0;
+  for (std::uint64_t i = 0; r.ok() && i < facts; ++i) {
+    DelegationFact fact;
+    const std::uint8_t head = r.u8();
+    if (r.ok() && (head & kHeadReservedMask) != 0)
+      return pl::data_loss_error("day delta head byte has reserved bits");
+    fact.state.status = static_cast<dele::Status>(head & kHeadStatusMask);
+    const std::uint8_t registry =
+        (head >> kHeadRegistryShift) & kHeadRegistryMask;
+    if (r.ok() && registry >= asn::kRirCount)
+      return pl::data_loss_error("day delta registry out of range");
+    fact.registry = asn::kAllRirs[registry % asn::kRirCount];
+    const std::int64_t asn_value = prev_asn + unzigzag(r.varint());
+    if (r.ok() && !asn_in_range(asn_value))
+      return pl::data_loss_error("day delta ASN out of range");
+    fact.asn = asn::Asn{static_cast<std::uint32_t>(asn_value)};
+    prev_asn = asn_value;
+    if ((head & kHeadHasDateBit) != 0) {
+      const std::int64_t date =
+          static_cast<std::int64_t>(delta.day) + unzigzag(r.varint());
+      if (r.ok() && !day_in_range(date))
+        return pl::data_loss_error("day delta registration date out of range");
+      fact.state.registration_date = static_cast<util::Day>(date);
+    }
+    const std::uint64_t country_id = r.varint();
+    if (r.ok() && country_id > countries.size())
+      return pl::data_loss_error("day delta country id out of range");
+    if (country_id != 0 && country_id <= countries.size())
+      fact.state.country = countries[country_id - 1];
+    fact.state.opaque_id = r.varint();
+    delta.delegation.push_back(fact);
+  }
+
+  const std::uint64_t active = r.container_size(1);
+  delta.active.reserve(active);
+  std::int64_t prev_active = 0;
+  for (std::uint64_t i = 0; r.ok() && i < active; ++i) {
+    const std::int64_t value = prev_active + unzigzag(r.varint());
+    if (r.ok() && !asn_in_range(value))
+      return pl::data_loss_error("day delta active ASN out of range");
+    delta.active.push_back(asn::Asn{static_cast<std::uint32_t>(value)});
+    prev_active = value;
+  }
+  if (!r.ok() || !r.at_end())
+    return pl::data_loss_error("day delta failed to decode: " +
+                               std::string(r.error()));
+  return delta;
 }
 
 // -- write-ahead log -------------------------------------------------------
 
 pl::Status append_wal(const std::string& path, const DayDelta& delta,
                       robust::CrashPoints* crash) {
-  robust::CheckpointWriter writer;
-  encode_day_delta(writer, delta);
-  const std::string frame = std::move(writer).finish();
+  const std::string frame = encode_day_delta(delta);
 
   std::ofstream out(path, std::ios::binary | std::ios::app);
   if (!out.is_open())
@@ -471,43 +561,25 @@ pl::Status append_wal(const std::string& path, const DayDelta& delta,
 }
 
 pl::StatusOr<WalReplay> replay_wal(const std::string& path) {
-  auto bytes = read_file(path);
+  auto bytes = robust::read_file(path);
   if (!bytes.ok()) return bytes.status();
-  const std::string_view wal = *bytes;
+  std::string_view wal = *bytes;
 
   WalReplay replay;
-  std::size_t offset = 0;
-  while (offset < wal.size()) {
-    const std::size_t remaining = wal.size() - offset;
-    if (remaining < kFrameHeaderBytes + kFrameTrailerBytes ||
-        wal.compare(offset, 4, "PLCK") != 0) {
-      // Header incomplete or unrecognizable: we cannot even find the next
-      // frame boundary, so the rest of the file is unrecoverable.
+  while (!wal.empty()) {
+    const std::optional<std::size_t> length = robust::frame_length(wal);
+    if (!length.has_value()) {
+      // Torn or unrecognizable header, or the final append never completed
+      // (or its length is garbage): no next frame boundary can be found,
+      // so the rest of the file is unrecoverable.
       replay.torn_tail = true;
-      replay.dropped_bytes += static_cast<std::int64_t>(remaining);
+      replay.dropped_bytes += static_cast<std::int64_t>(wal.size());
       break;
     }
-    const std::uint64_t payload_len = read_le(wal, offset + 8, 8);
-    const std::uint64_t frame_len =
-        kFrameHeaderBytes + payload_len + kFrameTrailerBytes;
-    if (payload_len > remaining - kFrameHeaderBytes - kFrameTrailerBytes) {
-      // The final append never completed (or the length itself is garbage):
-      // a partial frame can never become valid, drop it.
-      replay.torn_tail = true;
-      replay.dropped_bytes += static_cast<std::int64_t>(remaining);
-      break;
-    }
-    const std::string_view frame = wal.substr(offset, frame_len);
-    offset += frame_len;
-
-    robust::CheckpointReader reader(frame);
-    if (!reader.ok()) {
-      ++replay.corrupt_records;  // CRC/version failure; boundary still known
-      continue;
-    }
-    auto delta = decode_day_delta(reader);
+    auto delta = decode_day_delta(wal.substr(0, *length));
+    wal.remove_prefix(*length);
     if (!delta.ok()) {
-      ++replay.corrupt_records;
+      ++replay.corrupt_records;  // CRC/version/decode failure; boundary known
       continue;
     }
     ++replay.valid_records;

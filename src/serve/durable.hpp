@@ -10,11 +10,12 @@
 //     written atomically via write-to-temp + rename. Truncated, bit-flipped
 //     or version-skewed files are rejected with `kDataLoss`, never loaded.
 //   * `append_wal` / `replay_wal` — a write-ahead log of `DayDelta` records,
-//     one CRC frame per day, appended BEFORE the in-memory fold. Replay on
-//     open reconstructs the exact pre-crash state (bit-identical snapshot
-//     fingerprint, locked by the crash-injection test); a torn trailing
-//     record — the signature of a crash mid-append — is dropped, because a
-//     day whose append never completed was never acknowledged.
+//     one `encode_day_delta` frame per day, appended BEFORE the in-memory
+//     fold. Replay on open reconstructs the exact pre-crash state
+//     (bit-identical snapshot fingerprint, locked by the crash-injection
+//     test); a torn trailing record — the signature of a crash mid-append —
+//     is dropped, because a day whose append never completed was never
+//     acknowledged.
 //   * `DurableService` — owns the QueryService plus the on-disk directory:
 //     WAL-append-then-fold on advance, periodic checkpoint (snapshot save +
 //     WAL truncate), replay on open, quarantine of days that fail to fold,
@@ -52,8 +53,10 @@ namespace pl::serve {
 /// ("snapshot format version skew"), never interpreted.
 inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
 
-/// WAL record payload schema version (same skew policy).
-inline constexpr std::uint32_t kWalFormatVersion = 1;
+/// Payload schema version inside each day-delta frame (same skew policy).
+/// Version 1 was the WAL's old fixed-width record, whose payload opened
+/// with `u32 1`; that reads back as varint 1, so old records are refused.
+inline constexpr std::uint32_t kDayDeltaFormatVersion = 2;
 
 /// Serialize `snapshot` into one self-contained CRC frame (the exact bytes
 /// `save_snapshot` writes). The history store embeds these frames as its
@@ -64,6 +67,30 @@ std::string encode_snapshot(const Snapshot& snapshot);
 /// payload fails validation (truncation, flipped bit, version skew, index
 /// out of bounds); a rejected frame is NEVER partially applied.
 pl::StatusOr<Snapshot> decode_snapshot(std::string_view frame);
+
+/// Encode one day as a compact CRC frame: the WAL record `append_wal`
+/// writes, byte for byte the history store's delta frame.
+///
+///   varint(version) zigzag(day)
+///   country table: varint(n), n length-prefixed tokens (first-seen order)
+///   facts:  varint(count), per fact
+///           head u8 = status(2b) | registry(3b) | has-reg-date(1b)
+///           zigzag varint ASN delta vs the previous fact
+///           [zigzag varint registration-date delta vs the frame's day]
+///           varint country id (0 = unknown, else table index + 1)
+///           varint opaque org id
+///   active: varint(count), zigzag varint ASN deltas
+///
+/// slice_day emits facts registry-major with ascending ASNs, so the ASN
+/// deltas are small and positive; the codec still round-trips ANY DayDelta
+/// exactly (order preserved, zigzag handles regressions).
+std::string encode_day_delta(const DayDelta& delta);
+
+/// Exact inverse of `encode_day_delta`: the decoded delta compares equal to
+/// the encoded one, field for field and in order. Truncation, bit flips and
+/// version skew all decode to kDataLoss — never a crash, never a partial
+/// delta.
+pl::StatusOr<DayDelta> decode_day_delta(std::string_view frame);
 
 /// Serialize `snapshot` into one CRC frame and write it to `path`
 /// atomically: the bytes land in `path + ".tmp"` first and are renamed over

@@ -1,21 +1,27 @@
-// Compact delta codec + history file corruption suite: round-trips are
+// Compact day-delta codec + history file corruption suite: round-trips are
 // exact for hand-built and sliced deltas, and every flavor of damage —
 // truncation at any length, any single bit flipped, version skew, file-level
 // tears — decodes to a precise kDataLoss, never a crash, never a partial
-// delta. Runs under the asan leg via the `chaos` label.
+// delta. `serve::encode_day_delta` writes both the history delta frame and
+// the WAL record (serve_durable_test locks the byte identity), so the
+// truncation and every-bit-flip suites cover the WAL record too. Runs under
+// the asan leg via the `chaos` label.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <string>
 
-#include "history/codec.hpp"
 #include "history/store.hpp"
 #include "pipeline/pipeline.hpp"
 #include "robust/checkpoint.hpp"
+#include "serve/durable.hpp"
 
 namespace pl::history {
 namespace {
+
+using serve::decode_day_delta;
+using serve::encode_day_delta;
 
 serve::DayDelta hand_built_delta() {
   serve::DayDelta delta;
@@ -55,8 +61,8 @@ serve::DayDelta hand_built_delta() {
 
 TEST(HistoryCodec, RoundTripsHandBuiltDeltaExactly) {
   const serve::DayDelta delta = hand_built_delta();
-  const std::string frame = encode_compact_delta(delta);
-  auto decoded = decode_compact_delta(frame);
+  const std::string frame = encode_day_delta(delta);
+  auto decoded = decode_day_delta(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
   EXPECT_EQ(*decoded, delta);
 }
@@ -64,8 +70,8 @@ TEST(HistoryCodec, RoundTripsHandBuiltDeltaExactly) {
 TEST(HistoryCodec, RoundTripsEmptyDelta) {
   serve::DayDelta delta;
   delta.day = 1;
-  const std::string frame = encode_compact_delta(delta);
-  auto decoded = decode_compact_delta(frame);
+  const std::string frame = encode_day_delta(delta);
+  auto decoded = decode_day_delta(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
   EXPECT_EQ(*decoded, delta);
 }
@@ -80,16 +86,16 @@ TEST(HistoryCodec, RoundTripsSlicedDaysExactly) {
     const serve::DayDelta delta = HistoryStore::slice_day(
         world.restored, world.op_world.activity, day);
     ASSERT_GT(delta.delegation.size(), 0u);
-    auto decoded = decode_compact_delta(encode_compact_delta(delta));
+    auto decoded = decode_day_delta(encode_day_delta(delta));
     ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
     EXPECT_EQ(*decoded, delta) << "sliced day " << day;
   }
 }
 
 TEST(HistoryCodec, TruncationAtEveryLengthIsDataLoss) {
-  const std::string frame = encode_compact_delta(hand_built_delta());
+  const std::string frame = encode_day_delta(hand_built_delta());
   for (std::size_t len = 0; len < frame.size(); ++len) {
-    auto decoded = decode_compact_delta(frame.substr(0, len));
+    auto decoded = decode_day_delta(frame.substr(0, len));
     ASSERT_FALSE(decoded.ok()) << "truncation to " << len << " accepted";
     EXPECT_EQ(decoded.status().code(), pl::StatusCode::kDataLoss);
   }
@@ -98,12 +104,12 @@ TEST(HistoryCodec, TruncationAtEveryLengthIsDataLoss) {
 TEST(HistoryCodec, EveryBitFlipIsDataLoss) {
   // CRC32 detects any single-bit error, so no flip may round-trip — and
   // none may crash, even the ones that reach payload validation first.
-  const std::string frame = encode_compact_delta(hand_built_delta());
+  const std::string frame = encode_day_delta(hand_built_delta());
   for (std::size_t byte = 0; byte < frame.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string damaged = frame;
       damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
-      auto decoded = decode_compact_delta(damaged);
+      auto decoded = decode_day_delta(damaged);
       ASSERT_FALSE(decoded.ok())
           << "bit " << bit << " of byte " << byte << " flipped undetected";
       EXPECT_EQ(decoded.status().code(), pl::StatusCode::kDataLoss);
@@ -115,20 +121,20 @@ TEST(HistoryCodec, VersionSkewIsDataLoss) {
   // A structurally valid frame from "the future": version bumped, payload
   // otherwise empty. Must be refused as skew, not misread.
   robust::CheckpointWriter w;
-  w.varint(kDeltaFormatVersion + 1);
+  w.varint(serve::kDayDeltaFormatVersion + 1);
   w.varint(0);  // day 0 (zigzag)
   w.varint(0);  // no countries
   w.varint(0);  // no facts
   w.varint(0);  // no active
-  auto decoded = decode_compact_delta(std::move(w).finish());
+  auto decoded = decode_day_delta(std::move(w).finish());
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), pl::StatusCode::kDataLoss);
 }
 
 TEST(HistoryCodec, GarbageIsDataLoss) {
-  EXPECT_EQ(decode_compact_delta("").status().code(),
+  EXPECT_EQ(decode_day_delta("").status().code(),
             pl::StatusCode::kDataLoss);
-  EXPECT_EQ(decode_compact_delta("PLCK but not really a frame at all")
+  EXPECT_EQ(decode_day_delta("PLCK but not really a frame at all")
                 .status()
                 .code(),
             pl::StatusCode::kDataLoss);
@@ -226,7 +232,7 @@ TEST_F(HistoryFileCorruption, ExtraTrailingFrameIsDataLoss) {
   // mismatch, refused — a history file is exact, not a WAL.
   serve::DayDelta delta;
   delta.day = 1;
-  expect_rejected(bytes_ + encode_compact_delta(delta),
+  expect_rejected(bytes_ + encode_day_delta(delta),
                   "extra trailing frame");
 }
 

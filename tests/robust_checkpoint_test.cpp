@@ -10,6 +10,7 @@
 #include "rirsim/inject.hpp"
 #include "rirsim/world.hpp"
 #include "robust/checkpoint.hpp"
+#include "util/crc32.hpp"
 
 namespace pl::restore {
 namespace {
@@ -257,7 +258,7 @@ TEST(CheckpointFraming, HostileContainerCountsAreRejectedBeforeAllocation) {
 
 TEST(CheckpointFraming, Crc32MatchesKnownVector) {
   // IEEE 802.3 check value for "123456789".
-  EXPECT_EQ(robust::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(util::crc32("123456789"), 0xCBF43926u);
 }
 
 }  // namespace

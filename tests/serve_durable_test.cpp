@@ -1,7 +1,8 @@
 // Durable serving: snapshot persistence round-trips bit-identically,
 // corruption in every flavor is rejected (never silently loaded), the WAL
-// append/replay cycle reconstructs exact state, retries are deterministic,
-// and the DurableService surfaces an accurate HealthReport.
+// append/replay cycle reconstructs exact state and writes the history
+// store's own delta frames, retries are deterministic, and the
+// DurableService surfaces an accurate HealthReport.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -235,6 +236,81 @@ TEST(DurableWal, CorruptMiddleRecordIsSkippedWithAccounting) {
   ASSERT_EQ(replay->deltas.size(), 2u);
   EXPECT_EQ(replay->deltas[0].day, end - 2);
   EXPECT_EQ(replay->deltas[1].day, end);
+}
+
+TEST(DurableWal, RecordIsByteIdenticalToHistoryDeltaFrame) {
+  // The WAL and the history store share one day-delta codec. A saved
+  // history file ends with its delta frames in day order, so each record
+  // append_wal writes must equal the matching slice of that tail.
+  const pipeline::Result& result = small_pipeline();
+  const util::Day end = result.truth.archive_end;
+  const std::string dir = temp_dir("wal_equals_history");
+  const std::string wal_path = dir + "/days.plwal";
+  const std::string history_path = dir + "/history.plhist";
+
+  auto history = history::HistoryStore::build(
+      result.restored, result.op_world.activity, end - 5, end);
+  ASSERT_TRUE(history.ok()) << history.status().to_string();
+  ASSERT_EQ(history->stats().deltas, 5);
+  ASSERT_TRUE(history->save(history_path).ok());
+
+  std::vector<std::size_t> offsets = {0};
+  for (util::Day day = end - 4; day <= end; ++day) {
+    ASSERT_TRUE(
+        append_wal(wal_path,
+                   slice_day(result.restored, result.op_world.activity, day))
+            .ok());
+    offsets.push_back(read_all(wal_path).size());
+  }
+  const std::string wal = read_all(wal_path);
+  const std::string saved = read_all(history_path);
+  ASSERT_EQ(static_cast<std::int64_t>(wal.size()),
+            history->stats().delta_bytes);
+  ASSERT_GT(saved.size(), wal.size());
+  const std::string deltas = saved.substr(saved.size() - wal.size());
+  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
+    const std::size_t length = offsets[i + 1] - offsets[i];
+    EXPECT_TRUE(wal.compare(offsets[i], length, deltas, offsets[i], length) ==
+                0)
+        << "WAL record " << i << " differs from the history delta frame";
+  }
+}
+
+TEST(DurableWal, OldFixedWidthRecordIsCorrupt) {
+  // A record in the WAL's former fixed-width layout must be refused, not
+  // misread: its payload opens with u32 1, which the day-delta decoder
+  // reads as format version 1.
+  const pipeline::Result& result = small_pipeline();
+  const util::Day end = result.truth.archive_end;
+  const std::string dir = temp_dir("wal_old_record");
+  const std::string path = dir + "/days.plwal";
+
+  robust::CheckpointWriter old;
+  old.u32(1);        // record format version
+  old.i32(end - 1);  // day
+  old.varint(1);     // one delegation fact
+  old.u32(64512);
+  old.u8(static_cast<std::uint8_t>(asn::index_of(asn::Rir::kRipeNcc)));
+  old.u8(static_cast<std::uint8_t>(dele::Status::kAllocated));
+  old.boolean(true);  // has a registration date
+  old.i32(end - 30);
+  old.boolean(true);  // known country
+  old.str("DE");
+  old.u64(17);     // opaque org id
+  old.varint(1);   // one active ASN
+  old.u32(64512);
+  write_all(path, std::move(old).finish());
+  const DayDelta current =
+      slice_day(result.restored, result.op_world.activity, end);
+  ASSERT_TRUE(append_wal(path, current).ok());
+
+  auto replay = replay_wal(path);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay->corrupt_records, 1);
+  EXPECT_EQ(replay->valid_records, 1);
+  EXPECT_FALSE(replay->torn_tail);
+  ASSERT_EQ(replay->deltas.size(), 1u);
+  EXPECT_EQ(replay->deltas[0], current);
 }
 
 TEST(DurableRetry, TransientUnavailableIsRetriedDeterministically) {
