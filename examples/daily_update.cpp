@@ -12,9 +12,10 @@
 // full rebuild that never crashed.
 //
 // The service also records every folded day into a history::HistoryStore
-// (DurableConfig::history): after the month, `QueryOptions::as_of` answers
-// from any recorded day, reconstructed bit-identically from keyframe +
-// deltas — crash, WAL replay and all.
+// (DurableConfig::history), whose recorded range gates `QueryOptions::as_of`:
+// after the month, any recorded day is answered from a cut of the live
+// working set — crash, WAL replay and all. The store itself still
+// reconstructs any day bit-identically from keyframe + deltas.
 //
 // The "new day arriving from the RIR FTP sites + collectors" is played here
 // by HistoryStore::slice_day over an extended simulated world; a production
@@ -168,7 +169,8 @@ int main(int argc, char** argv) {
 
   // Time travel through the recovered service: the history store received
   // every folded day — reseeded on reopen, WAL-replayed days included — so
-  // `as_of` serves any recorded day.
+  // `as_of` may ask any recorded day, answered by cutting the live working
+  // set at that day.
   const util::Day week_ago = end - 7;
   serve::QueryOptions as_of;
   as_of.as_of = week_ago;
@@ -182,12 +184,13 @@ int main(int argc, char** argv) {
   std::cout << "as of " << util::format_iso(week_ago) << ": "
             << util::with_commas(past->census->admin_alive) << " admin / "
             << util::with_commas(past->census->op_alive)
-            << " op lives alive — served from " << hstats.keyframes
-            << " keyframes + " << hstats.deltas << " deltas ("
+            << " op lives alive — cut from the live working set; history "
+            << "holds " << hstats.keyframes << " keyframes + "
+            << hstats.deltas << " deltas ("
             << util::with_commas(hstats.delta_bytes) << " delta bytes)\n";
 
-  // And the reconstruction really is the study-as-of-that-day: bit-identical
-  // to a fresh rebuild over the world truncated a week early.
+  // And the store's own reconstruction really is the study-as-of-that-day:
+  // bit-identical to a fresh rebuild over the world truncated a week early.
   auto mid = history.at(week_ago);
   if (!mid.ok() ||
       !(**mid == history::HistoryStore::rebuild_at(

@@ -12,8 +12,9 @@
 // a registry scan, an alive census — through serve::QueryService's unified
 // `Query{subject, options}` shape instead of walking the datasets by hand.
 // A history::HistoryStore over the trailing days then turns the same
-// service into a time machine: `QueryOptions::as_of` answers from any
-// recorded day, and drift() diffs the taxonomy between two days. Set
+// service into a time machine: `QueryOptions::as_of` answers any recorded
+// day by cutting the live working set at it, and drift() diffs the
+// taxonomy between two days. Set
 // PL_TRACE=run.json (and/or PL_PROM=run.prom) to dump the span tree +
 // metrics snapshot.
 //
@@ -154,10 +155,11 @@ int main(int argc, char** argv) {
             << " admin lives alive, " << util::with_commas(census.op_alive)
             << " op lives alive\n";
 
-  // --- Time travel. A HistoryStore over the trailing days keeps every day
-  // queryable: keyframe + compact per-day deltas, reconstructed in place on
-  // demand. Attaching it routes `QueryOptions::as_of` through history; the
-  // answer is bit-identical to rebuilding the study truncated at that day.
+  // --- Time travel. A HistoryStore over the trailing days records every
+  // day (keyframe + compact per-day deltas); attaching it opens that range
+  // to `QueryOptions::as_of`. The store gates the day but does not answer:
+  // the service cuts its live working set at that day, and the answer is
+  // bit-identical to rebuilding the study truncated there.
   auto history = history::HistoryStore::build(
       result.restored, result.op_world.activity, end - 10, end);
   if (!history.ok()) {
@@ -174,9 +176,9 @@ int main(int argc, char** argv) {
   std::cout << "  census as of " << util::format_iso(then.day) << ": "
             << util::with_commas(then.admin_alive) << " admin / "
             << util::with_commas(then.op_alive)
-            << " op lives alive (reconstructed from "
-            << hstats.keyframes << " keyframes + " << hstats.deltas
-            << " deltas, mean delta "
+            << " op lives alive (cut from the live working set; history "
+            << "records " << hstats.keyframes << " keyframes + "
+            << hstats.deltas << " deltas, mean delta "
             << static_cast<std::int64_t>(hstats.mean_delta_bytes())
             << " bytes)\n";
   const auto drift = service.drift(end - 7, end);

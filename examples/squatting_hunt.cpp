@@ -125,9 +125,11 @@ int main(int argc, char** argv) {
                "irregular operations.\n";
 
   // --- When did each candidate turn bad? A history store over the trailing
-  // weeks lets first_flip() pin the first recorded day an ASN's admin
-  // classification became outside-delegation — the squat's onset, to the
-  // day, without re-running the study per day.
+  // weeks opens that range to first_flip(), which pins the first recorded
+  // day an ASN's admin classification became outside-delegation — the
+  // squat's onset, to the day. The store gates the range but does not
+  // answer: each day is a cut of just that ASN out of the live working set,
+  // with no re-run of the study per day.
   const util::Day end = snapshot.archive_end();
   auto history = history::HistoryStore::build(
       world.result.restored, op_world.activity, end - 14, end);

@@ -91,9 +91,9 @@ run_leg serve   "-DPL_CHECKED=ON -DPL_WERROR=ON" "-L serve" checked
 # corruptors run with contracts armed, so a recovery that rebuilds bad
 # indexes dies loudly instead of comparing-unequal later.
 run_leg durability "-DPL_CHECKED=ON -DPL_WERROR=ON" "-L durability" checked
-# history reuses the checked tree too: the reconstruct-vs-rebuild fuzz and
-# the as_of oracle suites run with contracts armed, so a delta fold that
-# leaves a snapshot index unsorted dies at the fold, not at the compare.
+# history reuses the checked tree too: the reconstruct/cut-vs-rebuild fuzz
+# and the as_of oracle suites run with contracts armed, so a delta fold or
+# a cut that leaves a snapshot index unsorted dies there, not at the compare.
 run_leg history "-DPL_CHECKED=ON -DPL_WERROR=ON" "-L history" checked
 
 if [ "$FAILED" -ne 0 ]; then

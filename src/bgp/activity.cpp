@@ -29,6 +29,13 @@ void ActivityTable::mark_active(asn::Asn asn, util::IntervalSet&& days) {
   for (const util::DayInterval& run : days.runs()) it->second.add(run);
 }
 
+ActivityTable ActivityTable::clipped(util::Day last_day) const {
+  ActivityTable out;
+  for (const auto& [asn, days] : activity_)
+    out.mark_active(asn, days.clipped(last_day));
+  return out;
+}
+
 const util::IntervalSet* ActivityTable::activity(
     asn::Asn asn) const noexcept {
   const auto it = activity_.find(asn);

@@ -54,6 +54,10 @@ class ActivityTable {
     return activity_;
   }
 
+  /// The table restricted to days <= `last_day`; ASNs with no active day
+  /// left are dropped.
+  ActivityTable clipped(util::Day last_day) const;
+
   /// Merge another table into this one.
   void merge(const ActivityTable& other);
 

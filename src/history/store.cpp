@@ -2,148 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <iterator>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "obs/latency.hpp"
-#include "robust/checkpoint.hpp"
 
 namespace pl::history {
-namespace {
-
-pl::Status write_file_atomic(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out.is_open())
-    return pl::unavailable_error("cannot open " + tmp + " for writing");
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out.good()) return pl::unavailable_error("write failed: " + tmp);
-  out.close();
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    return pl::unavailable_error("rename failed: " + tmp + " -> " + path);
-  return {};
-}
-
-/// Manifest fields shared by open() and inspect().
-struct Manifest {
-  util::Day base_day = 0;
-  util::Day last_day = 0;
-  int keyframe_interval = 0;
-  std::vector<util::Day> keyframe_days;
-  std::uint64_t delta_count = 0;
-};
-
-pl::StatusOr<Manifest> decode_manifest(std::string_view frame) {
-  robust::CheckpointReader r(frame);
-  if (!r.ok())
-    return pl::data_loss_error("history manifest rejected: " +
-                               std::string(r.error()));
-  const std::uint32_t version = r.u32();
-  if (r.ok() && version != kHistoryFormatVersion)
-    return pl::data_loss_error("history file format version skew");
-  Manifest m;
-  m.base_day = r.i32();
-  m.last_day = r.i32();
-  m.keyframe_interval = r.i32();
-  const std::uint64_t keyframes = r.container_size(4);
-  m.keyframe_days.reserve(keyframes);
-  for (std::uint64_t i = 0; r.ok() && i < keyframes; ++i)
-    m.keyframe_days.push_back(r.i32());
-  m.delta_count = r.varint();
-  if (!r.ok() || !r.at_end())
-    return pl::data_loss_error("history manifest failed to decode: " +
-                               std::string(r.error()));
-  if (m.keyframe_interval < 1)
-    return pl::data_loss_error("history manifest keyframe interval < 1");
-  if (m.keyframe_days.empty() || m.keyframe_days.front() != m.base_day ||
-      m.last_day < m.base_day)
-    return pl::data_loss_error("history manifest day range inconsistent");
-  for (std::size_t i = 0; i < m.keyframe_days.size(); ++i) {
-    const util::Day day = m.keyframe_days[i];
-    if (day < m.base_day || day > m.last_day ||
-        (i > 0 && day <= m.keyframe_days[i - 1]))
-      return pl::data_loss_error("history manifest keyframe days unsorted");
-  }
-  if (m.delta_count !=
-      static_cast<std::uint64_t>(m.last_day - m.base_day))
-    return pl::data_loss_error("history manifest delta count mismatch");
-  return m;
-}
-
-/// A history file read and validated whole: manifest consistency, exact
-/// frame count, and every frame's CRC. Unlike WAL replay there is no
-/// torn-tail tolerance — a history file is written atomically, so anything
-/// that is not exactly the promised whole frames is corruption, and a
-/// damaged day fails the whole load instead of surfacing later as a
-/// mid-query kDataLoss.
-struct HistoryFile {
-  Manifest manifest;
-  std::vector<std::string> keyframes;  ///< in manifest.keyframe_days order
-  std::vector<std::string> deltas;     ///< base_day + 1 .. last_day
-};
-
-pl::StatusOr<HistoryFile> load_history_file(const std::string& path) {
-  pl::StatusOr<std::string> bytes = robust::read_file(path);
-  if (!bytes.ok()) return bytes.status();
-  std::vector<std::string_view> frames;
-  for (std::string_view rest = *bytes; !rest.empty();) {
-    const std::optional<std::size_t> length = robust::frame_length(rest);
-    if (!length.has_value())
-      return pl::data_loss_error("history file torn mid-frame");
-    frames.push_back(rest.substr(0, *length));
-    rest.remove_prefix(*length);
-  }
-  if (frames.empty())
-    return pl::data_loss_error("history file has no manifest frame");
-  pl::StatusOr<Manifest> manifest = decode_manifest(frames.front());
-  if (!manifest.ok()) return manifest.status();
-  const std::size_t expected =
-      1 + manifest->keyframe_days.size() + manifest->delta_count;
-  if (frames.size() != expected)
-    return pl::data_loss_error(
-        "history file frame count mismatch: manifest promises " +
-        std::to_string(expected - 1) + " frames, file holds " +
-        std::to_string(frames.size() - 1));
-  for (std::size_t i = 1; i < frames.size(); ++i) {
-    const robust::CheckpointReader probe(frames[i]);
-    if (!probe.ok())
-      return pl::data_loss_error("history file frame " + std::to_string(i) +
-                                 " rejected: " + std::string(probe.error()));
-  }
-
-  HistoryFile file;
-  file.manifest = std::move(*manifest);
-  const auto first_delta =
-      frames.begin() + 1 +
-      static_cast<std::ptrdiff_t>(file.manifest.keyframe_days.size());
-  file.keyframes.assign(frames.begin() + 1, first_delta);
-  file.deltas.assign(first_delta, frames.end());
-  return file;
-}
-
-std::string encode_manifest(util::Day base_day, util::Day last_day,
-                            int keyframe_interval,
-                            const std::map<util::Day, std::string>& keyframes,
-                            std::size_t delta_count) {
-  robust::CheckpointWriter w;
-  w.u32(kHistoryFormatVersion);
-  w.i32(base_day);
-  w.i32(last_day);
-  w.i32(keyframe_interval);
-  w.varint(keyframes.size());
-  for (const auto& [day, frame] : keyframes) w.i32(day);
-  w.varint(delta_count);
-  return std::move(w).finish();
-}
-
-}  // namespace
 
 HistoryStore::HistoryStore(HistoryConfig config)
     : config_(config),
@@ -211,13 +77,8 @@ restore::RestoredArchive HistoryStore::truncate_archive(
     out.registries[r].rir = archive.registries[r].rir;
     out.registries[r].report = archive.registries[r].report;
     for (const auto& [asn_value, spans] : archive.registries[r].spans) {
-      std::vector<restore::StateSpan> clipped;
-      for (const restore::StateSpan& span : spans) {
-        if (span.days.first > last_day) break;
-        restore::StateSpan copy = span;
-        copy.days.last = std::min(copy.days.last, last_day);
-        clipped.push_back(copy);
-      }
+      std::vector<restore::StateSpan> clipped =
+          restore::clip_spans(spans, last_day);
       if (!clipped.empty())
         out.registries[r].spans.emplace(asn_value, std::move(clipped));
     }
@@ -227,15 +88,7 @@ restore::RestoredArchive HistoryStore::truncate_archive(
 
 bgp::ActivityTable HistoryStore::truncate_activity(
     const bgp::ActivityTable& activity, util::Day last_day) {
-  bgp::ActivityTable out;
-  for (const auto& [asn_key, days] : activity.entries())
-    for (const util::DayInterval& run : days.runs()) {
-      if (run.first > last_day) break;
-      out.mark_active(asn_key,
-                      util::DayInterval{run.first,
-                                        std::min(run.last, last_day)});
-    }
-  return out;
+  return activity.clipped(last_day);
 }
 
 serve::Snapshot HistoryStore::rebuild_at(
@@ -340,6 +193,8 @@ pl::Status HistoryStore::append_day(const serve::DayDelta& delta,
   return {};
 }
 
+// -- reconstruction ---------------------------------------------------------
+
 pl::StatusOr<const serve::Snapshot*> HistoryStore::at(util::Day day) {
   if (empty())
     return pl::failed_precondition_error(
@@ -401,40 +256,6 @@ pl::Status HistoryStore::materialize(util::Day day) {
   return {};
 }
 
-// -- persistence ------------------------------------------------------------
-
-pl::Status HistoryStore::save(const std::string& path) const {
-  if (empty())
-    return pl::failed_precondition_error("cannot save an empty history store");
-  std::string blob = encode_manifest(base_day_, last_day_,
-                                     config_.keyframe_interval, keyframes_,
-                                     deltas_.size());
-  for (const auto& [day, frame] : keyframes_) blob += frame;
-  for (const std::string& frame : deltas_) blob += frame;
-  return write_file_atomic(path, blob);
-}
-
-pl::StatusOr<HistoryStore> HistoryStore::open(const std::string& path) {
-  pl::StatusOr<HistoryFile> file = load_history_file(path);
-  if (!file.ok()) return file.status();
-  const Manifest& manifest = file->manifest;
-
-  HistoryStore store(HistoryConfig{manifest.keyframe_interval});
-  store.base_day_ = manifest.base_day;
-  store.last_day_ = manifest.last_day;
-  for (std::size_t i = 0; i < manifest.keyframe_days.size(); ++i) {
-    std::string& frame = file->keyframes[i];
-    store.keyframe_bytes_ += static_cast<std::int64_t>(frame.size());
-    store.keyframes_.emplace(manifest.keyframe_days[i], std::move(frame));
-  }
-  for (const std::string& frame : file->deltas)
-    store.delta_bytes_ += static_cast<std::int64_t>(frame.size());
-  store.deltas_ = std::move(file->deltas);
-  store.metrics_->counter("pl_history_opens").add(1);
-  record_metrics(store, *store.metrics_);
-  return store;
-}
-
 // -- introspection ----------------------------------------------------------
 
 HistoryStats HistoryStore::stats() const noexcept {
@@ -462,24 +283,6 @@ void record_metrics(const HistoryStore& store, obs::Registry& metrics) {
   metrics.gauge("pl_history_deltas").set(stats.deltas);
   metrics.gauge("pl_history_keyframe_bytes").set(stats.keyframe_bytes);
   metrics.gauge("pl_history_delta_bytes").set(stats.delta_bytes);
-}
-
-pl::StatusOr<HistoryFileInfo> inspect(const std::string& path) {
-  pl::StatusOr<HistoryFile> file = load_history_file(path);
-  if (!file.ok()) return file.status();
-  const Manifest& manifest = file->manifest;
-  HistoryFileInfo info;
-  info.version = kHistoryFormatVersion;
-  info.base_day = manifest.base_day;
-  info.last_day = manifest.last_day;
-  info.keyframe_interval = manifest.keyframe_interval;
-  info.keyframes = static_cast<std::int64_t>(file->keyframes.size());
-  info.deltas = static_cast<std::int64_t>(file->deltas.size());
-  for (const std::string& frame : file->keyframes)
-    info.keyframe_bytes += static_cast<std::int64_t>(frame.size());
-  for (const std::string& frame : file->deltas)
-    info.delta_bytes += static_cast<std::int64_t>(frame.size());
-  return info;
 }
 
 }  // namespace pl::history

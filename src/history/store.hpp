@@ -1,9 +1,9 @@
-// Delta-compressed daily snapshot history with in-place reconstruction.
+// Delta-compressed daily snapshot history.
 //
 // The paper's object of study is 17 years of PARALLEL history, but a
 // serving Snapshot holds exactly one day and advance_day() discards the
-// past. HistoryStore keeps every day queryable without keeping every day
-// materialized:
+// past rows. HistoryStore records every folded day without keeping every
+// day materialized:
 //
 //   * a KEYFRAME — a full `serve::encode_snapshot` frame — every N days
 //     (`HistoryConfig::keyframe_interval`), starting at the base day;
@@ -14,18 +14,16 @@
 // `at(D)` materializes "the snapshot as of day D" into ONE internal cache
 // slot: it decodes the nearest keyframe at or below D — or, cheaper, reuses
 // the slot when it already holds a day in [keyframe, D] — and folds the
-// intervening deltas forward IN PLACE via `Snapshot::advance_day`, so
-// reconstruction never holds two snapshots at once. Because the advance
-// path is test-locked bit-identical to a full rebuild (DESIGN.md §11),
-// `*at(D)` equals `rebuild_at(world, D)` exactly — the invariant
-// history_reconstruct_test fuzzes across seeds × intervals × chaos days.
+// intervening deltas forward IN PLACE via `Snapshot::advance_day`. Because
+// the advance path is test-locked bit-identical to a full rebuild
+// (DESIGN.md §11), `*at(D)` equals `rebuild_at(world, D)` exactly.
 //
-// The store implements `serve::HistoryBackend`, so a QueryService routes
-// `QueryOptions::as_of` through it and a DurableService appends every
-// folded day (WAL replay included). The whole store persists into one
-// file (`save`/`open`): a manifest frame plus every keyframe and delta
-// frame, written atomically, rejected wholesale as kDataLoss on any
-// corruption. DESIGN.md §16 documents the formats and invariants.
+// The store implements `serve::HistoryBackend`: a DurableService appends
+// every folded day (WAL replay included), and a QueryService reads the
+// recorded range to gate `QueryOptions::as_of`. The answers themselves are
+// cuts of the live snapshot's working set (`serve::Snapshot::at`), not
+// reconstructions from this store. The store is derived, in-memory state;
+// nothing persists it. DESIGN.md §16 documents the invariants.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +43,6 @@
 #include "util/status.hpp"
 
 namespace pl::history {
-
-/// On-disk history file schema version (manifest frame payload). Version 2
-/// is the first whose delta frames carry `serve::kDayDeltaFormatVersion` 2,
-/// so a version-1 file is refused whole at open().
-inline constexpr std::uint32_t kHistoryFormatVersion = 2;
 
 struct HistoryConfig {
   /// Days between keyframes; 1 = every day is a keyframe (fastest random
@@ -153,25 +146,16 @@ class HistoryStore final : public serve::HistoryBackend {
   pl::Status append_day(const serve::DayDelta& delta,
                         const serve::Snapshot& after) override;
 
-  /// Materialize day D (see file comment). The pointer is valid until the
-  /// next at()/append_day()/reset() or a move of this store.
-  pl::StatusOr<const serve::Snapshot*> at(util::Day day) override;
-
   bool empty() const noexcept override { return keyframes_.empty(); }
   util::Day earliest_day() const noexcept override { return base_day_; }
   util::Day latest_day() const noexcept override { return last_day_; }
 
-  // -- persistence ---------------------------------------------------------
+  // -- reconstruction ------------------------------------------------------
 
-  /// Write the whole store to `path` atomically (manifest + keyframe +
-  /// delta frames; write-to-temp + rename). kUnavailable on filesystem
-  /// errors, kFailedPrecondition when empty.
-  pl::Status save(const std::string& path) const;
-
-  /// Load a store saved by `save`. kNotFound when absent, kUnavailable
-  /// when unreadable, kDataLoss when any frame or the manifest fails
-  /// validation — a damaged file is rejected wholesale, never partially.
-  static pl::StatusOr<HistoryStore> open(const std::string& path);
+  /// Materialize day D (see file comment). The pointer is valid until the
+  /// next at()/append_day()/reset() or a move of this store. kNotFound
+  /// outside [earliest_day(), latest_day()], kFailedPrecondition when empty.
+  pl::StatusOr<const serve::Snapshot*> at(util::Day day);
 
   // -- introspection -------------------------------------------------------
 
@@ -217,25 +201,5 @@ class HistoryStore final : public serve::HistoryBackend {
 /// `pl_history_base_day` / `_last_day` / `_keyframes` / `_deltas` /
 /// `_keyframe_bytes` / `_delta_bytes`).
 void record_metrics(const HistoryStore& store, obs::Registry& metrics);
-
-/// Cheap structural inspection of a history file (pl-statusz --history):
-/// manifest fields plus per-kind frame byte totals. Validates frame
-/// boundaries, manifest consistency, and every frame's CRC, but decodes no
-/// snapshot or delta payload.
-struct HistoryFileInfo {
-  std::uint32_t version = 0;
-  util::Day base_day = 0;
-  util::Day last_day = 0;
-  int keyframe_interval = 0;
-  std::int64_t keyframes = 0;
-  std::int64_t deltas = 0;
-  std::int64_t keyframe_bytes = 0;
-  std::int64_t delta_bytes = 0;
-
-  friend bool operator==(const HistoryFileInfo&,
-                         const HistoryFileInfo&) = default;
-};
-
-pl::StatusOr<HistoryFileInfo> inspect(const std::string& path);
 
 }  // namespace pl::history

@@ -3,6 +3,7 @@
 // audit reports of what each restoration step did.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
@@ -24,6 +25,21 @@ struct StateSpan {
 
   friend bool operator==(const StateSpan&, const StateSpan&) = default;
 };
+
+/// A span timeline cut at `last_day`: spans starting later are dropped and
+/// the span straddling `last_day` ends there. The one clip rule for every
+/// "the world as of day D" cut (HistoryStore::truncate_archive and
+/// serve::Snapshot::at).
+inline std::vector<StateSpan> clip_spans(const std::vector<StateSpan>& spans,
+                                         util::Day last_day) {
+  std::vector<StateSpan> out;
+  for (const StateSpan& span : spans) {
+    if (span.days.first > last_day) break;
+    out.push_back(span);
+    out.back().days.last = std::min(span.days.last, last_day);
+  }
+  return out;
+}
 
 /// Audit counters for one registry's restoration pass; each maps to a 3.1
 /// step. Benches print these alongside the paper's reported incidence.

@@ -185,8 +185,9 @@ struct DurableConfig {
   /// Optional snapshot history (not owned; must outlive the service). When
   /// set, open() seeds it from the recovered base state, every folded day —
   /// replayed or advanced — is appended, and it is attached to the wrapped
-  /// QueryService for `as_of` time-travel queries. History is derived state:
-  /// an append failure degrades health() but never fails the fold.
+  /// QueryService, whose `as_of` may then ask any recorded day (answered by
+  /// cutting the live working set). History is derived state: an append
+  /// failure degrades health() but never fails the fold.
   HistoryBackend* history = nullptr;
 };
 

@@ -2,10 +2,14 @@
 //
 // `history::HistoryStore` (the delta-compressed daily store) lives ABOVE
 // serve in the layer DAG — it persists Snapshots and folds DayDeltas, both
-// serve types. QueryService's `as_of` routing and DurableService's
-// append-on-fold wiring therefore talk to this abstract backend instead:
-// serve stays ignorant of keyframes and delta codecs, and the concrete
-// store is injected by the caller (`attach_history`, `DurableConfig`).
+// serve types. DurableService's append-on-fold wiring and QueryService's
+// `as_of` gate therefore talk to this abstract backend instead: serve stays
+// ignorant of keyframes and delta codecs, and the concrete store is
+// injected by the caller (`attach_history`, `DurableConfig`).
+//
+// The backend does not answer past-day questions: a QueryService answers
+// them by cutting its live working set (`Snapshot::at`), and only reads the
+// recorded day range from here.
 #pragma once
 
 #include "serve/snapshot.hpp"
@@ -13,18 +17,11 @@
 
 namespace pl::serve {
 
-/// Random access into the daily snapshot history plus the append hook the
-/// durable fold calls. Implemented by `history::HistoryStore`.
+/// The recorded day range plus the append hook the durable fold calls.
+/// Implemented by `history::HistoryStore`.
 class HistoryBackend {
  public:
   virtual ~HistoryBackend() = default;
-
-  /// The snapshot "as of day D": every admin/op life, class, and flag
-  /// exactly as a fresh build over the world truncated at D would produce.
-  /// The pointer stays valid until the next at()/append_day()/reset() call
-  /// on this backend (reconstruction reuses one cache slot in place).
-  /// kNotFound when D is outside [earliest_day(), latest_day()].
-  virtual pl::StatusOr<const Snapshot*> at(util::Day day) = 0;
 
   /// Record one folded day: `delta` is the day's input, `after` the
   /// snapshot state after folding it (`after.archive_end() == delta.day`).
@@ -39,7 +36,7 @@ class HistoryBackend {
   /// True when no keyframe has been installed yet.
   virtual bool empty() const noexcept = 0;
 
-  /// Day range the store can materialize, inclusive on both ends.
+  /// Recorded day range, inclusive on both ends: the days `as_of` may ask.
   virtual util::Day earliest_day() const noexcept = 0;
   virtual util::Day latest_day() const noexcept = 0;
 };

@@ -174,46 +174,59 @@ AliveAnswer QueryService::alive_for(const Snapshot& snap, asn::Asn asn,
 // -- the unified entry point -----------------------------------------------
 
 // pl-lint: allow(query-path-untraced) dispatcher: every kind's impl below
-// records its own span / flight event / metrics, and snapshot_as_of counts
-// the history routing — query() itself adds no unattributed work.
+// records its own span / flight event / metrics, and snapshot_as_of traces
+// the past-day cut — query() itself adds no unattributed work.
 pl::StatusOr<QueryResult> QueryService::query(const Query& q) {
-  auto snap = snapshot_as_of(q.options.as_of);
-  if (!snap.ok()) return snap.status();
-
   const QuerySubject& subject = q.subject;
-  const bool point =
-      subject.kind == QueryKind::kLookup || subject.kind == QueryKind::kAlive;
-  if (point && subject.asns.size() != 1)
-    return pl::invalid_argument_error(
-        "point query subjects carry exactly one ASN; use the batch kind");
+  const auto answer = [&](const Snapshot& snap) -> pl::StatusOr<QueryResult> {
+    const bool point = subject.kind == QueryKind::kLookup ||
+                       subject.kind == QueryKind::kAlive;
+    if (point && subject.asns.size() != 1)
+      return pl::invalid_argument_error(
+          "point query subjects carry exactly one ASN; use the batch kind");
 
-  QueryResult result;
-  switch (subject.kind) {
-    case QueryKind::kLookup:
-      result.lookups.push_back(lookup_impl(**snap, subject.asns.front()));
-      break;
-    case QueryKind::kLookupBatch:
-      result.lookups = lookup_batch_impl(**snap, subject.asns);
-      break;
-    case QueryKind::kAlive:
-      result.alive.push_back(
-          alive_impl(**snap, subject.asns.front(), subject.day));
-      break;
-    case QueryKind::kAliveBatch:
-      result.alive = alive_batch_impl(**snap, subject.asns, subject.day);
-      break;
-    case QueryKind::kCensus:
-      result.census = census_impl(**snap, subject.day);
-      break;
-    case QueryKind::kScan:
-      result.lookups = scan_impl(**snap, subject.scan);
-      break;
-  }
-  return result;
+    QueryResult result;
+    switch (subject.kind) {
+      case QueryKind::kLookup:
+        result.lookups.push_back(lookup_impl(snap, subject.asns.front()));
+        break;
+      case QueryKind::kLookupBatch:
+        result.lookups = lookup_batch_impl(snap, subject.asns);
+        break;
+      case QueryKind::kAlive:
+        result.alive.push_back(
+            alive_impl(snap, subject.asns.front(), subject.day));
+        break;
+      case QueryKind::kAliveBatch:
+        result.alive = alive_batch_impl(snap, subject.asns, subject.day);
+        break;
+      case QueryKind::kCensus:
+        result.census = census_impl(snap, subject.day);
+        break;
+      case QueryKind::kScan:
+        result.lookups = scan_impl(snap, subject.scan);
+        break;
+    }
+    return result;
+  };
+  if (live_day(q.options.as_of)) return answer(snapshot_);
+
+  // A past day answers from a cut of the live working set. The cut's slot
+  // is declared only here: g++ zero-fills an empty std::optional<Snapshot>
+  // (about 800 bytes), which the live path must not pay.
+  const bool per_asn = subject.kind != QueryKind::kCensus &&
+                       subject.kind != QueryKind::kScan;
+  std::optional<Snapshot> past;
+  auto cut = snapshot_as_of(q.options.as_of,
+                            per_asn ? &subject.asns : nullptr, past);
+  if (!cut.ok()) return cut.status();
+  return answer(**cut);
 }
 
-pl::StatusOr<const Snapshot*> QueryService::snapshot_as_of(util::Day day) {
-  if (day == 0 || day == snapshot_.archive_end()) return &snapshot_;
+pl::StatusOr<const Snapshot*> QueryService::snapshot_as_of(
+    util::Day day, const std::vector<asn::Asn>* asns,
+    std::optional<Snapshot>& past) {
+  if (live_day(day)) return &snapshot_;
   if (day > snapshot_.archive_end())
     return pl::invalid_argument_error(
         "as_of day " + std::to_string(day) +
@@ -222,8 +235,27 @@ pl::StatusOr<const Snapshot*> QueryService::snapshot_as_of(util::Day day) {
   if (history_ == nullptr)
     return pl::failed_precondition_error(
         "as_of queries need a history store; call attach_history() first");
+  if (history_->empty())
+    return pl::failed_precondition_error(
+        "history store is empty; reset() or build() first");
+  if (day < history_->earliest_day() || day > history_->latest_day())
+    return pl::not_found_error(
+        "day " + std::to_string(day) + " outside recorded history [" +
+        std::to_string(history_->earliest_day()) + ", " +
+        std::to_string(history_->latest_day()) + "]");
+
+  obs::Span span = root_.child("serve.as_of");
+  span.note("day", day);
+  span.note("narrowed", asns != nullptr ? 1 : 0);
   as_of_counter_.add(1);
-  return history_->at(day);
+  CutStats stats;
+  auto cut = asns != nullptr ? snapshot_.at(day, *asns, &stats)
+                             : snapshot_.at(day, &stats);
+  if (!cut.ok()) return cut.status();
+  span.note("asns", stats.asns);
+  span.note("spans", stats.spans);
+  past = *std::move(cut);
+  return &*past;
 }
 
 // -- temporal queries ------------------------------------------------------
@@ -236,12 +268,12 @@ pl::StatusOr<DriftAnswer> QueryService::drift(util::Day from, util::Day to) {
   DriftAnswer answer;
   answer.from = from;
   answer.to = to;
-  // Tally `from` before resolving `to`: both may share the history store's
-  // single reconstruction slot, so the first pointer dies at the second at().
-  auto then = snapshot_as_of(from);
+  std::optional<Snapshot> then_past;
+  auto then = snapshot_as_of(from, nullptr, then_past);
   if (!then.ok()) return then.status();
   answer.from_counts = tally_categories(**then);
-  auto now = snapshot_as_of(to);
+  std::optional<Snapshot> now_past;
+  auto now = snapshot_as_of(to, nullptr, now_past);
   if (!now.ok()) return now.status();
   answer.to_counts = tally_categories(**now);
   return answer;
@@ -258,13 +290,14 @@ pl::StatusOr<util::Day> QueryService::first_flip(asn::Asn asn,
   const util::Day lo = history_->earliest_day();
   const util::Day hi = std::min(history_->latest_day(),
                                 snapshot_.archive_end());
-  // Walk forward: consecutive at() calls are cheap (each rolls the store's
-  // cached snapshot one delta forward in place).
+  // Walk forward, cutting only the asked ASN's rows at each day: a few
+  // microseconds a day instead of a full build.
+  const asn::Asn asked[] = {asn};
   bool prev = false;
   for (util::Day day = lo; day <= hi; ++day) {
-    auto past = snapshot_as_of(day);
+    auto past = snapshot_.at(day, asked);
     if (!past.ok()) return past.status();
-    const bool now = class_on(**past, asn, day) == category;
+    const bool now = class_on(*past, asn, day) == category;
     if (now && !prev) {
       span.note("day", day);
       return day;

@@ -8,9 +8,10 @@
 //
 // The request shape is one struct: `Query{subject, options}`. The subject
 // says WHAT is asked (point lookup, batch, alive, census, scan); the
-// options say WHEN — `QueryOptions::as_of` routes the question to a past
-// day through an attached `HistoryBackend` (DESIGN.md §16). `query()` is
-// the only question-answering entry point.
+// options say WHEN — `QueryOptions::as_of` answers from a cut of the live
+// working set at a past day (`Snapshot::at`, DESIGN.md §16), within the
+// day range of an attached `HistoryBackend`. `query()` is the only
+// question-answering entry point.
 //
 // Batch subjects are the primary API: vector-in/vector-out, computed in
 // parallel over the exec pool. Answers are deterministic — bit-identical
@@ -18,9 +19,9 @@
 // every batch slot is computed on its own into its own index, and the
 // flight events are then recorded serially in index order.
 //
-// Temporal queries ride the same history routing: `drift(from, to)` tallies
-// the Table-3 taxonomy at two as-of days, `first_flip(asn, category)` finds
-// the first recorded day an ASN's admin classification became `category`.
+// Temporal queries ride the same cuts: `drift(from, to)` tallies the
+// Table-3 taxonomy at two as-of days, `first_flip(asn, category)` finds the
+// first recorded day an ASN's admin classification became `category`.
 #pragma once
 
 #include <atomic>
@@ -114,9 +115,12 @@ enum class QueryKind : std::uint8_t {
 /// Which day's snapshot answers. Defaults answer from the live snapshot.
 struct QueryOptions {
   /// 0 (or the live archive end) = answer from the current snapshot. Any
-  /// earlier day routes through the attached HistoryBackend: the answer is
-  /// what the service would have said on that day. Requires
-  /// `attach_history()`; fails kFailedPrecondition otherwise.
+  /// earlier day answers from a cut of the live working set at that day:
+  /// what the service would have said on that day. Lookup and alive kinds
+  /// cut only the asked ASNs; census and scan cut everything. Requires
+  /// `attach_history()` (the day must lie in its recorded range) and a
+  /// snapshot that kept its working set; fails kFailedPrecondition
+  /// otherwise.
   util::Day as_of = 0;
 
   friend bool operator==(const QueryOptions&, const QueryOptions&) = default;
@@ -192,12 +196,15 @@ class QueryService {
   /// Answer one Query. kInvalidArgument when the subject is malformed
   /// (point kinds need exactly one ASN) or `as_of` is in the future;
   /// kFailedPrecondition when `as_of` needs a history store and none is
-  /// attached; kNotFound when `as_of` predates the recorded history.
+  /// attached, or the snapshot has no working set to cut; kNotFound when
+  /// `as_of` lies outside the recorded history.
   pl::StatusOr<QueryResult> query(const Query& q);
 
-  /// Attach the snapshot history used for `as_of` routing and the temporal
-  /// queries. Not owned; must outlive the service (or be detached with
-  /// nullptr). A DurableService wires its configured backend in here.
+  /// Attach the snapshot history whose recorded day range gates `as_of`
+  /// and the temporal queries. The answers are cuts of the live working
+  /// set, not reads from the store. Not owned; must outlive the service (or
+  /// be detached with nullptr). A DurableService wires its configured
+  /// backend in here.
   void attach_history(HistoryBackend* history) noexcept {
     history_ = history;
   }
@@ -205,15 +212,16 @@ class QueryService {
 
   // -- temporal queries ----------------------------------------------------
 
-  /// Taxonomy tallies as of `from` vs as of `to` (0 = today). Routes both
-  /// days through the history store like any as_of query.
+  /// Taxonomy tallies as of `from` vs as of `to` (0 = today). Each past
+  /// day is a full cut, gated like any as_of query.
   pl::StatusOr<DriftAnswer> drift(util::Day from, util::Day to);
 
   /// First recorded day `asn`'s admin classification flipped TO `category`
   /// — the earliest day D in the stored history where the life covering D
   /// is classified `category` and the day before was not (a classification
   /// already in force at the start of the recorded range counts as day
-  /// one). kNotFound when it never happened within the recorded range.
+  /// one). Each day cuts only `asn`'s rows. kNotFound when it never
+  /// happened within the recorded range.
   pl::StatusOr<util::Day> first_flip(asn::Asn asn, joint::Category category);
 
   // -- incremental update ------------------------------------------------
@@ -236,7 +244,7 @@ class QueryService {
 
  private:
   // Every serving path is parameterized on the snapshot it answers from:
-  // the live one or a history reconstruction.
+  // the live one or a cut of it at a past day.
   AsnAnswer answer_for(const Snapshot& snap, asn::Asn asn) const;
   AliveAnswer alive_for(const Snapshot& snap, asn::Asn asn,
                         util::Day day) const;
@@ -252,10 +260,18 @@ class QueryService {
   std::vector<AsnAnswer> scan_impl(const Snapshot& snap,
                                    const ScanQuery& query);
 
+  /// True when `as_of` asks the live day: 0 or the current archive end.
+  bool live_day(util::Day day) const noexcept {
+    return day == 0 || day == snapshot_.archive_end();
+  }
+
   /// Resolve an as_of day to the snapshot to answer from: the live one for
-  /// 0 / the current archive end, a history reconstruction otherwise. The
-  /// pointer follows HistoryBackend::at()'s validity rule.
-  pl::StatusOr<const Snapshot*> snapshot_as_of(util::Day day);
+  /// 0 / the current archive end, otherwise a cut of the live working set
+  /// built into `past` — narrowed to `asns` when given, full otherwise.
+  /// The pointer lives as long as `past`. Records a `serve.as_of` span.
+  pl::StatusOr<const Snapshot*> snapshot_as_of(
+      util::Day day, const std::vector<asn::Asn>* asns,
+      std::optional<Snapshot>& past);
 
   /// Per-API-call sequence number feeding RequestId derivation. Gated on
   /// obs::kEnabled so the PL_OBS_OFF build pays nothing.
@@ -273,7 +289,7 @@ class QueryService {
   }
 
   Snapshot snapshot_;
-  HistoryBackend* history_ = nullptr;  ///< as_of routing; not owned
+  HistoryBackend* history_ = nullptr;  ///< as_of day range; not owned
 
   obs::Registry metrics_;
   obs::Trace trace_;

@@ -35,6 +35,16 @@ std::vector<StateSpan> canonicalize(const std::vector<StateSpan>& spans) {
   return out;
 }
 
+/// One ASN's op lives: its active days coalesced under the 4.2 timeout.
+std::vector<lifetimes::OpLifetime> op_lives_of(asn::Asn asn,
+                                               const util::IntervalSet& days,
+                                               int timeout_days) {
+  std::vector<lifetimes::OpLifetime> lives;
+  for (const util::DayInterval& life : days.coalesce(timeout_days))
+    lives.push_back(lifetimes::OpLifetime{asn, life});
+  return lives;
+}
+
 /// Count of sorted values <= day.
 std::int64_t count_le(const std::vector<Day>& sorted, Day day) noexcept {
   return std::upper_bound(sorted.begin(), sorted.end(), day) - sorted.begin();
@@ -463,10 +473,8 @@ pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats) {
       const util::IntervalSet* activity =
           working.activity.activity(asn::Asn{asn_value});
       if (activity != nullptr)
-        for (const util::DayInterval& days :
-             activity->coalesce(config_.op_timeout_days))
-          op_lifetimes.push_back(
-              lifetimes::OpLifetime{asn::Asn{asn_value}, days});
+        op_lifetimes = op_lives_of(asn::Asn{asn_value}, *activity,
+                                   config_.op_timeout_days);
     } else if (old_row != nullptr) {
       for (std::uint32_t o = 0; o < old_row->op_count; ++o)
         op_lifetimes.push_back(old_op[old_row->op_begin + o].life);
@@ -494,6 +502,92 @@ pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats) {
   if (stats != nullptr) stats->reclassified = reclassified;
   rebuild_indexes();
   return {};
+}
+
+pl::Status Snapshot::check_cut(util::Day day) const {
+  if (!working_)
+    return pl::failed_precondition_error(
+        "snapshot has no working set (built from datasets or with "
+        "keep_working_set = false); a past day is a cut of the working set");
+  if (day > archive_end_)
+    return pl::invalid_argument_error(
+        "cannot cut at " + util::format_iso(day) + ", after the archive end " +
+        util::format_iso(archive_end_));
+  return {};
+}
+
+pl::StatusOr<Snapshot> Snapshot::at(util::Day day, CutStats* stats) const {
+  if (pl::Status status = check_cut(day); !status.ok()) return status;
+  restore::RestoredArchive archive;
+  std::int64_t spans = 0;
+  for (std::size_t r = 0; r < asn::kRirCount; ++r) {
+    archive.registries[r].rir = asn::kAllRirs[r];
+    auto& out = archive.registries[r].spans;
+    for (const auto& [asn_value, list] : working_->spans[r]) {
+      std::vector<StateSpan> clipped = restore::clip_spans(list, day);
+      if (clipped.empty()) continue;
+      spans += static_cast<std::int64_t>(clipped.size());
+      out.emplace_hint(out.end(), asn_value, std::move(clipped));
+    }
+  }
+  Snapshot snap =
+      build(archive, working_->activity.clipped(day), day, config_);
+  if (stats != nullptr) {
+    stats->asns = static_cast<std::int64_t>(snap.asn_count());
+    stats->spans = spans;
+  }
+  return snap;
+}
+
+pl::StatusOr<Snapshot> Snapshot::at(util::Day day,
+                                    std::span<const asn::Asn> asns,
+                                    CutStats* stats) const {
+  if (pl::Status status = check_cut(day); !status.ok()) return status;
+  const WorkingSet& working = *working_;
+  std::vector<std::uint32_t> keys;
+  keys.reserve(asns.size());
+  for (const asn::Asn asn : asns) keys.push_back(asn.value);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+  Snapshot snap;
+  snap.config_ = config_;
+  snap.config_.keep_working_set = false;
+  snap.archive_end_ = day;
+  std::int64_t spans = 0;
+  for (const std::uint32_t asn_value : keys) {
+    std::array<std::vector<StateSpan>, asn::kRirCount> clipped;
+    lifetimes::AsnSpansByRegistry span_lists{};
+    bool any = false;
+    for (std::size_t r = 0; r < asn::kRirCount; ++r) {
+      const auto it = working.spans[r].find(asn_value);
+      if (it == working.spans[r].end()) continue;
+      clipped[r] = restore::clip_spans(it->second, day);
+      if (clipped[r].empty()) continue;
+      spans += static_cast<std::int64_t>(clipped[r].size());
+      span_lists[r] = &clipped[r];
+      any = true;
+    }
+    // The live backdating anchors need no cut: one is read only for a
+    // registry where this ASN has a span starting by `day`, and then the
+    // anchor, that registry's earliest span start, is by `day` too.
+    std::vector<lifetimes::AdminLifetime> admin;
+    if (any)
+      admin = lifetimes::build_asn_admin_lifetimes(
+          asn_value, span_lists, working.first_observed, day, config_.admin);
+    std::vector<lifetimes::OpLifetime> op;
+    if (const util::IntervalSet* activity =
+            working.activity.activity(asn::Asn{asn_value}))
+      op = op_lives_of(asn::Asn{asn_value}, activity->clipped(day),
+                       config_.op_timeout_days);
+    snap.append_built(build_asn_rows(asn::Asn{asn_value}, admin, op, config_));
+  }
+  snap.rebuild_indexes();
+  if (stats != nullptr) {
+    stats->asns = static_cast<std::int64_t>(snap.asn_count());
+    stats->spans = spans;
+  }
+  return snap;
 }
 
 bool operator==(const Snapshot& a, const Snapshot& b) {

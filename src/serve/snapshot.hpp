@@ -19,6 +19,11 @@
 // The advance path is locked by test to be bit-identical to rebuilding the
 // snapshot from a full pipeline run over the extended world — the
 // invariants that make that possible are catalogued in DESIGN.md §11.
+//
+// The working set only grows (advance_day extends the last span or appends
+// one, and activity only gains the new day), so it already holds every
+// earlier day: `at(D)` answers "the snapshot as of day D" by cutting it at
+// D, in full or narrowed to the asked ASNs (DESIGN.md §16).
 #pragma once
 
 #include <array>
@@ -94,8 +99,8 @@ struct SnapshotConfig {
   lifetimes::AdminBuildConfig admin;
   joint::SquatDetectorConfig squat;
   /// Retain the build inputs (restored spans, activity, backdating anchors)
-  /// so advance_day() can fold new days in. Query-only consumers drop this
-  /// to halve the memory footprint.
+  /// so advance_day() can fold new days in and at() can cut past days out.
+  /// Query-only consumers drop this to halve the memory footprint.
   bool keep_working_set = true;
 
   friend bool operator==(const SnapshotConfig&, const SnapshotConfig&) =
@@ -132,6 +137,12 @@ struct AdvanceStats {
   std::int64_t touched_admin = 0;   ///< ASNs whose admin lives recomputed
   std::int64_t touched_op = 0;      ///< ASNs whose op lives recomputed
   std::int64_t reclassified = 0;    ///< ASN rows rebuilt
+};
+
+/// at() accounting, surfaced as `serve.as_of` span notes by the QueryService.
+struct CutStats {
+  std::int64_t asns = 0;   ///< ASN rows built at the cut day
+  std::int64_t spans = 0;  ///< restored spans the cut kept
 };
 
 struct AliveCensus {
@@ -207,6 +218,24 @@ class Snapshot {
   /// to `build()` over the extended inputs; on failure it is unchanged.
   pl::Status advance_day(const DayDelta& delta, AdvanceStats* stats = nullptr);
 
+  // -- the past ----------------------------------------------------------
+
+  /// The snapshot as of an earlier day: one build() over the working set
+  /// cut at `day` (every span and active day after it dropped). That cut is
+  /// the working set build() gets from the world truncated at `day`, so the
+  /// result compares equal to that build.
+  /// kFailedPrecondition without a working set, kInvalidArgument for a day
+  /// after archive_end().
+  pl::StatusOr<Snapshot> at(util::Day day, CutStats* stats = nullptr) const;
+
+  /// The cut narrowed to `asns` (repeats and unknown ASNs allowed): each
+  /// asked ASN's spans and activity cut at `day`, run through the per-ASN
+  /// builders advance_day() uses. Every row equals
+  /// that ASN's row in `at(day)`; the result has no working set. Same
+  /// errors as the full cut.
+  pl::StatusOr<Snapshot> at(util::Day day, std::span<const asn::Asn> asns,
+                            CutStats* stats = nullptr) const;
+
   /// Deep equality over everything — serving rows, derived indexes, and
   /// the working set. The advance-vs-rebuild tests assert with this.
   friend bool operator==(const Snapshot& a, const Snapshot& b);
@@ -242,6 +271,9 @@ class Snapshot {
                                  std::span<const lifetimes::AdminLifetime> admin,
                                  std::span<const lifetimes::OpLifetime> op,
                                  const SnapshotConfig& config);
+
+  /// Why a cut at `day` is impossible, or OK.
+  pl::Status check_cut(util::Day day) const;
 
   void assemble(const lifetimes::AdminDataset& admin,
                 const lifetimes::OpDataset& op);

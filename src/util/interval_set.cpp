@@ -123,6 +123,15 @@ std::vector<DayInterval> IntervalSet::coalesce(std::int64_t timeout) const {
   return out;
 }
 
+IntervalSet IntervalSet::clipped(Day last_day) const {
+  IntervalSet out;
+  for (const DayInterval& run : runs_) {
+    if (run.first > last_day) break;
+    out.runs_.push_back(DayInterval{run.first, std::min(run.last, last_day)});
+  }
+  return out;
+}
+
 DayInterval IntervalSet::span() const noexcept {
   if (runs_.empty()) return DayInterval{};
   return DayInterval{runs_.front().first, runs_.back().last};

@@ -60,6 +60,9 @@ class IntervalSet {
   /// operational lifetimes induced by an inactivity timeout (paper 4.2).
   std::vector<DayInterval> coalesce(std::int64_t timeout) const;
 
+  /// The days of this set up to and including `last_day`.
+  IntervalSet clipped(Day last_day) const;
+
   /// Smallest interval covering the whole set (empty interval if empty).
   DayInterval span() const noexcept;
 

@@ -1,15 +1,12 @@
-// Compact day-delta codec + history file corruption suite: round-trips are
-// exact for hand-built and sliced deltas, and every flavor of damage —
-// truncation at any length, any single bit flipped, version skew, file-level
-// tears — decodes to a precise kDataLoss, never a crash, never a partial
-// delta. `serve::encode_day_delta` writes both the history delta frame and
-// the WAL record (serve_durable_test locks the byte identity), so the
-// truncation and every-bit-flip suites cover the WAL record too. Runs under
-// the asan leg via the `chaos` label.
+// Compact day-delta codec suite: round-trips are exact for hand-built and
+// sliced deltas, and every flavor of damage — truncation at any length, any
+// single bit flipped, version skew — decodes to a precise kDataLoss, never a
+// crash, never a partial delta. `serve::encode_day_delta` writes both the
+// history delta frame and the WAL record (serve_durable_test locks the byte
+// identity), so the truncation and every-bit-flip suites cover the WAL
+// record too. Runs under the asan leg via the `chaos` label.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <string>
 
 #include "history/store.hpp"
@@ -138,107 +135,6 @@ TEST(HistoryCodec, GarbageIsDataLoss) {
                 .status()
                 .code(),
             pl::StatusCode::kDataLoss);
-}
-
-// -- file-level corruption --------------------------------------------------
-
-class HistoryFileCorruption : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    pipeline::Config config;
-    config.seed = 7;
-    config.scale = 0.01;
-    world_ = new pipeline::Result(pipeline::run_simulated(config));
-    const util::Day end = world_->truth.archive_end;
-    auto store = HistoryStore::build(world_->restored,
-                                     world_->op_world.activity, end - 10, end);
-    ASSERT_TRUE(store.ok()) << store.status().to_string();
-    path_ = testing::TempDir() + "history_corruption.plhist";
-    std::filesystem::remove(path_);
-    ASSERT_TRUE(store->save(path_).ok());
-    bytes_ = read_all(path_);
-    ASSERT_GT(bytes_.size(), 100u);
-  }
-  static void TearDownTestSuite() {
-    delete world_;
-    world_ = nullptr;
-  }
-
-  static std::string read_all(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  }
-
-  static void write_all(const std::string& path, const std::string& bytes) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  /// Write a damaged variant and expect open() and inspect() to both
-  /// refuse it as kDataLoss.
-  void expect_rejected(const std::string& damaged, const std::string& what) {
-    const std::string path = testing::TempDir() + "history_damaged.plhist";
-    write_all(path, damaged);
-    EXPECT_EQ(HistoryStore::open(path).status().code(),
-              pl::StatusCode::kDataLoss)
-        << what << " accepted by open()";
-    EXPECT_EQ(inspect(path).status().code(), pl::StatusCode::kDataLoss)
-        << what << " accepted by inspect()";
-  }
-
-  static pipeline::Result* world_;
-  static std::string path_;
-  static std::string bytes_;
-};
-
-pipeline::Result* HistoryFileCorruption::world_ = nullptr;
-std::string HistoryFileCorruption::path_;
-std::string HistoryFileCorruption::bytes_;
-
-TEST_F(HistoryFileCorruption, IntactFileOpens) {
-  auto store = HistoryStore::open(path_);
-  ASSERT_TRUE(store.ok()) << store.status().to_string();
-  auto latest = store->at(store->latest_day());
-  EXPECT_TRUE(latest.ok()) << latest.status().to_string();
-}
-
-TEST_F(HistoryFileCorruption, TruncationIsDataLoss) {
-  // Cut the file at a spread of points: inside the manifest, inside a
-  // keyframe, inside a delta, mid-header, and one byte short.
-  for (const double fraction : {0.01, 0.1, 0.4, 0.7, 0.95}) {
-    const std::size_t len =
-        static_cast<std::size_t>(bytes_.size() * fraction);
-    expect_rejected(bytes_.substr(0, len),
-                    "truncation to " + std::to_string(len) + " bytes");
-  }
-  expect_rejected(bytes_.substr(0, bytes_.size() - 1), "one byte short");
-}
-
-TEST_F(HistoryFileCorruption, BitFlipsAreDataLoss) {
-  // Flipping any bit lands in some frame's CRC footprint or breaks the
-  // frame walk itself. A spread of offsets covers the manifest, keyframes,
-  // and deltas without 8×size decodes of full snapshots.
-  for (std::size_t byte = 0; byte < bytes_.size();
-       byte += bytes_.size() / 97 + 1) {
-    std::string damaged = bytes_;
-    damaged[byte] = static_cast<char>(damaged[byte] ^ 0x10);
-    expect_rejected(damaged, "bit flip at byte " + std::to_string(byte));
-  }
-}
-
-TEST_F(HistoryFileCorruption, ExtraTrailingFrameIsDataLoss) {
-  // A whole valid frame appended past the manifest's promise: count
-  // mismatch, refused — a history file is exact, not a WAL.
-  serve::DayDelta delta;
-  delta.day = 1;
-  expect_rejected(bytes_ + encode_day_delta(delta),
-                  "extra trailing frame");
-}
-
-TEST_F(HistoryFileCorruption, EmptyAndGarbageAreDataLoss) {
-  expect_rejected("", "empty file");
-  expect_rejected("not a history file", "garbage file");
 }
 
 }  // namespace

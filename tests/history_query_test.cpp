@@ -231,6 +231,34 @@ TEST(HistoryQuery, ErrorsArePreciseAndTyped) {
   two_asns.subject.asns = {asn, asn::Asn{42}};
   EXPECT_EQ(service.query(two_asns).status().code(),
             pl::StatusCode::kInvalidArgument);
+
+  // No working set to cut (a dataset-built snapshot, or one built with
+  // keep_working_set = false): a precondition failure that names the
+  // missing working set, never a crash and never the live day's answer.
+  serve::SnapshotConfig query_only;
+  query_only.keep_working_set = false;
+  for (serve::Snapshot snapshot :
+       {serve::Snapshot::from_datasets(w.result.admin, w.result.op),
+        serve::Snapshot::build(w.result.restored, w.result.op_world.activity,
+                               w.end, query_only)}) {
+    serve::QueryService uncuttable(std::move(snapshot));
+    uncuttable.attach_history(&world().store);
+    for (const serve::Query& q :
+         {serve::Query::lookup(asn, as_of(w.end - 3)),
+          serve::Query::alive_batch({asn}, w.end - 4, as_of(w.end - 3)),
+          serve::Query::census(w.end - 3, as_of(w.end - 3))}) {
+      const pl::Status status = uncuttable.query(q).status();
+      EXPECT_EQ(status.code(), pl::StatusCode::kFailedPrecondition);
+      EXPECT_NE(status.message().find("working set"), std::string::npos)
+          << status.to_string();
+    }
+    EXPECT_EQ(uncuttable.drift(w.end - 3, 0).status().code(),
+              pl::StatusCode::kFailedPrecondition);
+    EXPECT_EQ(uncuttable.first_flip(asn, joint::Category::kCompleteOverlap)
+                  .status()
+                  .code(),
+              pl::StatusCode::kFailedPrecondition);
+  }
 }
 
 TEST(HistoryQuery, DriftMatchesBruteForce) {

@@ -1,18 +1,21 @@
-// HistoryStore reconstruction: `*at(D)` must be bit-identical to a full
-// rebuild over the world truncated at D — rows, derived indexes, AND
-// working set — for EVERY day in the recorded range, across seeds,
-// keyframe intervals, and transport chaos. Also locks the size contract
-// the subsystem exists for (mean compact delta <= 10% of a mean keyframe
-// at the default interval), random-access cache behavior, save/open
-// round-trips, and the pipeline adapter.
+// Seeing the past: `HistoryStore::at(D)` and the live working set cut at D
+// (`Snapshot::at`) must both be bit-identical to a full rebuild over the
+// world truncated at D — rows, derived indexes, AND working set — for
+// EVERY day in the recorded range, across seeds, keyframe intervals, and
+// transport chaos; the narrowed per-ASN cut must answer exactly as a fresh
+// QueryService over that rebuild. Also locks the store's size contract
+// (mean compact delta <= 10% of a mean keyframe at the default interval)
+// and its random-access cache behavior.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
+#include <vector>
 
-#include "history/serving.hpp"
 #include "history/store.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "pipeline/pipeline.hpp"
+#include "serve/query.hpp"
 #include "serve/snapshot.hpp"
 
 namespace pl::history {
@@ -36,6 +39,69 @@ pl::StatusOr<HistoryStore> trailing_store(const pipeline::Result& world,
                              end - days_back, end, config);
 }
 
+/// Known ASNs from across the row table plus one the study never saw.
+std::vector<asn::Asn> sample_asns(const serve::Snapshot& snap) {
+  std::vector<asn::Asn> asns;
+  const auto& rows = snap.rows();
+  for (std::size_t i = 0; i < rows.size(); i += rows.size() / 9 + 1)
+    asns.push_back(rows[i].asn);
+  asns.push_back(asn::Asn{4294900000u});  // unknown
+  return asns;
+}
+
+/// `q` answered by `service`; the query must succeed.
+serve::QueryResult answer(serve::QueryService& service, const serve::Query& q) {
+  auto result = service.query(q);
+  EXPECT_TRUE(result.ok()) << result.status().to_string();
+  return result.ok() ? *std::move(result) : serve::QueryResult{};
+}
+
+/// Live-cut oracle, run after a sweep has walked `live` to the store's
+/// latest day: for every recorded day D, the full cut `live.at(D)` equals
+/// rebuild_at(D) deep (working set included), and the narrowed cut behind
+/// an as_of lookup/alive batch answers sampled ASNs exactly as a fresh
+/// QueryService over rebuild_at(D).
+void expect_every_cut_matches_rebuild(const serve::Snapshot& live,
+                                      HistoryStore& store,
+                                      const pipeline::Result& world) {
+  ASSERT_EQ(live.archive_end(), store.latest_day());
+  serve::QueryService service(live);
+  service.attach_history(&store);
+  const std::vector<asn::Asn> asns = sample_asns(live);
+  for (util::Day day = store.earliest_day(); day <= store.latest_day();
+       ++day) {
+    const serve::Snapshot rebuilt = HistoryStore::rebuild_at(
+        world.restored, world.op_world.activity, day);
+    auto cut = live.at(day);
+    ASSERT_TRUE(cut.ok()) << cut.status().to_string();
+    ASSERT_TRUE(*cut == rebuilt) << "live cut diverged on day " << day;
+
+    serve::QueryService fresh(rebuilt);
+    serve::QueryOptions options;
+    options.as_of = day;
+    EXPECT_EQ(answer(service, serve::Query::lookup_batch(asns, options)),
+              answer(fresh, serve::Query::lookup_batch(asns)))
+        << "narrowed lookups diverged on day " << day;
+    EXPECT_EQ(
+        answer(service, serve::Query::alive_batch(asns, day - 3, options)),
+        answer(fresh, serve::Query::alive_batch(asns, day - 3)))
+        << "narrowed alive answers diverged on day " << day;
+  }
+  // The cut explains itself: the first as_of (the earliest day's lookup
+  // batch) left a serve.as_of span naming its day, form and size.
+  if constexpr (obs::kEnabled) {
+    const obs::Report report = service.report();
+    const obs::TraceNode* first = report.trace.child("serve.as_of");
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first->note_value("day"), store.earliest_day());
+    EXPECT_EQ(first->note_value("narrowed"), 1);
+    EXPECT_GT(first->note_value("asns"), 0);
+    EXPECT_LT(first->note_value("asns"),
+              static_cast<std::int64_t>(asns.size()));  // one is unknown
+    EXPECT_GT(first->note_value("spans"), 0);
+  }
+}
+
 /// Full-oracle sweep: every recorded day compared against a fresh rebuild
 /// of the truncated world. O(days × rebuild) — reserve for the flagship
 /// configs; the interval matrix uses the cheaper cursor oracle below.
@@ -52,8 +118,9 @@ void expect_every_day_matches_rebuild(HistoryStore& store,
 }
 
 /// Cursor oracle: one snapshot advanced day by day (itself rebuild-equal,
-/// locked by serve_advance_test) compared against every at(). Cheap enough
-/// for the seeds × intervals matrix.
+/// locked by serve_advance_test) compared against every at(); the walked
+/// cursor is then cut back at every recorded day. Cheap enough for the
+/// seeds × intervals × chaos matrix.
 void expect_every_day_matches_cursor(HistoryStore& store,
                                      const pipeline::Result& world) {
   serve::Snapshot cursor = HistoryStore::rebuild_at(
@@ -69,6 +136,7 @@ void expect_every_day_matches_cursor(HistoryStore& store,
     ASSERT_TRUE(got.ok()) << got.status().to_string();
     ASSERT_TRUE(**got == cursor) << "reconstruction diverged on day " << day;
   }
+  expect_every_cut_matches_rebuild(cursor, store, world);
 }
 
 TEST(HistoryReconstruct, EveryDayBitIdenticalToRebuild) {
@@ -102,21 +170,22 @@ TEST(HistoryReconstruct, EveryDayBitIdenticalUnderChaos) {
 }
 
 TEST(HistoryReconstruct, SeedAndIntervalMatrix) {
-  for (const std::uint64_t seed : {99ull, 7ull}) {
-    const pipeline::Result world =
-        pipeline::run_simulated(world_config(seed, 0.01));
-    for (const int interval : {1, 5, 16}) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + " interval " +
-                   std::to_string(interval));
-      auto store =
-          trailing_store(world, 20, HistoryConfig{interval});
-      ASSERT_TRUE(store.ok()) << store.status().to_string();
-      expect_every_day_matches_cursor(*store, world);
-      if (interval == 1) {
-        EXPECT_EQ(store->stats().keyframes, 21);  // every day, base included
+  for (const std::uint64_t seed : {99ull, 7ull})
+    for (const bool chaos : {false, true}) {
+      const pipeline::Result world =
+          pipeline::run_simulated(world_config(seed, 0.01, chaos));
+      for (const int interval : {1, 5, 16}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " chaos " +
+                     std::to_string(chaos) + " interval " +
+                     std::to_string(interval));
+        auto store = trailing_store(world, 20, HistoryConfig{interval});
+        ASSERT_TRUE(store.ok()) << store.status().to_string();
+        expect_every_day_matches_cursor(*store, world);
+        if (interval == 1) {
+          EXPECT_EQ(store->stats().keyframes, 21);  // every day, base included
+        }
       }
     }
-  }
 }
 
 TEST(HistoryReconstruct, RandomAccessOrderIsIrrelevant) {
@@ -142,74 +211,11 @@ TEST(HistoryReconstruct, RandomAccessOrderIsIrrelevant) {
   EXPECT_GT(stats.delta_folds, 0);
 }
 
-TEST(HistoryReconstruct, SaveOpenRoundTrip) {
-  const pipeline::Result world =
-      pipeline::run_simulated(world_config(99, 0.01));
-  auto store = trailing_store(world, 20);
-  ASSERT_TRUE(store.ok()) << store.status().to_string();
-
-  const std::string path = testing::TempDir() + "history_roundtrip.plhist";
-  std::filesystem::remove(path);
-  ASSERT_TRUE(store->save(path).ok());
-
-  auto reopened = HistoryStore::open(path);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().to_string();
-  EXPECT_EQ(reopened->config(), store->config());
-  EXPECT_EQ(reopened->earliest_day(), store->earliest_day());
-  EXPECT_EQ(reopened->latest_day(), store->latest_day());
-  const HistoryStats a = store->stats();
-  const HistoryStats b = reopened->stats();
-  EXPECT_EQ(a.keyframes, b.keyframes);
-  EXPECT_EQ(a.deltas, b.deltas);
-  EXPECT_EQ(a.keyframe_bytes, b.keyframe_bytes);
-  EXPECT_EQ(a.delta_bytes, b.delta_bytes);
-
-  for (const util::Day day :
-       {store->earliest_day(), store->latest_day(),
-        static_cast<util::Day>(store->earliest_day() + 7)}) {
-    auto original = store->at(day);
-    ASSERT_TRUE(original.ok());
-    const serve::Snapshot want = **original;  // copy: next at() reuses slot
-    auto loaded = reopened->at(day);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-    EXPECT_TRUE(**loaded == want) << "reopened store diverged on day " << day;
-  }
-
-  // inspect() agrees with the store it summarizes, without decoding days.
-  auto info = inspect(path);
-  ASSERT_TRUE(info.ok()) << info.status().to_string();
-  EXPECT_EQ(info->version, kHistoryFormatVersion);
-  EXPECT_EQ(info->base_day, store->earliest_day());
-  EXPECT_EQ(info->last_day, store->latest_day());
-  EXPECT_EQ(info->keyframe_interval, store->config().keyframe_interval);
-  EXPECT_EQ(info->keyframes, a.keyframes);
-  EXPECT_EQ(info->deltas, a.deltas);
-}
-
-TEST(HistoryReconstruct, PipelineAdapterBuildsServableWorld) {
-  HistoryWorldConfig world_config_;
-  world_config_.days = 40;
-  HistoryWorld world =
-      run_simulated_history(world_config(99, 0.01), world_config_);
-  ASSERT_TRUE(world.build_status.ok()) << world.build_status.to_string();
-  const util::Day end = world.result.truth.archive_end;
-  EXPECT_EQ(world.history.latest_day(), end);
-  EXPECT_EQ(world.history.earliest_day(), end - 39);
-  EXPECT_EQ(world.snapshot.archive_end(), end);
-
-  // The carried snapshot IS the store's final day.
-  auto latest = world.history.at(end);
-  ASSERT_TRUE(latest.ok());
-  EXPECT_TRUE(**latest == world.snapshot);
-}
-
 TEST(HistoryReconstruct, ErrorsArePreciseAndTyped) {
   HistoryStore empty_store;
   EXPECT_EQ(empty_store.at(100).status().code(),
             pl::StatusCode::kFailedPrecondition);
   EXPECT_TRUE(empty_store.empty());
-  EXPECT_EQ(empty_store.save(testing::TempDir() + "never.plhist").code(),
-            pl::StatusCode::kFailedPrecondition);
 
   const pipeline::Result world =
       pipeline::run_simulated(world_config(99, 0.01));
@@ -227,11 +233,6 @@ TEST(HistoryReconstruct, ErrorsArePreciseAndTyped) {
   ASSERT_TRUE(current.ok());
   EXPECT_EQ(store->append_day(wrong_day, **current).code(),
             pl::StatusCode::kInvalidArgument);
-
-  EXPECT_EQ(HistoryStore::open(testing::TempDir() + "no_such.plhist")
-                .status()
-                .code(),
-            pl::StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -239,41 +239,31 @@ TEST(DurableWal, CorruptMiddleRecordIsSkippedWithAccounting) {
 }
 
 TEST(DurableWal, RecordIsByteIdenticalToHistoryDeltaFrame) {
-  // The WAL and the history store share one day-delta codec. A saved
-  // history file ends with its delta frames in day order, so each record
-  // append_wal writes must equal the matching slice of that tail.
+  // The WAL and the history store share one day-delta codec: each record
+  // append_wal writes is the frame encode_day_delta makes for that day —
+  // the frame HistoryStore::append_day records — and the store's delta
+  // bytes add up to the WAL's size.
   const pipeline::Result& result = small_pipeline();
   const util::Day end = result.truth.archive_end;
   const std::string dir = temp_dir("wal_equals_history");
   const std::string wal_path = dir + "/days.plwal";
-  const std::string history_path = dir + "/history.plhist";
 
   auto history = history::HistoryStore::build(
       result.restored, result.op_world.activity, end - 5, end);
   ASSERT_TRUE(history.ok()) << history.status().to_string();
   ASSERT_EQ(history->stats().deltas, 5);
-  ASSERT_TRUE(history->save(history_path).ok());
 
-  std::vector<std::size_t> offsets = {0};
+  std::size_t offset = 0;
   for (util::Day day = end - 4; day <= end; ++day) {
-    ASSERT_TRUE(
-        append_wal(wal_path,
-                   slice_day(result.restored, result.op_world.activity, day))
-            .ok());
-    offsets.push_back(read_all(wal_path).size());
+    const DayDelta delta =
+        slice_day(result.restored, result.op_world.activity, day);
+    ASSERT_TRUE(append_wal(wal_path, delta).ok());
+    const std::string wal = read_all(wal_path);
+    EXPECT_EQ(wal.substr(offset), encode_day_delta(delta))
+        << "WAL record for day " << day << " differs from the delta frame";
+    offset = wal.size();
   }
-  const std::string wal = read_all(wal_path);
-  const std::string saved = read_all(history_path);
-  ASSERT_EQ(static_cast<std::int64_t>(wal.size()),
-            history->stats().delta_bytes);
-  ASSERT_GT(saved.size(), wal.size());
-  const std::string deltas = saved.substr(saved.size() - wal.size());
-  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
-    const std::size_t length = offsets[i + 1] - offsets[i];
-    EXPECT_TRUE(wal.compare(offsets[i], length, deltas, offsets[i], length) ==
-                0)
-        << "WAL record " << i << " differs from the history delta frame";
-  }
+  EXPECT_EQ(static_cast<std::int64_t>(offset), history->stats().delta_bytes);
 }
 
 TEST(DurableWal, OldFixedWidthRecordIsCorrupt) {

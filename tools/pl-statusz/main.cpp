@@ -5,18 +5,15 @@
 // QueryService::report()) and pl-flight/1 flight-recorder dumps (written by
 // DurableService on crash / quarantine / degradation, or by the pipeline
 // via PL_FLIGHT). The lint gate leaves a third: the pl-graph/1 program
-// model pl-lint writes next to its report. The history layer leaves a
-// fourth: saved HistoryStore files (manifest + keyframe + delta frames).
-// This tool is the human front-end: counters and gauges, latency
-// percentiles (p50/p90/p99/p999), the tail of the flight timeline, the
-// architecture view, and the history-file census — a plain-text /statusz
-// for a process that is no longer running.
+// model pl-lint writes next to its report. This tool is the human
+// front-end: counters and gauges, latency percentiles (p50/p90/p99/p999),
+// the tail of the flight timeline, and the architecture view — a plain-text
+// /statusz for a process that is no longer running.
 //
 //   pl-statusz --obs report.json            # metrics + latency percentiles
 //   pl-statusz --flight dump.plflight       # flight-recorder tail
 //   pl-statusz --tail 16 --flight d.plflight
 //   pl-statusz --graph pl-graph.json        # layer table + taint witnesses
-//   pl-statusz --history days.plhist        # keyframe/delta census
 //   pl-statusz --selftest                   # exercise the formats in-process
 //
 // --selftest round-trips both formats (including damaged-file salvage) and
@@ -31,13 +28,11 @@
 #include <string>
 #include <vector>
 
-#include "history/store.hpp"
 #include "model.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
-#include "robust/checkpoint.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -162,42 +157,6 @@ int render_graph(const std::string& path) {
   return 0;
 }
 
-/// History-file census via history::inspect — structural only (frame
-/// boundaries, manifest, per-frame CRCs), no snapshot decode, so it is
-/// fast even on paper-scale files and safe to point at a damaged one.
-int render_history(const std::string& path) {
-  const auto info = pl::history::inspect(path);
-  if (!info.ok()) {
-    std::cerr << "pl-statusz: " << path << ": " << info.status().to_string()
-              << "\n";
-    return 1;
-  }
-  const std::int64_t days =
-      static_cast<std::int64_t>(info->last_day - info->base_day) + 1;
-  std::cout << "== history (" << path << ") ==\n"
-            << "format pl-history/" << info->version << ", "
-            << pl::util::format_iso(info->base_day) << " .. "
-            << pl::util::format_iso(info->last_day) << " (" << days
-            << " days), keyframe every " << info->keyframe_interval
-            << " days\n"
-            << "keyframes " << info->keyframes << " ("
-            << info->keyframe_bytes << " bytes), deltas " << info->deltas
-            << " (" << info->delta_bytes << " bytes)\n";
-  if (info->keyframes > 0 && info->deltas > 0) {
-    const double keyframe_per_day =
-        static_cast<double>(info->keyframe_bytes) /
-        static_cast<double>(info->keyframes);
-    const double delta_per_day = static_cast<double>(info->delta_bytes) /
-                                 static_cast<double>(info->deltas);
-    std::cout << "bytes/day: delta "
-              << static_cast<std::int64_t>(delta_per_day) << " vs keyframe "
-              << static_cast<std::int64_t>(keyframe_per_day) << " ("
-              << 100.0 * delta_per_day / keyframe_per_day
-              << "% of a keyframe)\n";
-  }
-  return 0;
-}
-
 #define SELF_CHECK(cond)                                                   \
   do {                                                                     \
     if (!(cond)) {                                                         \
@@ -314,52 +273,6 @@ int selftest() {
     SELF_CHECK(!graph_from_json("{\"schema\":\"pl-obs/1\"}").has_value());
   }
 
-  // History-file census: hand-craft the smallest structurally valid store
-  // file (manifest + 2 keyframes + 2 deltas over a 3-day range, each a CRC
-  // frame — inspect() never decodes payloads, so placeholder payloads are
-  // enough to prove the walker). Then tear it and require kDataLoss.
-  {
-    namespace history = pl::history;
-    namespace robust = pl::robust;
-    const auto frame = [](const std::string& payload) {
-      robust::CheckpointWriter w;
-      w.str(payload);
-      return std::move(w).finish();
-    };
-    robust::CheckpointWriter manifest;
-    manifest.u32(history::kHistoryFormatVersion);
-    manifest.i32(100);  // base_day
-    manifest.i32(102);  // last_day
-    manifest.i32(2);    // keyframe_interval
-    manifest.varint(2);
-    manifest.i32(100);
-    manifest.i32(102);
-    manifest.varint(2);  // deltas for days 101, 102
-    const std::string blob = std::move(manifest).finish() +
-                             frame("keyframe 100") + frame("keyframe 102") +
-                             frame("delta 101") + frame("delta 102");
-    const std::string hist_path = "pl-statusz-selftest.plhist";
-    {
-      std::ofstream out(hist_path, std::ios::binary | std::ios::trunc);
-      out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    }
-    const auto info = pl::history::inspect(hist_path);
-    SELF_CHECK(info.ok());
-    SELF_CHECK(info->version == history::kHistoryFormatVersion);
-    SELF_CHECK(info->base_day == 100 && info->last_day == 102);
-    SELF_CHECK(info->keyframes == 2 && info->deltas == 2);
-    SELF_CHECK(info->keyframe_bytes > 0 && info->delta_bytes > 0);
-    SELF_CHECK(render_history(hist_path) == 0);
-    {
-      std::ofstream out(hist_path, std::ios::binary | std::ios::trunc);
-      out.write(blob.data(), static_cast<std::streamsize>(blob.size() - 7));
-    }
-    SELF_CHECK(pl::history::inspect(hist_path).status().code() ==
-               pl::StatusCode::kDataLoss);
-    SELF_CHECK(render_history(hist_path) == 1);
-    std::remove(hist_path.c_str());
-  }
-
   std::cout << "pl-statusz selftest: ok\n";
   return 0;
 }
@@ -367,8 +280,7 @@ int selftest() {
 int usage() {
   std::cerr << "usage: pl-statusz [--obs report.json] "
                "[--flight dump.plflight] [--tail N] "
-               "[--graph pl-graph.json] [--history days.plhist] "
-               "[--selftest]\n";
+               "[--graph pl-graph.json] [--selftest]\n";
   return 2;
 }
 
@@ -378,7 +290,6 @@ int main(int argc, char** argv) {
   std::string obs_path;
   std::string flight_path;
   std::string graph_path;
-  std::string history_path;
   std::size_t tail = 32;
   bool run_selftest = false;
 
@@ -392,8 +303,6 @@ int main(int argc, char** argv) {
       flight_path = argv[++i];
     } else if (arg == "--graph" && i + 1 < argc) {
       graph_path = argv[++i];
-    } else if (arg == "--history" && i + 1 < argc) {
-      history_path = argv[++i];
     } else if (arg == "--tail" && i + 1 < argc) {
       tail = static_cast<std::size_t>(std::stoul(argv[++i]));
     } else {
@@ -401,14 +310,12 @@ int main(int argc, char** argv) {
     }
   }
   if (run_selftest) return selftest();
-  if (obs_path.empty() && flight_path.empty() && graph_path.empty() &&
-      history_path.empty())
+  if (obs_path.empty() && flight_path.empty() && graph_path.empty())
     return usage();
 
   int rc = 0;
   if (!obs_path.empty()) rc |= render_obs(obs_path);
   if (!flight_path.empty()) rc |= render_flight(flight_path, tail);
   if (!graph_path.empty()) rc |= render_graph(graph_path);
-  if (!history_path.empty()) rc |= render_history(history_path);
   return rc;
 }
