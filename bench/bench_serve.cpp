@@ -1,8 +1,8 @@
 // Serving-layer performance harness: builds the serve::Snapshot from the
 // shared bench pipeline, then measures the query paths a deployment cares
 // about — point lookups, batch lookups, alive-on batches —
-// and the incremental update: advance_day latency vs. rebuilding the whole
-// snapshot, with the bit-identity of the two re-checked in passing. Writes
+// and the day fold: advance_day latency, with its bit-identity to a
+// rebuild of the whole snapshot re-checked in passing. Writes
 // machine-readable BENCH_serve.json so successive PRs accumulate a perf
 // trajectory.
 //
@@ -13,16 +13,15 @@
 //   PL_KEYFRAME_INTERVAL  history keyframe spacing in days (default 16;
 //                         EXPERIMENTS.md discusses the trade-off)
 //
-// JSON format (schema pl-bench-serve/5; /4 without the answer cache's
-// cold/warm split and hit/miss counts):
+// JSON format (schema pl-bench-serve/6; /5 also had the advance block's
+// rebuild_ms and speedup_vs_rebuild):
 //   {
-//     "schema": "pl-bench-serve/5", "scale": ..., "seed": ...,
+//     "schema": "pl-bench-serve/6", "scale": ..., "seed": ...,
 //     "snapshot": {"asns": n, "admin_lives": n, "op_lives": n,
 //                  "build_ms": ms},
 //     "queries": {"point_qps": x, "batch_qps": x, "alive_qps": x,
 //                 "scan_full_ms": ms, "census_ms": ms},
 //     "advance": {"days": n, "mean_ms": ms, "max_ms": ms,
-//                 "rebuild_ms": ms, "speedup_vs_rebuild": x,
 //                 "identical": true},
 //     "durability": {"wal_append_mean_ms": ms, "wal_append_max_ms": ms,
 //                    "wal_bytes": n, "snapshot_save_ms": ms,
@@ -109,7 +108,7 @@ pl::obs::LatencyHistoSnapshot serve_latency(const pl::obs::Snapshot& metrics,
 int main() {
   using namespace pl;
   bench::print_banner(
-      "serve", "snapshot queries + incremental day-advance vs. rebuild");
+      "serve", "snapshot queries + day folds checked against a rebuild");
 
   std::string out_path = "BENCH_serve.json";
   if (const char* env = std::getenv("PL_BENCH_OUT")) out_path = env;
@@ -229,7 +228,7 @@ int main() {
             << " ns/query = " << overhead_pct << "% overhead"
             << (obs_ok ? "" : " — OVER THE 3% BUDGET") << "\n\n";
 
-  // --- Incremental advance vs. full rebuild over the last week.
+  // --- Day folds over the last week, checked against a full rebuild.
   const int kDays = 7;
   const util::Day base_day = end - kDays;
   serve::Snapshot advanced = history::HistoryStore::rebuild_at(
@@ -251,17 +250,12 @@ int main() {
   }
   const double advance_mean_ms = advance_total_ms / kDays;
 
-  start = Clock::now();
-  const serve::Snapshot rebuilt = serve::Snapshot::build(
-      pipeline.restored, pipeline.op_world.activity, end);
-  const double rebuild_ms = ms_since(start);
-  const bool identical = advanced == rebuilt;
+  const bool identical =
+      advanced == serve::Snapshot::build(pipeline.restored,
+                                         pipeline.op_world.activity, end);
 
   std::cout << "advance_day:   mean " << advance_mean_ms << " ms, max "
-            << advance_max_ms << " ms over " << kDays
-            << " days; full rebuild " << rebuild_ms << " ms ("
-            << (advance_mean_ms > 0 ? rebuild_ms / advance_mean_ms : 0.0)
-            << "x slower per day)\n";
+            << advance_max_ms << " ms over " << kDays << " days\n";
   std::cout << "advanced == rebuilt: "
             << (identical ? "yes" : "NO — DETERMINISM BUG") << "\n\n";
 
@@ -425,7 +419,7 @@ int main() {
   // --- Machine-readable artifact.
   bench::JsonWriter json;
   json.begin_object();
-  json.key("schema").value("pl-bench-serve/5");
+  json.key("schema").value("pl-bench-serve/6");
   json.key("scale").value(pipeline.scale);
   json.key("seed").value(static_cast<std::uint64_t>(pipeline.seed));
   json.key("snapshot").begin_object();
@@ -445,9 +439,6 @@ int main() {
   json.key("days").value(kDays);
   json.key("mean_ms").value(advance_mean_ms);
   json.key("max_ms").value(advance_max_ms);
-  json.key("rebuild_ms").value(rebuild_ms);
-  json.key("speedup_vs_rebuild")
-      .value(advance_mean_ms > 0 ? rebuild_ms / advance_mean_ms : 0.0);
   json.key("identical").value(identical);
   json.end_object();
   json.key("durability").begin_object();

@@ -103,11 +103,9 @@ serve::Snapshot HistoryStore::rebuild_at(
 pl::StatusOr<HistoryStore> HistoryStore::build(
     const restore::RestoredArchive& archive, const bgp::ActivityTable& activity,
     util::Day first_day, util::Day last_day, HistoryConfig config,
-    serve::SnapshotConfig snapshot_config) {
+    const serve::SnapshotConfig& snapshot_config) {
   if (first_day > last_day)
     return pl::invalid_argument_error("history build range is empty");
-  // The cursor folds every day forward, so the working set is not optional.
-  snapshot_config.keep_working_set = true;
 
   HistoryStore store(config);
   obs::Span span = store.root_.child("history.build");

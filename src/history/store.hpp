@@ -129,7 +129,7 @@ class HistoryStore final : public serve::HistoryBackend {
       const restore::RestoredArchive& archive,
       const bgp::ActivityTable& activity, util::Day first_day,
       util::Day last_day, HistoryConfig config = {},
-      serve::SnapshotConfig snapshot_config = {});
+      const serve::SnapshotConfig& snapshot_config = {});
 
   // -- serve::HistoryBackend -----------------------------------------------
 

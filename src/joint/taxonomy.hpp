@@ -50,8 +50,7 @@ struct Taxonomy {
 /// Classification of one ASN's lifetimes, with indices local to the ASN's
 /// start-ordered life lists. Classification only ever relates lives of the
 /// *same* ASN, so this is the complete per-ASN core of `classify()` —
-/// exposed so the serving layer can reclassify exactly the ASNs an
-/// incremental day-advance touched.
+/// exposed so the serving layer can classify its rows one ASN at a time.
 struct AsnClassification {
   std::vector<Category> admin_category;
   std::vector<Category> op_category;

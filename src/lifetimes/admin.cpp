@@ -75,16 +75,17 @@ void gather_asn_pieces(const std::vector<StateSpan>& spans, asn::Rir rir,
 }
 
 /// Extract the delegated pieces of one registry into flat (asn, piece)
-/// pairs. `registry.spans` iterates in ascending-ASN order, so `out` comes
-/// back sorted by ASN with per-ASN pieces in span order — no per-ASN map
-/// slot (or temporary vector) needed.
+/// pairs. `spans` iterates in ascending-ASN order, so `out` comes back
+/// sorted by ASN with per-ASN pieces in span order — no per-ASN map slot
+/// (or temporary vector) needed.
 void gather_registry_pieces(
-    const restore::RestoredRegistry& registry, Day first_observed,
+    const std::map<std::uint32_t, std::vector<StateSpan>>& spans,
+    asn::Rir rir, Day first_observed,
     std::vector<std::pair<std::uint32_t, Piece>>& out) {
   std::vector<Piece> scratch;
-  for (const auto& [asn, spans] : registry.spans) {
+  for (const auto& [asn, asn_spans] : spans) {
     scratch.clear();
-    gather_asn_pieces(spans, registry.rir, first_observed, scratch);
+    gather_asn_pieces(asn_spans, rir, first_observed, scratch);
     for (const Piece& piece : scratch) out.emplace_back(asn, piece);
   }
 }
@@ -221,9 +222,8 @@ void AdminDataset::index() {
                    "AdminDataset::lifetimes after index()");
 }
 
-std::array<std::optional<util::Day>, asn::kRirCount> registry_first_observed(
-    const restore::RestoredArchive& archive) {
-  std::array<std::optional<util::Day>, asn::kRirCount> first_observed;
+FirstObserved registry_first_observed(const restore::RestoredArchive& archive) {
+  FirstObserved first_observed;
   for (const restore::RestoredRegistry& registry : archive.registries) {
     auto& first = first_observed[asn::index_of(registry.rir)];
     for (const auto& [asn, spans] : registry.spans)
@@ -235,8 +235,8 @@ std::array<std::optional<util::Day>, asn::kRirCount> registry_first_observed(
 
 std::vector<AdminLifetime> build_asn_admin_lifetimes(
     std::uint32_t asn_value, const AsnSpansByRegistry& spans,
-    const std::array<std::optional<util::Day>, asn::kRirCount>& first_observed,
-    util::Day archive_end, const AdminBuildConfig& config) {
+    const FirstObserved& first_observed, util::Day archive_end,
+    const AdminBuildConfig& config) {
   // Assemble pieces in kAllRirs order — the order the full builder folds
   // its per-registry maps, which fixes the (deterministic) sort below.
   std::vector<Piece> pieces;
@@ -254,36 +254,40 @@ std::vector<AdminLifetime> build_asn_admin_lifetimes(
 AdminDataset build_admin_lifetimes(const restore::RestoredArchive& archive,
                                    util::Day archive_end,
                                    const AdminBuildConfig& config) {
+  RegistrySpanMaps spans{};
+  for (const restore::RestoredRegistry& registry : archive.registries)
+    spans[asn::index_of(registry.rir)] = &registry.spans;
   AdminDataset dataset;
   dataset.archive_end = archive_end;
+  dataset.lifetimes = build_admin_lifetimes(
+      spans, registry_first_observed(archive), archive_end, config);
+  dataset.index();
+  return dataset;
+}
 
-  // Each registry's first observed day (its first published file): lives
-  // already present in the first file are backdated to their registration
-  // date — the paper's lifetimes reach back to 1992 through this field
-  // (Fig. 10), since the archive cannot witness their true start. A
-  // registry with no spans gets the archive-end sentinel (no ASN can match
-  // it, so no backdating happens).
-  const std::array<std::optional<util::Day>, asn::kRirCount> observed =
-      registry_first_observed(archive);
-  std::array<util::Day, asn::kRirCount> first_observed;
-  for (std::size_t r = 0; r < asn::kRirCount; ++r)
-    first_observed[r] = observed[r].value_or(archive_end);
+std::vector<AdminLifetime> build_admin_lifetimes(
+    const RegistrySpanMaps& spans, const FirstObserved& first_observed,
+    util::Day archive_end, const AdminBuildConfig& config) {
 
   // Gather delegated pieces, sharded by registry: each of the five
   // registries fills its own flat (asn, piece) vector (already sorted by
   // ASN — see gather_registry_pieces), and the vectors fold together below
   // into ascending-ASN groups whose per-ASN piece order matches the old
-  // registry-order map fold.
+  // registry-order map fold. Lives already present in a registry's first
+  // file are backdated to their registration date — the paper's lifetimes
+  // reach back to 1992 through this field (Fig. 10), since the archive
+  // cannot witness their true start. A registry with no spans gets the
+  // archive-end sentinel (no ASN can match it, so no backdating happens).
   std::array<std::vector<std::pair<std::uint32_t, Piece>>, asn::kRirCount>
       pieces_by_registry;
   exec::parallel_for(
-      archive.registries.size(),
+      asn::kRirCount,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t r = begin; r < end; ++r)
-          gather_registry_pieces(
-              archive.registries[r],
-              first_observed[asn::index_of(archive.registries[r].rir)],
-              pieces_by_registry[r]);
+          if (spans[r] != nullptr)
+            gather_registry_pieces(*spans[r], asn::kAllRirs[r],
+                                   first_observed[r].value_or(archive_end),
+                                   pieces_by_registry[r]);
       },
       /*grain=*/1);
 
@@ -338,12 +342,11 @@ AdminDataset build_admin_lifetimes(const restore::RestoredArchive& archive,
   std::size_t life_total = 0;
   for (const std::vector<AdminLifetime>& per_asn : lifetimes_by_asn)
     life_total += per_asn.size();
-  dataset.lifetimes.reserve(life_total);
+  std::vector<AdminLifetime> lifetimes;
+  lifetimes.reserve(life_total);
   for (const std::vector<AdminLifetime>& per_asn : lifetimes_by_asn)
-    dataset.lifetimes.insert(dataset.lifetimes.end(), per_asn.begin(),
-                             per_asn.end());
-  dataset.index();
-  return dataset;
+    lifetimes.insert(lifetimes.end(), per_asn.begin(), per_asn.end());
+  return lifetimes;
 }
 
 void record_metrics(const AdminDataset& dataset, obs::Registry& metrics) {

@@ -56,7 +56,29 @@ struct AdminDataset {
   void index();
 };
 
-/// Build the administrative dataset from the restored archive.
+/// Each registry's first observed day, in `kAllRirs` order — the minimum
+/// span start across its ASNs, i.e. the day its first published file
+/// landed. `nullopt` for a registry with no spans at all. Lives already
+/// present in that first file are backdated to their registration date.
+using FirstObserved = std::array<std::optional<util::Day>, asn::kRirCount>;
+
+/// The restored span maps of all five registries, one pointer per registry
+/// in `kAllRirs` order (nullptr for a registry with nothing restored).
+using RegistrySpanMaps =
+    std::array<const std::map<std::uint32_t, std::vector<restore::StateSpan>>*,
+               asn::kRirCount>;
+
+/// Build the administrative lifetimes, sorted by (asn, start), from the
+/// per-registry span maps and their backdating anchors. The serving layer
+/// derives every snapshot's admin lives through this form, over its
+/// working set; it needs no per-ASN index, so none is built.
+std::vector<AdminLifetime> build_admin_lifetimes(
+    const RegistrySpanMaps& spans, const FirstObserved& first_observed,
+    util::Day archive_end, const AdminBuildConfig& config = {});
+
+/// Build the administrative dataset from the restored archive: the form
+/// above over its registries and `registry_first_observed(archive)`, then
+/// indexed.
 AdminDataset build_admin_lifetimes(const restore::RestoredArchive& archive,
                                    util::Day archive_end,
                                    const AdminBuildConfig& config = {});
@@ -66,24 +88,19 @@ AdminDataset build_admin_lifetimes(const restore::RestoredArchive& archive,
 using AsnSpansByRegistry =
     std::array<const std::vector<restore::StateSpan>*, asn::kRirCount>;
 
-/// Each registry's first observed day — the minimum span start across its
-/// ASNs, i.e. the day its first published file landed. `nullopt` for a
-/// registry with no spans at all. This is the backdating anchor
-/// `build_admin_lifetimes` derives internally; the serving layer keeps it
-/// alongside its working set so incremental rebuilds anchor identically.
-std::array<std::optional<util::Day>, asn::kRirCount> registry_first_observed(
-    const restore::RestoredArchive& archive);
+/// The archive's backdating anchors (see `FirstObserved`).
+FirstObserved registry_first_observed(const restore::RestoredArchive& archive);
 
 /// Lifetimes of a single ASN from its per-registry restored spans — the
-/// per-ASN core of `build_admin_lifetimes`, exposed so the serving layer's
-/// `advance_day()` can rebuild exactly the ASNs a new day touched. For any
-/// ASN, feeding the slices of a full archive through this function yields
-/// the same lifetimes the full builder produces (the differential tests
-/// lock this).
+/// per-ASN core of `build_admin_lifetimes`, exposed for the serving
+/// layer's narrowed past-day cut, which derives only the asked ASNs. For
+/// any ASN, feeding the slices of a full archive through this function
+/// yields the same lifetimes the full builder produces (the differential
+/// tests lock this).
 std::vector<AdminLifetime> build_asn_admin_lifetimes(
     std::uint32_t asn_value, const AsnSpansByRegistry& spans,
-    const std::array<std::optional<util::Day>, asn::kRirCount>& first_observed,
-    util::Day archive_end, const AdminBuildConfig& config = {});
+    const FirstObserved& first_observed, util::Day archive_end,
+    const AdminBuildConfig& config = {});
 
 /// Publish the admin-dataset census (lifetime/ASN totals, open-ended and
 /// transferred counts, the duration distribution) into the metrics

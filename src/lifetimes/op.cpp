@@ -8,8 +8,8 @@
 
 namespace pl::lifetimes {
 
-OpDataset build_op_lifetimes(const bgp::ActivityTable& activity,
-                             int timeout_days) {
+std::vector<OpLifetime> coalesce_activity(const bgp::ActivityTable& activity,
+                                          int timeout_days) {
   // Coalescing is independent per ASN: shard over the (ordered) activity
   // entries, coalesce each into its own slot, then fill the dataset in
   // entry order — identical to the serial per-entry loop.
@@ -36,19 +36,32 @@ OpDataset build_op_lifetimes(const bgp::ActivityTable& activity,
       },
       /*grain=*/128);
 
+  std::size_t life_total = 0;
+  for (const std::vector<util::DayInterval>& lives : lives_by_entry)
+    life_total += lives.size();
+  std::vector<OpLifetime> lifetimes;
+  lifetimes.reserve(life_total);
+  for (std::size_t i = 0; i < entries.size(); ++i)
+    for (const util::DayInterval& life : lives_by_entry[i])
+      lifetimes.push_back(OpLifetime{entries[i].first, life});
+  return lifetimes;
+}
+
+OpDataset build_op_lifetimes(const bgp::ActivityTable& activity,
+                             int timeout_days) {
   OpDataset dataset;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    // Entries arrive in ascending ASN order, so hinting at end() makes each
-    // index-map insert O(1) instead of a tree descent.
-    auto& indices =
-        dataset.by_asn
-            .emplace_hint(dataset.by_asn.end(), entries[i].first.value,
-                          std::vector<std::size_t>{})
-            ->second;
-    for (const util::DayInterval& life : lives_by_entry[i]) {
-      indices.push_back(dataset.lifetimes.size());
-      dataset.lifetimes.push_back(OpLifetime{entries[i].first, life});
-    }
+  dataset.lifetimes = coalesce_activity(activity, timeout_days);
+  // Lifetimes are sorted by ASN, so hinting at end() makes each index-map
+  // insert O(1) instead of a tree descent.
+  std::vector<std::size_t>* slot = nullptr;
+  for (std::size_t i = 0; i < dataset.lifetimes.size(); ++i) {
+    const std::uint32_t asn = dataset.lifetimes[i].asn.value;
+    if (slot == nullptr || dataset.by_asn.rbegin()->first != asn)
+      slot = &dataset.by_asn
+                  .emplace_hint(dataset.by_asn.end(), asn,
+                                std::vector<std::size_t>{})
+                  ->second;
+    slot->push_back(i);
   }
   return dataset;
 }

@@ -30,7 +30,13 @@ struct OpDataset {
   std::size_t asn_count() const noexcept { return by_asn.size(); }
 };
 
-/// Coalesce activity runs into lifetimes using `timeout_days`.
+/// Coalesce activity runs into lifetimes using `timeout_days`, sorted by
+/// (asn, start). The serving layer derives every snapshot's op lives
+/// through this form; it needs no per-ASN index, so none is built.
+std::vector<OpLifetime> coalesce_activity(
+    const bgp::ActivityTable& activity, int timeout_days = kPaperTimeoutDays);
+
+/// The op dataset: `coalesce_activity`, indexed by ASN.
 OpDataset build_op_lifetimes(const bgp::ActivityTable& activity,
                              int timeout_days = kPaperTimeoutDays);
 

@@ -42,12 +42,15 @@ struct TraceNode {
   std::vector<std::pair<std::string, std::int64_t>> notes;
   std::vector<TraceNode> children;
 
-  /// First direct child with `name`; nullptr when absent.
-  const TraceNode* child(std::string_view child_name) const noexcept {
+  /// First direct child with `name`; nullptr when absent. The pointer is
+  /// into this node, so calling it on a temporary (say, a `report()`
+  /// returned by value) does not compile.
+  const TraceNode* child(std::string_view child_name) const& noexcept {
     for (const TraceNode& node : children)
       if (node.name == child_name) return &node;
     return nullptr;
   }
+  const TraceNode* child(std::string_view child_name) const&& = delete;
 
   /// Value of one note (0 when absent).
   std::int64_t note_value(std::string_view key) const noexcept {

@@ -187,7 +187,6 @@ class SnapshotCodec {
     w.i32(config.admin.transfer_gap_tolerance);
     w.i64(config.squat.dormancy_days);
     encode_double(w, config.squat.max_relative_duration);
-    w.boolean(config.keep_working_set);
 
     w.varint(snap.rows_.size());
     for (const AsnRow& row : snap.rows_) {
@@ -243,8 +242,6 @@ class SnapshotCodec {
         w.i32(run.last);
       }
     }
-    w.varint(working.open_asns.size());
-    for (const std::uint32_t asn_value : working.open_asns) w.u32(asn_value);
   }
 
   static pl::StatusOr<Snapshot> decode(robust::CheckpointReader& r) {
@@ -258,7 +255,6 @@ class SnapshotCodec {
     snap.config_.admin.transfer_gap_tolerance = r.i32();
     snap.config_.squat.dormancy_days = r.i64();
     snap.config_.squat.max_relative_duration = decode_double(r);
-    snap.config_.keep_working_set = r.boolean();
 
     const std::uint64_t row_count = r.container_size(22);
     snap.rows_.reserve(row_count);
@@ -335,9 +331,6 @@ class SnapshotCodec {
           working.activity.mark_active(asn_key, run);
         }
       }
-      const std::uint64_t open_count = r.container_size(4);
-      for (std::uint64_t i = 0; r.ok() && i < open_count; ++i)
-        working.open_asns.insert(r.u32());
       snap.working_ = std::move(working);
     }
 

@@ -50,8 +50,9 @@ namespace pl::serve {
 
 /// Payload schema version inside the checkpoint frame. Bumped whenever the
 /// serialized Snapshot layout changes; a mismatch is rejected as kDataLoss
-/// ("snapshot format version skew"), never interpreted.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/// ("snapshot format version skew"), never interpreted. Version 1 also
+/// carried a keep-working-set bit and the open-ended ASN set.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /// Payload schema version inside each day-delta frame (same skew policy).
 /// Version 1 was the WAL's old fixed-width record, whose payload opened

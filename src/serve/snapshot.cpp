@@ -1,6 +1,7 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "check/contracts.hpp"
@@ -20,7 +21,8 @@ using util::Day;
 /// time, so the working set must hold the canonical merged form for the
 /// two paths to produce identical lists. Admin lifetimes are invariant
 /// under this merge (a zero-gap same-state continuation merges under the
-/// 4.1 rules either way), which the advance-vs-rebuild tests lock.
+/// 4.1 rules either way), so deriving from the working set gives the
+/// pipeline's lives (`Snapshot.AgreesWithPipelineDatasets` locks this).
 std::vector<StateSpan> canonicalize(const std::vector<StateSpan>& spans) {
   std::vector<StateSpan> out;
   out.reserve(spans.size());
@@ -33,16 +35,6 @@ std::vector<StateSpan> canonicalize(const std::vector<StateSpan>& spans) {
     }
   }
   return out;
-}
-
-/// One ASN's op lives: its active days coalesced under the 4.2 timeout.
-std::vector<lifetimes::OpLifetime> op_lives_of(asn::Asn asn,
-                                               const util::IntervalSet& days,
-                                               int timeout_days) {
-  std::vector<lifetimes::OpLifetime> lives;
-  for (const util::DayInterval& life : days.coalesce(timeout_days))
-    lives.push_back(lifetimes::OpLifetime{asn, life});
-  return lives;
 }
 
 /// Count of sorted values <= day.
@@ -116,41 +108,32 @@ void Snapshot::append_built(BuiltAsn&& built) {
   op_rows_.insert(op_rows_.end(), built.op.begin(), built.op.end());
 }
 
-void Snapshot::assemble(const lifetimes::AdminDataset& admin,
-                        const lifetimes::OpDataset& op) {
+void Snapshot::assemble(std::span<const lifetimes::AdminLifetime> admin,
+                        std::span<const lifetimes::OpLifetime> op) {
   rows_.clear();
   admin_rows_.clear();
   op_rows_.clear();
 
+  // Both life lists are sorted by (asn, start), so each ASN's lives are one
+  // contiguous run in each: merge-walk them into per-ASN groups.
   struct Group {
-    std::uint32_t asn;
-    const std::vector<std::size_t>* admin_indices;
-    const std::vector<std::size_t>* op_indices;
+    asn::Asn asn;
+    std::span<const lifetimes::AdminLifetime> admin;
+    std::span<const lifetimes::OpLifetime> op;
   };
   std::vector<Group> groups;
-  groups.reserve(admin.by_asn.size() + op.by_asn.size());
-  auto a_it = admin.by_asn.begin();
-  auto o_it = op.by_asn.begin();
-  while (a_it != admin.by_asn.end() || o_it != op.by_asn.end()) {
-    if (o_it == op.by_asn.end() ||
-        (a_it != admin.by_asn.end() && a_it->first < o_it->first)) {
-      groups.push_back(Group{a_it->first, &a_it->second, nullptr});
-      ++a_it;
-    } else if (a_it == admin.by_asn.end() || o_it->first < a_it->first) {
-      groups.push_back(Group{o_it->first, nullptr, &o_it->second});
-      ++o_it;
-    } else {
-      groups.push_back(Group{a_it->first, &a_it->second, &o_it->second});
-      ++a_it;
-      ++o_it;
-    }
+  for (std::size_t a = 0, o = 0; a < admin.size() || o < op.size();) {
+    const asn::Asn asn =
+        o == op.size() || (a < admin.size() && admin[a].asn < op[o].asn)
+            ? admin[a].asn
+            : op[o].asn;
+    const std::size_t a_begin = a;
+    const std::size_t o_begin = o;
+    while (a < admin.size() && admin[a].asn == asn) ++a;
+    while (o < op.size() && op[o].asn == asn) ++o;
+    groups.push_back(Group{asn, admin.subspan(a_begin, a - a_begin),
+                           op.subspan(o_begin, o - o_begin)});
   }
-
-  const auto contiguous = [](const std::vector<std::size_t>& indices) {
-    for (std::size_t i = 1; i < indices.size(); ++i)
-      if (indices[i] != indices[0] + i) return false;
-    return true;
-  };
 
   // Per-ASN row construction is independent: build each group into its own
   // slot in parallel, then concatenate in ascending-ASN order (identical to
@@ -159,38 +142,9 @@ void Snapshot::assemble(const lifetimes::AdminDataset& admin,
   exec::parallel_for(
       groups.size(),
       [&](std::size_t begin, std::size_t end) {
-        std::vector<lifetimes::AdminLifetime> admin_scratch;
-        std::vector<lifetimes::OpLifetime> op_scratch;
-        for (std::size_t g = begin; g < end; ++g) {
-          std::span<const lifetimes::AdminLifetime> admin_span;
-          if (groups[g].admin_indices != nullptr) {
-            const auto& indices = *groups[g].admin_indices;
-            if (contiguous(indices)) {
-              admin_span = {admin.lifetimes.data() + indices.front(),
-                            indices.size()};
-            } else {
-              admin_scratch.clear();
-              for (const std::size_t a : indices)
-                admin_scratch.push_back(admin.lifetimes[a]);
-              admin_span = admin_scratch;
-            }
-          }
-          std::span<const lifetimes::OpLifetime> op_span;
-          if (groups[g].op_indices != nullptr) {
-            const auto& indices = *groups[g].op_indices;
-            if (contiguous(indices)) {
-              op_span = {op.lifetimes.data() + indices.front(),
-                         indices.size()};
-            } else {
-              op_scratch.clear();
-              for (const std::size_t o : indices)
-                op_scratch.push_back(op.lifetimes[o]);
-              op_span = op_scratch;
-            }
-          }
-          slots[g] = build_asn_rows(asn::Asn{groups[g].asn}, admin_span,
-                                    op_span, config_);
-        }
+        for (std::size_t g = begin; g < end; ++g)
+          slots[g] = build_asn_rows(groups[g].asn, groups[g].admin,
+                                    groups[g].op, config_);
       },
       /*grain=*/64);
 
@@ -257,30 +211,35 @@ Snapshot Snapshot::build(const restore::RestoredArchive& archive,
   Snapshot snap;
   snap.config_ = config;
   snap.archive_end_ = archive_end;
-
-  const lifetimes::AdminDataset admin =
-      lifetimes::build_admin_lifetimes(archive, archive_end, config.admin);
-  const lifetimes::OpDataset op =
-      lifetimes::build_op_lifetimes(activity, config.op_timeout_days);
-  snap.assemble(admin, op);
-  snap.rebuild_indexes();
-
-  if (config.keep_working_set) {
-    WorkingSet working;
-    for (std::size_t r = 0; r < asn::kRirCount; ++r)
-      for (const auto& [asn_value, spans] : archive.registries[r].spans)
-        working.spans[r].emplace(asn_value, canonicalize(spans));
-    working.first_observed = lifetimes::registry_first_observed(archive);
-    working.activity = activity;
-    for (const AsnRow& row : snap.rows_)
-      for (const AdminLifeRow& life : snap.admin_lives(row))
-        if (life.life.open_ended) {
-          working.open_asns.insert(row.asn.value);
-          break;
-        }
-    snap.working_ = std::move(working);
-  }
+  WorkingSet& working = snap.working_.emplace();
+  for (std::size_t r = 0; r < asn::kRirCount; ++r)
+    for (const auto& [asn_value, spans] : archive.registries[r].spans)
+      working.spans[r].emplace_hint(working.spans[r].end(), asn_value,
+                                    canonicalize(spans));
+  working.first_observed = lifetimes::registry_first_observed(archive);
+  working.activity = activity;
+  snap.derive();
   return snap;
+}
+
+void Snapshot::derive(AdvanceStats* stats) {
+  const WorkingSet& working = *working_;
+  lifetimes::RegistrySpanMaps spans;
+  for (std::size_t r = 0; r < asn::kRirCount; ++r)
+    spans[r] = &working.spans[r];
+  assemble(lifetimes::build_admin_lifetimes(spans, working.first_observed,
+                                            archive_end_, config_.admin),
+           lifetimes::coalesce_activity(working.activity,
+                                        config_.op_timeout_days));
+  rebuild_indexes();
+  if (stats != nullptr) {
+    stats->touched_admin = std::count_if(
+        rows_.begin(), rows_.end(),
+        [](const AsnRow& row) { return row.admin_count > 0; });
+    stats->touched_op = std::count_if(
+        rows_.begin(), rows_.end(),
+        [](const AsnRow& row) { return row.op_count > 0; });
+  }
 }
 
 Snapshot Snapshot::from_datasets(lifetimes::AdminDataset admin,
@@ -288,19 +247,13 @@ Snapshot Snapshot::from_datasets(lifetimes::AdminDataset admin,
                                  const SnapshotConfig& config) {
   Snapshot snap;
   snap.config_ = config;
-  snap.config_.keep_working_set = false;
 
-  admin.index();
-  if (op.by_asn.empty() && !op.lifetimes.empty()) {
-    std::sort(op.lifetimes.begin(), op.lifetimes.end(),
-              [](const lifetimes::OpLifetime& a,
-                 const lifetimes::OpLifetime& b) {
-                if (a.asn != b.asn) return a.asn < b.asn;
-                return a.days.first < b.days.first;
-              });
-    for (std::size_t i = 0; i < op.lifetimes.size(); ++i)
-      op.by_asn[op.lifetimes[i].asn.value].push_back(i);
-  }
+  const auto by_asn_then_start = [](const auto& a, const auto& b) {
+    if (a.asn != b.asn) return a.asn < b.asn;
+    return a.days.first < b.days.first;
+  };
+  std::sort(admin.lifetimes.begin(), admin.lifetimes.end(), by_asn_then_start);
+  std::sort(op.lifetimes.begin(), op.lifetimes.end(), by_asn_then_start);
 
   util::Day end = admin.archive_end;
   for (const lifetimes::AdminLifetime& life : admin.lifetimes)
@@ -309,7 +262,7 @@ Snapshot Snapshot::from_datasets(lifetimes::AdminDataset admin,
     end = std::max(end, life.days.last);
   snap.archive_end_ = end;
 
-  snap.assemble(admin, op);
+  snap.assemble(admin.lifetimes, op.lifetimes);
   snap.rebuild_indexes();
   return snap;
 }
@@ -365,15 +318,6 @@ pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats) {
   }
 
   WorkingSet& working = *working_;
-
-  // ASNs needing admin recomputation: everything open-ended under the old
-  // archive end (their open_ended bit — and possibly their last life's end
-  // — depends on the moving end) plus everything with a delegated fact
-  // today. Ops: everything active today. All other ASNs' rows are
-  // unchanged by construction.
-  std::set<std::uint32_t> touched_admin = working.open_asns;
-  std::set<std::uint32_t> touched_op;
-
   for (const DelegationFact& fact : delta.delegation) {
     const std::size_t r = asn::index_of(fact.registry);
     auto& fo = working.first_observed[r];
@@ -386,129 +330,24 @@ pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats) {
       spans.push_back(
           StateSpan{util::DayInterval{delta.day, delta.day}, fact.state});
     }
-    if (dele::is_delegated(fact.state.status))
-      touched_admin.insert(fact.asn.value);
   }
-
-  for (const asn::Asn active : delta.active) {
+  for (const asn::Asn active : delta.active)
     working.activity.mark_active(active, delta.day);
-    touched_op.insert(active.value);
-  }
-
   archive_end_ = delta.day;
 
   if (stats != nullptr) {
     stats->facts = static_cast<std::int64_t>(delta.delegation.size());
     stats->active = static_cast<std::int64_t>(delta.active.size());
-    stats->touched_admin = static_cast<std::int64_t>(touched_admin.size());
-    stats->touched_op = static_cast<std::int64_t>(touched_op.size());
   }
-
-  // Rebuild the serving rows: untouched ASNs' rows are copied verbatim
-  // (only begin offsets move); touched ASNs re-run the per-ASN builders —
-  // the same code the full build path runs, which is what makes the
-  // advance bit-identical to a rebuild.
-  std::set<std::uint32_t> touched = touched_admin;
-  touched.insert(touched_op.begin(), touched_op.end());
-
-  std::vector<AsnRow> old_rows;
-  std::vector<AdminLifeRow> old_admin;
-  std::vector<OpLifeRow> old_op;
-  old_rows.swap(rows_);
-  old_admin.swap(admin_rows_);
-  old_op.swap(op_rows_);
-  rows_.reserve(old_rows.size() + touched.size());
-  admin_rows_.reserve(old_admin.size());
-  op_rows_.reserve(old_op.size());
-
-  std::int64_t reclassified = 0;
-  auto row_it = old_rows.begin();
-  auto touched_it = touched.begin();
-  while (row_it != old_rows.end() || touched_it != touched.end()) {
-    if (touched_it == touched.end() ||
-        (row_it != old_rows.end() && row_it->asn.value < *touched_it)) {
-      // Untouched: copy the row and its lives, fixing offsets.
-      AsnRow row = *row_it++;
-      const std::uint32_t admin_begin = row.admin_begin;
-      const std::uint32_t op_begin = row.op_begin;
-      row.admin_begin = static_cast<std::uint32_t>(admin_rows_.size());
-      row.op_begin = static_cast<std::uint32_t>(op_rows_.size());
-      admin_rows_.insert(admin_rows_.end(), old_admin.begin() + admin_begin,
-                         old_admin.begin() + admin_begin + row.admin_count);
-      op_rows_.insert(op_rows_.end(), old_op.begin() + op_begin,
-                      old_op.begin() + op_begin + row.op_count);
-      rows_.push_back(row);
-      continue;
-    }
-
-    const std::uint32_t asn_value = *touched_it++;
-    const AsnRow* old_row =
-        (row_it != old_rows.end() && row_it->asn.value == asn_value)
-            ? &*row_it
-            : nullptr;
-
-    std::vector<lifetimes::AdminLifetime> admin_lifetimes;
-    if (touched_admin.contains(asn_value)) {
-      lifetimes::AsnSpansByRegistry span_lists{};
-      bool any = false;
-      for (std::size_t r = 0; r < asn::kRirCount; ++r) {
-        const auto it = working.spans[r].find(asn_value);
-        if (it != working.spans[r].end()) {
-          span_lists[r] = &it->second;
-          any = true;
-        }
-      }
-      if (any)
-        admin_lifetimes = lifetimes::build_asn_admin_lifetimes(
-            asn_value, span_lists, working.first_observed, archive_end_,
-            config_.admin);
-    } else if (old_row != nullptr) {
-      for (std::uint32_t a = 0; a < old_row->admin_count; ++a)
-        admin_lifetimes.push_back(
-            old_admin[old_row->admin_begin + a].life);
-    }
-
-    std::vector<lifetimes::OpLifetime> op_lifetimes;
-    if (touched_op.contains(asn_value)) {
-      const util::IntervalSet* activity =
-          working.activity.activity(asn::Asn{asn_value});
-      if (activity != nullptr)
-        op_lifetimes = op_lives_of(asn::Asn{asn_value}, *activity,
-                                   config_.op_timeout_days);
-    } else if (old_row != nullptr) {
-      for (std::uint32_t o = 0; o < old_row->op_count; ++o)
-        op_lifetimes.push_back(old_op[old_row->op_begin + o].life);
-    }
-
-    if (old_row != nullptr) ++row_it;
-
-    if (touched_admin.contains(asn_value)) {
-      const bool open = std::any_of(
-          admin_lifetimes.begin(), admin_lifetimes.end(),
-          [](const lifetimes::AdminLifetime& life) { return life.open_ended; });
-      if (open)
-        working.open_asns.insert(asn_value);
-      else
-        working.open_asns.erase(asn_value);
-    }
-
-    if (admin_lifetimes.empty() && op_lifetimes.empty()) continue;
-    append_built(
-        build_asn_rows(asn::Asn{asn_value}, admin_lifetimes, op_lifetimes,
-                       config_));
-    ++reclassified;
-  }
-
-  if (stats != nullptr) stats->reclassified = reclassified;
-  rebuild_indexes();
+  derive(stats);
   return {};
 }
 
 pl::Status Snapshot::check_cut(util::Day day) const {
   if (!working_)
     return pl::failed_precondition_error(
-        "snapshot has no working set (built from datasets or with "
-        "keep_working_set = false); a past day is a cut of the working set");
+        "snapshot has no working set (built from datasets); a past day is "
+        "a cut of the working set");
   if (day > archive_end_)
     return pl::invalid_argument_error(
         "cannot cut at " + util::format_iso(day) + ", after the archive end " +
@@ -518,20 +357,26 @@ pl::Status Snapshot::check_cut(util::Day day) const {
 
 pl::StatusOr<Snapshot> Snapshot::at(util::Day day, CutStats* stats) const {
   if (pl::Status status = check_cut(day); !status.ok()) return status;
-  restore::RestoredArchive archive;
+  // The cut spans stay canonical and their earliest start per registry is
+  // the anchor build() would take from the truncated world.
+  Snapshot snap;
+  snap.config_ = config_;
+  snap.archive_end_ = day;
+  WorkingSet& cut = snap.working_.emplace();
   std::int64_t spans = 0;
   for (std::size_t r = 0; r < asn::kRirCount; ++r) {
-    archive.registries[r].rir = asn::kAllRirs[r];
-    auto& out = archive.registries[r].spans;
+    auto& out = cut.spans[r];
     for (const auto& [asn_value, list] : working_->spans[r]) {
       std::vector<StateSpan> clipped = restore::clip_spans(list, day);
       if (clipped.empty()) continue;
       spans += static_cast<std::int64_t>(clipped.size());
+      auto& first = cut.first_observed[r];
+      first = std::min(first.value_or(day), clipped.front().days.first);
       out.emplace_hint(out.end(), asn_value, std::move(clipped));
     }
   }
-  Snapshot snap =
-      build(archive, working_->activity.clipped(day), day, config_);
+  cut.activity = working_->activity.clipped(day);
+  snap.derive();
   if (stats != nullptr) {
     stats->asns = static_cast<std::int64_t>(snap.asn_count());
     stats->spans = spans;
@@ -552,7 +397,6 @@ pl::StatusOr<Snapshot> Snapshot::at(util::Day day,
 
   Snapshot snap;
   snap.config_ = config_;
-  snap.config_.keep_working_set = false;
   snap.archive_end_ = day;
   std::int64_t spans = 0;
   for (const std::uint32_t asn_value : keys) {
@@ -578,8 +422,9 @@ pl::StatusOr<Snapshot> Snapshot::at(util::Day day,
     std::vector<lifetimes::OpLifetime> op;
     if (const util::IntervalSet* activity =
             working.activity.activity(asn::Asn{asn_value}))
-      op = op_lives_of(asn::Asn{asn_value}, activity->clipped(day),
-                       config_.op_timeout_days);
+      for (const util::DayInterval& life :
+           activity->clipped(day).coalesce(config_.op_timeout_days))
+        op.push_back(lifetimes::OpLifetime{asn::Asn{asn_value}, life});
     snap.append_built(build_asn_rows(asn::Asn{asn_value}, admin, op, config_));
   }
   snap.rebuild_indexes();
@@ -604,8 +449,7 @@ bool operator==(const Snapshot& a, const Snapshot& b) {
   const Snapshot::WorkingSet& wa = *a.working_;
   const Snapshot::WorkingSet& wb = *b.working_;
   return wa.spans == wb.spans && wa.first_observed == wb.first_observed &&
-         wa.activity.entries() == wb.activity.entries() &&
-         wa.open_asns == wb.open_asns;
+         wa.activity.entries() == wb.activity.entries();
 }
 
 void record_metrics(const Snapshot& snapshot, obs::Registry& metrics) {

@@ -14,11 +14,11 @@
 // from published Listing-1 datasets (`Snapshot::from_datasets`, query-only).
 // After that the snapshot only changes through `advance_day()`, which folds
 // ONE new delegation day plus ONE BGP activity day in place: it extends the
-// working set's restored spans and activity runs, then rebuilds lifetimes,
-// classification and detector flags for exactly the ASNs the day touched.
-// The advance path is locked by test to be bit-identical to rebuilding the
-// snapshot from a full pipeline run over the extended world — the
-// invariants that make that possible are catalogued in DESIGN.md §11.
+// working set's restored spans and activity runs, then re-derives every row
+// from the working set. build(), advance_day() and the full at() share that
+// one derivation (the pipeline's lifetime builders, then classification
+// and detector flags), so an advanced snapshot is bit-identical to a build
+// over the extended world — DESIGN.md §11 catalogues why.
 //
 // The working set only grows (advance_day extends the last span or appends
 // one, and activity only gains the new day), so it already holds every
@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -47,8 +46,8 @@ namespace pl::serve {
 
 /// Per-ASN detector/status flag bits stamped on AsnRow. Only facts stable
 /// under a moving archive end live here ("currently allocated/active" are
-/// computed at query time against `archive_end()` instead, so untouched
-/// rows stay byte-identical across advances).
+/// computed at query time against `archive_end()` instead, so the rows of
+/// an ASN the day did not change stay byte-identical across advances).
 enum AsnFlag : std::uint16_t {
   kFlagEverAllocated = 1u << 0,     ///< has at least one admin life
   kFlagEverActive = 1u << 1,        ///< has at least one op life
@@ -98,10 +97,6 @@ struct SnapshotConfig {
   int op_timeout_days = lifetimes::kPaperTimeoutDays;
   lifetimes::AdminBuildConfig admin;
   joint::SquatDetectorConfig squat;
-  /// Retain the build inputs (restored spans, activity, backdating anchors)
-  /// so advance_day() can fold new days in and at() can cut past days out.
-  /// Query-only consumers drop this to halve the memory footprint.
-  bool keep_working_set = true;
 
   friend bool operator==(const SnapshotConfig&, const SnapshotConfig&) =
       default;
@@ -134,9 +129,8 @@ struct DayDelta {
 struct AdvanceStats {
   std::int64_t facts = 0;           ///< delegation facts applied
   std::int64_t active = 0;          ///< ASNs marked active
-  std::int64_t touched_admin = 0;   ///< ASNs whose admin lives recomputed
-  std::int64_t touched_op = 0;      ///< ASNs whose op lives recomputed
-  std::int64_t reclassified = 0;    ///< ASN rows rebuilt
+  std::int64_t touched_admin = 0;   ///< ASNs derived with admin lives
+  std::int64_t touched_op = 0;      ///< ASNs derived with op lives
 };
 
 /// at() accounting, surfaced as `serve.as_of` span notes by the QueryService.
@@ -220,19 +214,18 @@ class Snapshot {
 
   // -- the past ----------------------------------------------------------
 
-  /// The snapshot as of an earlier day: one build() over the working set
-  /// cut at `day` (every span and active day after it dropped). That cut is
-  /// the working set build() gets from the world truncated at `day`, so the
-  /// result compares equal to that build.
+  /// The snapshot as of an earlier day: the working set cut at `day`
+  /// (every span and active day after it dropped), then the derivation
+  /// build() runs. That cut is the working set build() gets from the world
+  /// truncated at `day`, so the result compares equal to that build.
   /// kFailedPrecondition without a working set, kInvalidArgument for a day
   /// after archive_end().
   pl::StatusOr<Snapshot> at(util::Day day, CutStats* stats = nullptr) const;
 
   /// The cut narrowed to `asns` (repeats and unknown ASNs allowed): each
   /// asked ASN's spans and activity cut at `day`, run through the per-ASN
-  /// builders advance_day() uses. Every row equals
-  /// that ASN's row in `at(day)`; the result has no working set. Same
-  /// errors as the full cut.
+  /// builders. Every row equals that ASN's row in `at(day)`; the result
+  /// has no working set. Same errors as the full cut.
   pl::StatusOr<Snapshot> at(util::Day day, std::span<const asn::Asn> asns,
                             CutStats* stats = nullptr) const;
 
@@ -253,11 +246,8 @@ class Snapshot {
     std::array<std::map<std::uint32_t, std::vector<restore::StateSpan>>,
                asn::kRirCount>
         spans;
-    std::array<std::optional<util::Day>, asn::kRirCount> first_observed;
+    lifetimes::FirstObserved first_observed;
     bgp::ActivityTable activity;
-    /// ASNs with an open-ended admin life — exactly the rows whose admin
-    /// lives can change when the archive end moves without a new fact.
-    std::set<std::uint32_t> open_asns;
   };
 
   struct BuiltAsn {
@@ -275,8 +265,14 @@ class Snapshot {
   /// Why a cut at `day` is impossible, or OK.
   pl::Status check_cut(util::Day day) const;
 
-  void assemble(const lifetimes::AdminDataset& admin,
-                const lifetimes::OpDataset& op);
+  /// The one derivation: every serving row and index from `*working_` at
+  /// `archive_end_`, through the pipeline's lifetime builders. Fills
+  /// `stats->touched_admin`/`touched_op` when given.
+  void derive(AdvanceStats* stats = nullptr);
+
+  /// Rows from life lists sorted by (asn, start).
+  void assemble(std::span<const lifetimes::AdminLifetime> admin,
+                std::span<const lifetimes::OpLifetime> op);
   void append_built(BuiltAsn&& built);
   void rebuild_indexes();
 

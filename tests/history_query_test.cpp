@@ -232,16 +232,12 @@ TEST(HistoryQuery, ErrorsArePreciseAndTyped) {
   EXPECT_EQ(service.query(two_asns).status().code(),
             pl::StatusCode::kInvalidArgument);
 
-  // No working set to cut (a dataset-built snapshot, or one built with
-  // keep_working_set = false): a precondition failure that names the
-  // missing working set, never a crash and never the live day's answer.
-  serve::SnapshotConfig query_only;
-  query_only.keep_working_set = false;
-  for (serve::Snapshot snapshot :
-       {serve::Snapshot::from_datasets(w.result.admin, w.result.op),
-        serve::Snapshot::build(w.result.restored, w.result.op_world.activity,
-                               w.end, query_only)}) {
-    serve::QueryService uncuttable(std::move(snapshot));
+  // No working set to cut (a dataset-built snapshot): a precondition
+  // failure that names the missing working set, never a crash and never
+  // the live day's answer.
+  {
+    serve::QueryService uncuttable(
+        serve::Snapshot::from_datasets(w.result.admin, w.result.op));
     uncuttable.attach_history(&world().store);
     for (const serve::Query& q :
          {serve::Query::lookup(asn, as_of(w.end - 3)),

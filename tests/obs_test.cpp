@@ -6,6 +6,7 @@
 
 #include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/export.hpp"
@@ -14,6 +15,16 @@
 
 namespace pl::obs {
 namespace {
+
+// TraceNode::child() points into the node it is called on, so it binds
+// only to lvalues: `service.report().trace.child(...)` must not compile.
+template <typename Node>
+concept ChildCallable =
+    requires(Node&& node) { std::forward<Node>(node).child("x"); };
+static_assert(ChildCallable<const TraceNode&>);
+static_assert(ChildCallable<TraceNode&>);
+static_assert(!ChildCallable<TraceNode>);
+static_assert(!ChildCallable<const TraceNode>);
 
 #ifndef PL_OBS_OFF
 

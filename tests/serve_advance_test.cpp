@@ -40,7 +40,6 @@ void advance_equals_rebuild(const pipeline::Config& config, int days_back) {
     EXPECT_EQ(advanced.archive_end(), day);
     total.facts += stats.facts;
     total.active += stats.active;
-    total.reclassified += stats.reclassified;
 
     // Spot-check mid-stretch too, not only at the end: catches drift that a
     // later day would happen to repair.

@@ -77,11 +77,7 @@ TEST(DurableSnapshot, RoundTripsBitIdentically) {
 
 TEST(DurableSnapshot, QueryOnlySnapshotRoundTrips) {
   const pipeline::Result& result = small_pipeline();
-  SnapshotConfig config;
-  config.keep_working_set = false;
-  const Snapshot original =
-      Snapshot::build(result.restored, result.op_world.activity,
-                      result.truth.archive_end, config);
+  const Snapshot original = Snapshot::from_datasets(result.admin, result.op);
   const std::string dir = temp_dir("durable_queryonly");
   const std::string path = dir + "/snap.plsnap";
   ASSERT_TRUE(save_snapshot(original, path).ok());
@@ -133,18 +129,22 @@ TEST(DurableSnapshot, BitFlipsAreRejected) {
 }
 
 TEST(DurableSnapshot, PayloadVersionSkewIsRejected) {
-  // A frame with a VALID checksum but a future payload schema version:
-  // the frame layer passes, the codec must still refuse to interpret it.
-  robust::CheckpointWriter writer;
-  writer.u32(kSnapshotFormatVersion + 1);
-  writer.i32(123);
-  const std::string dir = temp_dir("durable_skew");
-  const std::string path = dir + "/snap.plsnap";
-  write_all(path, std::move(writer).finish());
+  // A frame with a VALID checksum but a past or future payload schema
+  // version: the frame layer passes, the codec must still refuse to
+  // interpret it.
+  for (const std::uint32_t version :
+       {kSnapshotFormatVersion - 1, kSnapshotFormatVersion + 1}) {
+    robust::CheckpointWriter writer;
+    writer.u32(version);
+    writer.i32(123);
+    const std::string dir = temp_dir("durable_skew");
+    const std::string path = dir + "/snap.plsnap";
+    write_all(path, std::move(writer).finish());
 
-  const auto status = open_snapshot(path).status();
-  EXPECT_EQ(status.code(), pl::StatusCode::kDataLoss);
-  EXPECT_NE(status.message().find("version skew"), std::string::npos);
+    const auto status = open_snapshot(path).status();
+    EXPECT_EQ(status.code(), pl::StatusCode::kDataLoss) << version;
+    EXPECT_NE(status.message().find("version skew"), std::string::npos);
+  }
 }
 
 TEST(DurableSnapshot, SaveIsAtomicOverExistingFile) {

@@ -234,11 +234,29 @@ TEST(QueryService, QueryOnlySnapshotRefusesAdvance) {
 TEST(QueryService, WrongDayAdvanceIsInvalidArgument) {
   const pipeline::Result result = small_pipeline();
   QueryService service(small_snapshot(result));
-  DayDelta delta;
-  delta.day = result.truth.archive_end + 7;  // not the next day
-  EXPECT_EQ(service.advance_day(delta).code(),
-            pl::StatusCode::kInvalidArgument);
-  EXPECT_EQ(service.version(), 0u);
+  const Snapshot before = service.snapshot();
+
+  DayDelta next = history::HistoryStore::slice_day(
+      result.restored, result.op_world.activity, result.truth.archive_end);
+  next.day = result.truth.archive_end + 1;
+  ASSERT_FALSE(next.delegation.empty());
+  DayDelta wrong_day = next;
+  wrong_day.day = result.truth.archive_end + 7;  // not the next day
+  // A repeated (registry, ASN) fact, last so that every fact before it
+  // would already have been applied if validation ran interleaved.
+  DayDelta duplicate = next;
+  duplicate.delegation.push_back(duplicate.delegation.front());
+
+  // Fail closed: the rejected delta leaves the snapshot deep-equal to its
+  // copy, working set included.
+  for (const DayDelta& delta : {wrong_day, duplicate}) {
+    EXPECT_EQ(service.advance_day(delta).code(),
+              pl::StatusCode::kInvalidArgument);
+    EXPECT_EQ(service.version(), 0u);
+    EXPECT_TRUE(service.snapshot() == before);
+  }
+  ASSERT_TRUE(service.advance_day(next).ok());
+  EXPECT_FALSE(service.snapshot() == before);
 }
 
 TEST(QueryService, AdvanceBumpsVersionAndServesFoldedDay) {
