@@ -5,7 +5,6 @@
 // Environment knobs:
 //   PL_BENCH_SCALE  world scale (default 1.0 = paper scale)
 //   PL_BENCH_SEED   world seed  (default 42)
-//   PL_THREADS      worker threads for the parallel stages (0 = serial)
 #pragma once
 
 #include <cstdint>

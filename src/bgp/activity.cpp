@@ -1,9 +1,6 @@
 #include "bgp/activity.hpp"
 
 #include <algorithm>
-#include <mutex>
-
-#include "exec/pool.hpp"
 
 namespace pl::bgp {
 
@@ -52,33 +49,17 @@ std::int64_t ActivityTable::active_on(util::Day day) const noexcept {
 std::vector<std::int32_t> ActivityTable::daily_counts(util::Day begin,
                                                       util::Day end) const {
   const auto days = static_cast<std::size_t>(end - begin + 1);
-  // Difference array over run boundaries, then prefix-sum. Sharded by ASN
-  // range: each shard accumulates its own delta array, and integer addition
-  // of the shard deltas is exact and order-free, so the census is identical
-  // to the serial sweep.
-  std::vector<const util::IntervalSet*> sets;
-  sets.reserve(activity_.size());
-  for (const auto& [asn, set] : activity_) sets.push_back(&set);
-
+  // Difference array over run boundaries, then prefix-sum.
   std::vector<std::int32_t> delta(days + 1, 0);
-  std::mutex fold_mutex;
-  exec::parallel_for(
-      sets.size(),
-      [&](std::size_t first, std::size_t last) {
-        std::vector<std::int32_t> local(days + 1, 0);
-        for (std::size_t i = first; i < last; ++i) {
-          for (const util::DayInterval& run : sets[i]->runs()) {
-            const util::DayInterval clipped =
-                run.intersect(util::DayInterval{begin, end});
-            if (clipped.empty()) continue;
-            local[static_cast<std::size_t>(clipped.first - begin)] += 1;
-            local[static_cast<std::size_t>(clipped.last - begin) + 1] -= 1;
-          }
-        }
-        const std::lock_guard<std::mutex> lock(fold_mutex);
-        for (std::size_t d = 0; d <= days; ++d) delta[d] += local[d];
-      },
-      /*grain=*/1024);
+  for (const auto& [asn, set] : activity_) {
+    for (const util::DayInterval& run : set.runs()) {
+      const util::DayInterval clipped =
+          run.intersect(util::DayInterval{begin, end});
+      if (clipped.empty()) continue;
+      delta[static_cast<std::size_t>(clipped.first - begin)] += 1;
+      delta[static_cast<std::size_t>(clipped.last - begin) + 1] -= 1;
+    }
+  }
 
   std::vector<std::int32_t> counts(days);
   std::int32_t running = 0;

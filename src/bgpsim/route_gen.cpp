@@ -5,8 +5,6 @@
 #include <tuple>
 #include <vector>
 
-#include "exec/pool.hpp"
-
 namespace pl::bgpsim {
 
 namespace {
@@ -48,58 +46,39 @@ OpWorld build_op_world(const rirsim::GroundTruth& truth,
   const DayInterval window{truth.archive_begin, truth.archive_end};
   const std::vector<AsnOpPlan>& plans = world.behavior.plans;
 
-  // Per-plan flap RNGs are forked serially in plan order — the exact fork
-  // sequence the historical single-thread loop consumed — so the sharded
-  // computation below stays bit-identical to it.
+  // One flap RNG per plan with lives, forked in plan order.
   util::Rng flap_rng(config.behavior.seed ^ 0xF1A9F1A9ULL);
-  std::vector<util::Rng> plan_rngs(plans.size());
-  for (std::size_t i = 0; i < plans.size(); ++i)
-    if (!plans[i].lives.empty()) plan_rngs[i] = flap_rng.fork();
-
-  // Shard the activity aggregation by plan (≈ by ASN): each plan computes
-  // its flap-punched day set into its own slot, then the slots merge into
-  // the table in plan order on this thread.
-  std::vector<util::IntervalSet> days_by_plan(plans.size());
-  exec::parallel_for(
-      plans.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t p = begin; p < end; ++p) {
-          const AsnOpPlan& plan = plans[p];
-          if (plan.lives.empty()) continue;
-          util::Rng rng = plan_rngs[p];
-          util::IntervalSet days;
-          for (const OpLifePlan& life : plan.lives) {
-            if (life.peer_visibility < 2) continue;  // fails >1-peer rule
-            const DayInterval visible = life.days.intersect(window);
-            if (visible.empty()) continue;
-            days.add(visible);
-            // Routine BGP flaps: short sub-timeout holes in the activity
-            // (routes transiently withdrawn, outages). These dominate the
-            // raw activity-gap distribution (Fig. 3: ~70% of gaps are
-            // <= 30 days) without splitting operational lives. Life
-            // endpoints are never chipped — they are the ground truth the
-            // lifetime builder must recover.
-            const auto flaps = static_cast<int>(
-                static_cast<double>(visible.length()) / 1500.0);
-            for (int f = 0; f < flaps; ++f) {
-              const util::Day hole_start =
-                  visible.first + static_cast<util::Day>(
-                                      rng.uniform(1, visible.length() - 2));
-              const auto hole_len = 1 + rng.geometric_days(0.35, 20);
-              DayInterval hole{
-                  hole_start,
-                  hole_start + static_cast<util::Day>(hole_len) - 1};
-              hole.first = std::max<util::Day>(hole.first, visible.first + 1);
-              hole.last = std::min<util::Day>(hole.last, visible.last - 1);
-              if (!hole.empty()) days.subtract(hole);
-            }
-          }
-          days_by_plan[p] = std::move(days);
-        }
-      },
-      /*grain=*/128);
-  for (std::size_t p = 0; p < plans.size(); ++p)
-    world.activity.mark_active(plans[p].asn, std::move(days_by_plan[p]));
+  for (const AsnOpPlan& plan : plans) {
+    if (plan.lives.empty()) continue;
+    util::Rng rng = flap_rng.fork();
+    util::IntervalSet days;
+    for (const OpLifePlan& life : plan.lives) {
+      if (life.peer_visibility < 2) continue;  // fails >1-peer rule
+      const DayInterval visible = life.days.intersect(window);
+      if (visible.empty()) continue;
+      days.add(visible);
+      // Routine BGP flaps: short sub-timeout holes in the activity (routes
+      // transiently withdrawn, outages). These dominate the raw
+      // activity-gap distribution (Fig. 3: ~70% of gaps are <= 30 days)
+      // without splitting operational lives. Life endpoints are never
+      // chipped — they are the ground truth the lifetime builder must
+      // recover.
+      const auto flaps =
+          static_cast<int>(static_cast<double>(visible.length()) / 1500.0);
+      for (int f = 0; f < flaps; ++f) {
+        const util::Day hole_start =
+            visible.first +
+            static_cast<util::Day>(rng.uniform(1, visible.length() - 2));
+        const auto hole_len = 1 + rng.geometric_days(0.35, 20);
+        DayInterval hole{hole_start,
+                         hole_start + static_cast<util::Day>(hole_len) - 1};
+        hole.first = std::max<util::Day>(hole.first, visible.first + 1);
+        hole.last = std::min<util::Day>(hole.last, visible.last - 1);
+        if (!hole.empty()) days.subtract(hole);
+      }
+    }
+    world.activity.mark_active(plan.asn, std::move(days));
+  }
   return world;
 }
 

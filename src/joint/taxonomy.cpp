@@ -4,7 +4,6 @@
 #include <set>
 
 #include "check/contracts.hpp"
-#include "exec/pool.hpp"
 
 namespace pl::joint {
 
@@ -91,101 +90,55 @@ Taxonomy classify(const lifetimes::AdminDataset& admin,
   taxonomy.op_to_admin.assign(op.lifetimes.size(), -1);
   taxonomy.admin_to_ops.resize(admin.lifetimes.size());
 
-  // Classification only relates lives of the same ASN, so shard over the
-  // merged per-ASN groups: each group classifies into its own slot via
-  // classify_asn, then the slots scatter serially in ascending-ASN order —
-  // bit-identical to the serial per-op loop this replaces (the per-op
-  // iteration order inside an ASN equals the local start order, and groups
-  // are disjoint).
-  struct Group {
-    std::uint32_t asn;
-    const std::vector<std::size_t>* admin_indices;  // nullptr when absent
-    const std::vector<std::size_t>* op_indices;
-  };
-  std::vector<Group> groups;
-  groups.reserve(admin.by_asn.size() + op.by_asn.size());
-  {
-    auto a_it = admin.by_asn.begin();
-    auto o_it = op.by_asn.begin();
-    while (a_it != admin.by_asn.end() || o_it != op.by_asn.end()) {
-      if (o_it == op.by_asn.end() ||
-          (a_it != admin.by_asn.end() && a_it->first < o_it->first)) {
-        groups.push_back(Group{a_it->first, &a_it->second, nullptr});
-        ++a_it;
-      } else if (a_it == admin.by_asn.end() || o_it->first < a_it->first) {
-        groups.push_back(Group{o_it->first, nullptr, &o_it->second});
-        ++o_it;
-      } else {
-        groups.push_back(Group{a_it->first, &a_it->second, &o_it->second});
-        ++a_it;
-        ++o_it;
+  // Classification only relates lives of the same ASN. A life whose ASN has
+  // no lives on the other side keeps the default assigned above (unused /
+  // outside-delegation), so only ASNs present in both indexes are walked;
+  // within one, ops run in start order, as in classify_asn.
+  std::vector<unsigned char> has_partial;
+  std::vector<unsigned char> has_inside;
+  auto o_it = op.by_asn.begin();
+  for (const auto& [asn, a_idx] : admin.by_asn) {
+    while (o_it != op.by_asn.end() && o_it->first < asn) ++o_it;
+    if (o_it == op.by_asn.end()) break;
+    if (o_it->first != asn) continue;
+    has_partial.assign(a_idx.size(), 0);
+    has_inside.assign(a_idx.size(), 0);
+    for (const std::size_t oi : o_it->second) {
+      const lifetimes::OpLifetime& op_life = op.lifetimes[oi];
+      std::int64_t best_admin = -1;
+      std::int64_t best_overlap = 0;
+      bool inside = false;
+      for (std::size_t a = 0; a < a_idx.size(); ++a) {
+        const lifetimes::AdminLifetime& admin_life = admin.lifetimes[a_idx[a]];
+        const std::int64_t overlap =
+            util::overlap_days(admin_life.days, op_life.days);
+        if (overlap <= 0) continue;
+        const bool contains = admin_life.days.contains(op_life.days);
+        taxonomy.admin_to_ops[a_idx[a]].push_back(oi);
+        if (contains)
+          has_inside[a] = 1;
+        else
+          has_partial[a] = 1;
+        if (overlap > best_overlap) {
+          best_overlap = overlap;
+          best_admin = static_cast<std::int64_t>(a);
+          inside = contains;
+        }
+      }
+      if (best_admin >= 0) {
+        taxonomy.op_to_admin[oi] = static_cast<std::int64_t>(
+            a_idx[static_cast<std::size_t>(best_admin)]);
+        taxonomy.op_category[oi] = inside ? Category::kCompleteOverlap
+                                          : Category::kPartialOverlap;
       }
     }
+    for (std::size_t a = 0; a < a_idx.size(); ++a) {
+      if (has_partial[a] != 0)
+        taxonomy.admin_category[a_idx[a]] = Category::kPartialOverlap;
+      else if (has_inside[a] != 0)
+        taxonomy.admin_category[a_idx[a]] = Category::kCompleteOverlap;
+    }
   }
-
-  // Groups own disjoint global indices on both sides, so workers write
-  // straight into the output arrays — same values the per-group
-  // classify_asn + serial scatter produced, without a per-group
-  // AsnClassification allocation.
-  static const std::vector<std::size_t> kNoIndices;
-  exec::parallel_for(
-      groups.size(),
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<unsigned char> has_partial;
-        std::vector<unsigned char> has_inside;
-        for (std::size_t g = begin; g < end; ++g) {
-          const auto& a_idx = groups[g].admin_indices != nullptr
-                                  ? *groups[g].admin_indices
-                                  : kNoIndices;
-          const auto& o_idx = groups[g].op_indices != nullptr
-                                  ? *groups[g].op_indices
-                                  : kNoIndices;
-          has_partial.assign(a_idx.size(), 0);
-          has_inside.assign(a_idx.size(), 0);
-          for (const std::size_t oi : o_idx) {
-            const lifetimes::OpLifetime& op_life = op.lifetimes[oi];
-            std::int64_t best_admin = -1;
-            std::int64_t best_overlap = 0;
-            bool inside = false;
-            for (std::size_t a = 0; a < a_idx.size(); ++a) {
-              const lifetimes::AdminLifetime& admin_life =
-                  admin.lifetimes[a_idx[a]];
-              const std::int64_t overlap =
-                  util::overlap_days(admin_life.days, op_life.days);
-              if (overlap <= 0) continue;
-              const bool contains = admin_life.days.contains(op_life.days);
-              taxonomy.admin_to_ops[a_idx[a]].push_back(oi);
-              if (contains)
-                has_inside[a] = 1;
-              else
-                has_partial[a] = 1;
-              if (overlap > best_overlap) {
-                best_overlap = overlap;
-                best_admin = static_cast<std::int64_t>(a);
-                inside = contains;
-              }
-            }
-            if (best_admin < 0) {
-              taxonomy.op_to_admin[oi] = -1;
-              taxonomy.op_category[oi] = Category::kOutsideDelegation;
-            } else {
-              taxonomy.op_to_admin[oi] = static_cast<std::int64_t>(
-                  a_idx[static_cast<std::size_t>(best_admin)]);
-              taxonomy.op_category[oi] = inside ? Category::kCompleteOverlap
-                                                : Category::kPartialOverlap;
-            }
-          }
-          for (std::size_t a = 0; a < a_idx.size(); ++a) {
-            if (has_partial[a] != 0)
-              taxonomy.admin_category[a_idx[a]] = Category::kPartialOverlap;
-            else if (has_inside[a] != 0)
-              taxonomy.admin_category[a_idx[a]] = Category::kCompleteOverlap;
-            else
-              taxonomy.admin_category[a_idx[a]] = Category::kUnused;
-          }
-        }
-      },
-      /*grain=*/64);
 
   for (const Category c : taxonomy.admin_category)
     ++taxonomy.admin_counts[static_cast<std::size_t>(c)];

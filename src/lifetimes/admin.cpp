@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <optional>
-#include <span>
-#include <utility>
 
 #include "check/contracts.hpp"
-#include "exec/pool.hpp"
 
 namespace pl::lifetimes {
 
@@ -74,30 +71,12 @@ void gather_asn_pieces(const std::vector<StateSpan>& spans, asn::Rir rir,
   }
 }
 
-/// Extract the delegated pieces of one registry into flat (asn, piece)
-/// pairs. `spans` iterates in ascending-ASN order, so `out` comes back
-/// sorted by ASN with per-ASN pieces in span order — no per-ASN map slot
-/// (or temporary vector) needed.
-void gather_registry_pieces(
-    const std::map<std::uint32_t, std::vector<StateSpan>>& spans,
-    asn::Rir rir, Day first_observed,
-    std::vector<std::pair<std::uint32_t, Piece>>& out) {
-  std::vector<Piece> scratch;
-  for (const auto& [asn, asn_spans] : spans) {
-    scratch.clear();
-    gather_asn_pieces(asn_spans, rir, first_observed, scratch);
-    for (const Piece& piece : scratch) out.emplace_back(asn, piece);
-  }
-}
-
 /// Merge one ASN's pieces (sorted in place by start day) into lifetimes,
-/// applying the 4.1 continuation rules. `pieces` is a mutable slice of the
-/// caller's flat piece array.
-void build_asn_lifetimes(std::uint32_t asn_value, Piece* pieces_begin,
-                         std::size_t piece_count, Day archive_end,
-                         const AdminBuildConfig& config,
+/// applying the 4.1 continuation rules, and append them to `out`.
+void build_asn_lifetimes(std::uint32_t asn_value, std::vector<Piece>& pieces,
+                         Day archive_end, const AdminBuildConfig& config,
                          std::vector<AdminLifetime>& out) {
-  const std::span<Piece> pieces(pieces_begin, piece_count);
+  const std::size_t first_life = out.size();  // earlier ASNs' lives precede
   std::sort(pieces.begin(), pieces.end(),
             [](const Piece& a, const Piece& b) {
               return a.days.first < b.days.first;
@@ -116,7 +95,8 @@ void build_asn_lifetimes(std::uint32_t asn_value, Piece* pieces_begin,
     if (!open) return;
     PL_ENSURE(current.days.first <= current.days.last,
               "an admin lifetime must cover at least one day");
-    PL_ENSURE(out.empty() || out.back().days.last < current.days.first,
+    PL_ENSURE(out.size() == first_life ||
+                  out.back().days.last < current.days.first,
               "per-ASN admin lifetimes must be disjoint and ascending (4.1 "
               "merge rules never emit overlapping lives)");
     current.open_ended = current.days.last >= archive_end;
@@ -193,6 +173,24 @@ void build_asn_lifetimes(std::uint32_t asn_value, Piece* pieces_begin,
   flush();
 }
 
+/// Append one ASN's lifetimes to `out`. Pieces are gathered in kAllRirs
+/// order (span order within a registry), which fixes the sort in
+/// build_asn_lifetimes; `pieces` is scratch space reused across calls.
+void append_asn_lifetimes(std::uint32_t asn_value,
+                          const AsnSpansByRegistry& spans,
+                          const FirstObserved& first_observed, Day archive_end,
+                          const AdminBuildConfig& config,
+                          std::vector<Piece>& pieces,
+                          std::vector<AdminLifetime>& out) {
+  pieces.clear();
+  for (std::size_t r = 0; r < asn::kRirCount; ++r) {
+    if (spans[r] == nullptr) continue;
+    gather_asn_pieces(*spans[r], asn::kAllRirs[r],
+                      first_observed[r].value_or(archive_end), pieces);
+  }
+  build_asn_lifetimes(asn_value, pieces, archive_end, config, out);
+}
+
 }  // namespace
 
 void AdminDataset::index() {
@@ -237,17 +235,10 @@ std::vector<AdminLifetime> build_asn_admin_lifetimes(
     std::uint32_t asn_value, const AsnSpansByRegistry& spans,
     const FirstObserved& first_observed, util::Day archive_end,
     const AdminBuildConfig& config) {
-  // Assemble pieces in kAllRirs order — the order the full builder folds
-  // its per-registry maps, which fixes the (deterministic) sort below.
   std::vector<Piece> pieces;
-  for (std::size_t r = 0; r < asn::kRirCount; ++r) {
-    if (spans[r] == nullptr) continue;
-    gather_asn_pieces(*spans[r], asn::kAllRirs[r],
-                      first_observed[r].value_or(archive_end), pieces);
-  }
   std::vector<AdminLifetime> lifetimes;
-  build_asn_lifetimes(asn_value, pieces.data(), pieces.size(), archive_end,
-                      config, lifetimes);
+  append_asn_lifetimes(asn_value, spans, first_observed, archive_end, config,
+                       pieces, lifetimes);
   return lifetimes;
 }
 
@@ -268,84 +259,35 @@ AdminDataset build_admin_lifetimes(const restore::RestoredArchive& archive,
 std::vector<AdminLifetime> build_admin_lifetimes(
     const RegistrySpanMaps& spans, const FirstObserved& first_observed,
     util::Day archive_end, const AdminBuildConfig& config) {
-
-  // Gather delegated pieces, sharded by registry: each of the five
-  // registries fills its own flat (asn, piece) vector (already sorted by
-  // ASN — see gather_registry_pieces), and the vectors fold together below
-  // into ascending-ASN groups whose per-ASN piece order matches the old
-  // registry-order map fold. Lives already present in a registry's first
-  // file are backdated to their registration date — the paper's lifetimes
-  // reach back to 1992 through this field (Fig. 10), since the archive
-  // cannot witness their true start. A registry with no spans gets the
-  // archive-end sentinel (no ASN can match it, so no backdating happens).
-  std::array<std::vector<std::pair<std::uint32_t, Piece>>, asn::kRirCount>
-      pieces_by_registry;
-  exec::parallel_for(
-      asn::kRirCount,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t r = begin; r < end; ++r)
-          if (spans[r] != nullptr)
-            gather_registry_pieces(*spans[r], asn::kAllRirs[r],
-                                   first_observed[r].value_or(archive_end),
-                                   pieces_by_registry[r]);
-      },
-      /*grain=*/1);
-
-  std::size_t piece_total = 0;
-  for (const auto& registry_pieces : pieces_by_registry)
-    piece_total += registry_pieces.size();
-  std::vector<std::pair<std::uint32_t, Piece>> pieces;
-  pieces.reserve(piece_total);
-  for (const auto& registry_pieces : pieces_by_registry)
-    pieces.insert(pieces.end(), registry_pieces.begin(),
-                  registry_pieces.end());
-  // Stable by-ASN sort of the registry-order concatenation: each ASN's
-  // group keeps registry order, the per-ASN sequence the serial fold built.
-  std::stable_sort(pieces.begin(), pieces.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-
-  // Per-ASN lifetime construction is independent across ASNs: compute each
-  // ASN group's lifetimes into its own slot, then concatenate in
-  // ascending-ASN order (the group order — exactly the serial append
-  // order).
-  struct Group {
-    std::uint32_t asn;
-    std::size_t begin;
-    std::size_t count;
+  // Walk the five registries' span maps together in ascending-ASN order and
+  // build each ASN's lives from the spans every registry holds for it, so
+  // the output comes out sorted by ASN with the per-ASN builder's lives.
+  // Lives already present in a registry's first file are backdated to their
+  // registration date — the paper's lifetimes reach back to 1992 through
+  // this field (Fig. 10), since the archive cannot witness their true start.
+  using SpanMap = std::map<std::uint32_t, std::vector<StateSpan>>;
+  std::array<SpanMap::const_iterator, asn::kRirCount> next{};
+  for (std::size_t r = 0; r < asn::kRirCount; ++r)
+    if (spans[r] != nullptr) next[r] = spans[r]->begin();
+  const auto pending = [&](std::size_t r) {
+    return spans[r] != nullptr && next[r] != spans[r]->end();
   };
-  std::vector<Group> groups;
-  for (std::size_t i = 0; i < pieces.size();) {
-    const std::uint32_t asn = pieces[i].first;
-    const std::size_t begin = i;
-    while (i < pieces.size() && pieces[i].first == asn) ++i;
-    groups.push_back(Group{asn, begin, i - begin});
-  }
-  // The grouped pairs are (asn, piece); build_asn_lifetimes wants a bare
-  // Piece slice, so copy each group into a scratch run. One flat scratch
-  // array shared by all groups keeps this allocation-free per group.
-  std::vector<Piece> scratch(pieces.size());
-  for (std::size_t i = 0; i < pieces.size(); ++i)
-    scratch[i] = pieces[i].second;
-  std::vector<std::vector<AdminLifetime>> lifetimes_by_asn(groups.size());
-  exec::parallel_for(
-      groups.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t n = begin; n < end; ++n)
-          build_asn_lifetimes(groups[n].asn, scratch.data() + groups[n].begin,
-                              groups[n].count, archive_end, config,
-                              lifetimes_by_asn[n]);
-      },
-      /*grain=*/64);
 
-  std::size_t life_total = 0;
-  for (const std::vector<AdminLifetime>& per_asn : lifetimes_by_asn)
-    life_total += per_asn.size();
   std::vector<AdminLifetime> lifetimes;
-  lifetimes.reserve(life_total);
-  for (const std::vector<AdminLifetime>& per_asn : lifetimes_by_asn)
-    lifetimes.insert(lifetimes.end(), per_asn.begin(), per_asn.end());
+  std::vector<Piece> pieces;
+  for (;;) {
+    std::optional<std::uint32_t> asn_value;
+    for (std::size_t r = 0; r < asn::kRirCount; ++r)
+      if (pending(r) && (!asn_value || next[r]->first < *asn_value))
+        asn_value = next[r]->first;
+    if (!asn_value) break;
+    AsnSpansByRegistry asn_spans{};
+    for (std::size_t r = 0; r < asn::kRirCount; ++r)
+      if (pending(r) && next[r]->first == *asn_value)
+        asn_spans[r] = &(next[r]++)->second;
+    append_asn_lifetimes(*asn_value, asn_spans, first_observed, archive_end,
+                         config, pieces, lifetimes);
+  }
   return lifetimes;
 }
 

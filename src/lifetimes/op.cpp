@@ -1,49 +1,29 @@
 #include "lifetimes/op.hpp"
 
-#include <utility>
 #include <vector>
 
 #include "check/contracts.hpp"
-#include "exec/pool.hpp"
 
 namespace pl::lifetimes {
 
 std::vector<OpLifetime> coalesce_activity(const bgp::ActivityTable& activity,
                                           int timeout_days) {
-  // Coalescing is independent per ASN: shard over the (ordered) activity
-  // entries, coalesce each into its own slot, then fill the dataset in
-  // entry order — identical to the serial per-entry loop.
-  std::vector<std::pair<asn::Asn, const util::IntervalSet*>> entries;
-  entries.reserve(activity.entries().size());
-  for (const auto& [asn, days] : activity.entries())
-    entries.emplace_back(asn, &days);
-
-  std::vector<std::vector<util::DayInterval>> lives_by_entry(entries.size());
-  exec::parallel_for(
-      entries.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          PL_ASSERT_DISJOINT(entries[i].second->runs(),
-                             "activity runs entering the lifetime builder");
-          lives_by_entry[i] = entries[i].second->coalesce(timeout_days);
-          PL_ASSERT_SORTED(lives_by_entry[i],
-                           [](const util::DayInterval& a,
-                              const util::DayInterval& b) {
-                             return a.first < b.first;
-                           },
-                           "coalesced op lives per ASN");
-        }
-      },
-      /*grain=*/128);
-
-  std::size_t life_total = 0;
-  for (const std::vector<util::DayInterval>& lives : lives_by_entry)
-    life_total += lives.size();
+  // Activity entries iterate in ascending-ASN order, so appending each
+  // ASN's coalesced lives leaves the list sorted by (asn, start).
   std::vector<OpLifetime> lifetimes;
-  lifetimes.reserve(life_total);
-  for (std::size_t i = 0; i < entries.size(); ++i)
-    for (const util::DayInterval& life : lives_by_entry[i])
-      lifetimes.push_back(OpLifetime{entries[i].first, life});
+  for (const auto& [asn, days] : activity.entries()) {
+    PL_ASSERT_DISJOINT(days.runs(),
+                       "activity runs entering the lifetime builder");
+    const std::vector<util::DayInterval> lives = days.coalesce(timeout_days);
+    PL_ASSERT_SORTED(lives,
+                     [](const util::DayInterval& a,
+                        const util::DayInterval& b) {
+                       return a.first < b.first;
+                     },
+                     "coalesced op lives per ASN");
+    for (const util::DayInterval& life : lives)
+      lifetimes.push_back(OpLifetime{asn, life});
+  }
   return lifetimes;
 }
 

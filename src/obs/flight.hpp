@@ -12,7 +12,7 @@
 //
 // Determinism: RequestIds derive from a per-service sequence counter plus
 // the in-batch item index (no wall clock, no thread identity), so the same
-// call sequence yields the same ids under any PL_THREADS setting. The
+// call sequence yields the same ids whichever threads made it. The
 // `attribution()` view sorts events by (request, kind, detail, a) with the
 // forensic sequence number cleared — that view is bit-identical across
 // thread counts; `events()` keeps arrival order for post-mortems.
@@ -275,7 +275,7 @@ class FlightRecorder {
   }
 
   /// Retained events in deterministic attribution order, seq cleared —
-  /// bit-identical across PL_THREADS settings for the same call sequence
+  /// bit-identical for the same call sequence, whichever threads made it
   /// (as long as nothing was overwritten).
   std::vector<FlightEvent> attribution() const {
     std::vector<FlightEvent> out = events();

@@ -7,8 +7,8 @@
 //     atomic increment on a per-thread stripe, cheap enough for hot loops.
 //     Integer addition is exact and commutative, so the merged value (the
 //     sum over stripes, read in stripe order) is bit-identical no matter
-//     how many workers incremented it — the same invariant the exec layer
-//     relies on for shard merges (DESIGN.md §8).
+//     how many threads incremented it (concurrent QueryService readers
+//     share one registry).
 //   * Gauge     — a last-write-wins int64. Set gauges from serial sections
 //     only when the determinism contract matters; concurrent `set()` is
 //     safe but the surviving value is scheduling-dependent.
@@ -62,8 +62,7 @@ struct HistogramSnapshot {
 };
 
 /// Frozen registry contents, sorted by metric name. Copyable and directly
-/// comparable — the differential tests assert Snapshot equality across
-/// thread counts.
+/// comparable — tests assert Snapshot equality between runs.
 struct Snapshot {
   std::map<std::string, std::int64_t> counters;
   std::map<std::string, std::int64_t> gauges;
@@ -107,7 +106,7 @@ struct Snapshot {
 inline constexpr bool kEnabled = true;
 
 /// Stripes per counter. One stripe is assigned per thread (round-robin on
-/// first use), so hot-loop increments from different workers land on
+/// first use), so hot-loop increments from different threads land on
 /// different cache lines.
 inline constexpr std::size_t kStripes = 16;
 

@@ -9,10 +9,10 @@
 // JSON exporter dumps and `pipeline::StageTimings` is derived from.
 //
 // Threading discipline: every Span operation locks the owning Trace, so
-// spans may be handed to worker threads (the pipeline pre-creates one
-// per-registry span serially, then lets each restore shard finish its own).
-// Children must be created by the thread that owns the parent span at that
-// moment; sibling spans are fully independent. Span *timings* are real wall
+// spans may be used from several threads (concurrent QueryService readers
+// each open their own child of the service's root span). Children must be
+// created by the thread that owns the parent span at that moment; sibling
+// spans are fully independent. Span *timings* are real wall
 // clock and therefore never part of the determinism contract — only note
 // and metric values are (see metrics.hpp).
 //

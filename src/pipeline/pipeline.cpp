@@ -3,14 +3,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "check/contracts.hpp"
 #include "delegation/fault_stream.hpp"
 #include "delegation/interchange.hpp"
-#include "exec/pool.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/span.hpp"
@@ -37,9 +35,7 @@ void write_file(const std::string& path, const std::string& contents) {
 }
 
 /// Per-registry restoration substages: the §3.1 sanitization-step ledger
-/// and the ingestion-guard ledger, as children of the registry span. Runs
-/// on the restore worker that owns the span — every Span operation locks
-/// the Trace, so this is safe alongside sibling shards.
+/// and the ingestion-guard ledger, as children of the registry span.
 void annotate_registry_span(obs::Span& span,
                             const restore::RestoredRegistry& registry) {
   const restore::RestorationReport& report = registry.report;
@@ -127,20 +123,11 @@ StageTimings timings_from_trace(const obs::TraceNode& root) {
 }
 
 Result run_simulated(const Config& config) {
-  // Pin the worker count for this run when the caller asked for one;
-  // restored on exit so pipelines with different knobs can share a process.
-  std::optional<exec::ScopedThreads> scoped_threads;
-  if (config.threads >= 0) scoped_threads.emplace(config.threads);
-
   Result result;
   obs::Trace trace;
   obs::Registry metrics;
   obs::Span run = trace.root("pipeline");
   run.note("seed", static_cast<std::int64_t>(config.seed));
-  // Worker count is a trace note, not a metric: metric values must stay
-  // bit-identical across PL_THREADS settings, the trace merely documents
-  // how this particular run was scheduled.
-  run.note("threads", exec::current_threads());
   run.note("chaos", config.inject_chaos ? 1 : 0);
 
   // Administrative ground truth.
@@ -180,16 +167,11 @@ Result run_simulated(const Config& config) {
     injector.seed = config.seed + 4;
     injector.scale = config.scale;
     rirsim::SimulatedArchive archive(result.truth, injector);
-    exec::parallel_for(
-        asn::kRirCount,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::unique_ptr<dele::ArchiveStream> stream =
-                archive.stream(asn::kAllRirs[i]);
-            encoded[i] = dele::encode_archive(*stream, config.interchange);
-          }
-        },
-        /*grain=*/1);
+    for (std::size_t i = 0; i < asn::kRirCount; ++i) {
+      const std::unique_ptr<dele::ArchiveStream> stream =
+          archive.stream(asn::kAllRirs[i]);
+      encoded[i] = dele::encode_archive(*stream, config.interchange);
+    }
     std::int64_t archive_bytes = 0;
     for (const dele::EncodedArchive& a : encoded)
       archive_bytes += static_cast<std::int64_t>(a.bytes.size());
@@ -202,70 +184,42 @@ Result run_simulated(const Config& config) {
     const bgp::ActivityTable* hint =
         config.bgp_hint_for_duplicates ? &result.op_world.activity : nullptr;
 
-    // One shard per registry, chaos or not; the chaos path merely wraps
-    // each stream in a fault injector feeding a per-shard sink. Per-registry
-    // spans are opened serially here, then each shard annotates and closes
-    // its own — children of a span must come from the thread holding it.
-    std::array<obs::Span, asn::kRirCount> registry_spans;
-    for (std::size_t i = 0; i < asn::kRirCount; ++i)
-      registry_spans[i] = restore_span.child(
-          "registry:" + std::string(asn::file_token(asn::kAllRirs[i])));
-
-    std::array<robust::ErrorSink, asn::kRirCount> shard_sinks;
-    std::array<std::shared_ptr<const util::StringPool>, asn::kRirCount>
-        shard_names;
-    exec::parallel_for(
-        asn::kRirCount,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const asn::Rir rir = asn::kAllRirs[i];
-            pl::StatusOr<std::unique_ptr<dele::DeltaArchiveReader>> reader =
-                dele::open_archive(encoded[i]);
-            // The blob was produced in-process a stage ago; failing to open
-            // it is a bug, not an input fault.
-            PL_EXPECT(reader.ok(), "interchange archive failed to open");
-            if (!reader.ok()) continue;
-            shard_names[i] = (*reader)->names();
-            if (config.inject_chaos) {
-              robust::ChaosConfig chaos = config.chaos;
-              chaos.seed = config.chaos.seed + asn::index_of(rir);
-              dele::FaultStream stream(std::move(*reader), chaos,
-                                       &shard_sinks[i]);
-              result.restored.registries[i] = restore::restore_registry(
-                  stream, config.restore, &truth.erx, hint, &shard_sinks[i]);
-            } else {
-              result.restored.registries[i] = restore::restore_registry(
-                  **reader, config.restore, &truth.erx, hint);
-            }
-            // Metrics land from inside the shard: counters are striped
-            // atomics, so concurrent publication still sums to the same
-            // values a serial run records.
-            restore::record_metrics(result.restored.registries[i], metrics);
-            annotate_registry_span(registry_spans[i],
-                                   result.restored.registries[i]);
-            registry_spans[i].finish();
-          }
-        },
-        /*grain=*/1);
-
-    // Union of the per-registry token vocabularies, merged in registry
-    // order so the combined pool's ids are deterministic.
-    {
-      auto names = std::make_shared<util::StringPool>();
-      for (const auto& shard : shard_names) {
-        if (shard == nullptr) continue;
-        for (std::uint32_t id = 0; id < shard->size(); ++id)
-          names->intern(shard->at(id));
+    // One registry at a time, chaos or not; the chaos path merely wraps
+    // each stream in a fault injector. Every registry reports into one
+    // lenient sink, whose books the cross-registry accounting invariants
+    // then check.
+    robust::ErrorSink sink(robust::Policy::kLenient);
+    auto names = std::make_shared<util::StringPool>();
+    for (std::size_t i = 0; i < asn::kRirCount; ++i) {
+      const asn::Rir rir = asn::kAllRirs[i];
+      obs::Span registry_span =
+          restore_span.child("registry:" + std::string(asn::file_token(rir)));
+      pl::StatusOr<std::unique_ptr<dele::DeltaArchiveReader>> reader =
+          dele::open_archive(encoded[i]);
+      // The blob was produced in-process a stage ago; failing to open it is
+      // a bug, not an input fault.
+      PL_EXPECT(reader.ok(), "interchange archive failed to open");
+      if (!reader.ok()) continue;
+      // Union of the per-registry token vocabularies, in registry order so
+      // the combined pool's ids are deterministic.
+      const std::shared_ptr<const util::StringPool> shard = (*reader)->names();
+      for (std::uint32_t id = 0; id < shard->size(); ++id)
+        names->intern(shard->at(id));
+      if (config.inject_chaos) {
+        robust::ChaosConfig chaos = config.chaos;
+        chaos.seed = config.chaos.seed + asn::index_of(rir);
+        dele::FaultStream stream(std::move(*reader), chaos, &sink);
+        result.restored.registries[i] = restore::restore_registry(
+            stream, config.restore, &truth.erx, hint, &sink);
+      } else {
+        result.restored.registries[i] = restore::restore_registry(
+            **reader, config.restore, &truth.erx, hint);
       }
-      result.restored.names = std::move(names);
+      restore::record_metrics(result.restored.registries[i], metrics);
+      annotate_registry_span(registry_span, result.restored.registries[i]);
     }
-
+    result.restored.names = std::move(names);
     if (config.inject_chaos) {
-      // Merging shard sinks in registry order reproduces the books one
-      // shared sink fed serially would hold, so the cross-registry
-      // accounting invariants still run over identical counters.
-      robust::ErrorSink sink(robust::Policy::kLenient);
-      for (const robust::ErrorSink& shard : shard_sinks) sink.merge(shard);
       result.robustness = sink.counters();
       robust::record_metrics(result.robustness, metrics);
     }

@@ -33,11 +33,6 @@ struct Config {
   std::uint64_t seed = 42;
   double scale = 1.0;  ///< 1.0 = the paper's scale (~127k admin lifetimes)
   int op_timeout_days = lifetimes::kPaperTimeoutDays;
-  /// Worker threads for the parallel stages: -1 (default) keeps the
-  /// process-wide setting (`PL_THREADS` env, else hardware threads); 0
-  /// forces the serial path; N > 0 pins N workers for this run. Parallel
-  /// runs are bit-identical to serial ones (see exec/pool.hpp).
-  int threads = -1;
   /// Wire format of the render→restore boundary. pl-dlg-bin/1 is the only
   /// one; the field remains only because the frozen perfbench study code
   /// reads it, and the next change to perfbench removes it.
@@ -110,8 +105,7 @@ struct Result {
   /// Structured observability report: the hierarchical span tree covering
   /// every Fig. 1 stage (with per-registry / per-step substages) plus the
   /// frozen metrics registry. Metric *values* are bit-identical across
-  /// `PL_THREADS` settings for the same config; span timings are wall clock
-  /// and are not.
+  /// runs of the same config; span timings are wall clock and are not.
   obs::Report report;
   /// Per-stage wall clock, derived from `report.trace`.
   StageTimings timings;

@@ -6,7 +6,6 @@
 
 #include "check/contracts.hpp"
 #include "delegation/interchange.hpp"
-#include "exec/pool.hpp"
 #include "robust/checkpoint.hpp"
 
 namespace pl::restore {
@@ -1164,18 +1163,10 @@ RestoredArchive restore_archive(
     const BlockOwnerFn& owner, util::Day archive_begin,
     const bgp::ActivityTable* bgp_hint) {
   RestoredArchive archive;
-  // The five registry streams are independent until step vi: restore them
-  // concurrently, one shard per registry, into per-index slots. The merge
-  // (reconcile_registries) stays on the calling thread, so the result is
-  // bit-identical to the serial loop.
-  exec::parallel_for(
-      streams.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-          archive.registries[i] =
-              restore_registry(*streams[i], config, erx, bgp_hint);
-      },
-      /*grain=*/1);
+  // The five registry streams are independent until step vi's merge.
+  for (std::size_t i = 0; i < streams.size(); ++i)
+    archive.registries[i] =
+        restore_registry(*streams[i], config, erx, bgp_hint);
   archive.cross =
       reconcile_registries(archive.registries, owner, config, archive_begin);
   return archive;

@@ -103,33 +103,6 @@ struct RobustnessReport {
   std::int64_t bytes_discarded = 0;
   std::int64_t checkpoint_failures = 0;
 
-  /// Fold another report (e.g. a per-stream counter block) into this one.
-  void merge(const RobustnessReport& other) noexcept {
-    infos += other.infos;
-    warnings += other.warnings;
-    errors += other.errors;
-    fatals += other.fatals;
-    for (std::size_t i = 0; i < kStageCount; ++i)
-      by_stage[i] += other.by_stage[i];
-    days_input += other.days_input;
-    days_delivered += other.days_delivered;
-    days_dropped += other.days_dropped;
-    days_duplicated += other.days_duplicated;
-    days_reordered += other.days_reordered;
-    channels_corrupted += other.channels_corrupted;
-    fetch_retries += other.fetch_retries;
-    fetch_failures += other.fetch_failures;
-    days_applied += other.days_applied;
-    days_quarantined_duplicate += other.days_quarantined_duplicate;
-    days_quarantined_late += other.days_quarantined_late;
-    days_reorder_recovered += other.days_reorder_recovered;
-    misuse_calls += other.misuse_calls;
-    records_salvaged += other.records_salvaged;
-    records_skipped += other.records_skipped;
-    bytes_discarded += other.bytes_discarded;
-    checkpoint_failures += other.checkpoint_failures;
-  }
-
   /// The conservation law chaos runs assert: every day the transport
   /// delivered was either applied or quarantined — nothing vanishes.
   bool delivery_accounted() const noexcept {
@@ -192,23 +165,6 @@ class ErrorSink {
   /// Mutable counter block — instrumented stages bump these directly.
   RobustnessReport& counters() noexcept { return counters_; }
   const RobustnessReport& counters() const noexcept { return counters_; }
-
-  /// Fold a per-shard sink into this one: counters add, a tripped shard
-  /// trips the whole, diagnostics append in call order up to the retention
-  /// cap. Merging shard sinks in shard order reproduces exactly what one
-  /// shared sink fed by the shards sequentially would hold — the identity
-  /// the parallel ingestion path relies on.
-  void merge(const ErrorSink& other) {
-    counters_.merge(other.counters_);
-    tripped_ = tripped_ || other.tripped_;
-    for (const Diagnostic& diagnostic : other.diagnostics_) {
-      if (diagnostics_.size() < max_retained_)
-        diagnostics_.push_back(diagnostic);
-      else
-        ++overflowed_;
-    }
-    overflowed_ += other.overflowed_;
-  }
 
  private:
   Policy policy_;

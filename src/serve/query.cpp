@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "exec/pool.hpp"
 
 namespace pl::serve {
 
@@ -324,9 +323,8 @@ AsnAnswer QueryService::lookup_impl(const Snapshot& snap, asn::Asn asn) {
   return answer;
 }
 
-// Both batch paths compute every slot on its own in parallel (a repeated
-// ASN is simply answered again) and then record one event per slot,
-// serially in index order — deterministic across thread counts.
+// Both batch paths answer every slot on its own (a repeated ASN is simply
+// answered again) and record one event per slot, in index order.
 
 std::vector<AsnAnswer> QueryService::lookup_batch_impl(
     const Snapshot& snap, const std::vector<asn::Asn>& asns) {
@@ -337,18 +335,14 @@ std::vector<AsnAnswer> QueryService::lookup_batch_impl(
   batch_counter_.add(1);
   batch_items_.observe(static_cast<std::int64_t>(asns.size()));
 
-  std::vector<AsnAnswer> answers(asns.size());
-  exec::parallel_for(
-      asns.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-          answers[i] = answer_for(snap, asns[i]);
-      },
-      /*grain=*/32);
-  for (std::size_t i = 0; i < answers.size(); ++i)
+  std::vector<AsnAnswer> answers;
+  answers.reserve(asns.size());
+  for (std::size_t i = 0; i < asns.size(); ++i) {
+    answers.push_back(answer_for(snap, asns[i]));
     record_event(obs::derive_request_id(obs::kQueryStream, seq, i),
                  obs::EventKind::kLookup, answered(answers[i].known),
                  snap.archive_end());
+  }
   return answers;
 }
 
@@ -375,18 +369,14 @@ std::vector<AliveAnswer> QueryService::alive_batch_impl(
   alive_counter_.add(1);
   batch_items_.observe(static_cast<std::int64_t>(asns.size()));
 
-  std::vector<AliveAnswer> answers(asns.size());
-  exec::parallel_for(
-      asns.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-          answers[i] = alive_for(snap, asns[i], day);
-      },
-      /*grain=*/32);
-  for (std::size_t i = 0; i < answers.size(); ++i)
+  std::vector<AliveAnswer> answers;
+  answers.reserve(asns.size());
+  for (std::size_t i = 0; i < asns.size(); ++i) {
+    answers.push_back(alive_for(snap, asns[i], day));
     record_event(obs::derive_request_id(obs::kQueryStream, seq, i),
                  obs::EventKind::kAlive,
                  answered(answers[i].admin_alive || answers[i].op_alive), day);
+  }
   return answers;
 }
 

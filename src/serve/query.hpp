@@ -13,11 +13,10 @@
 // day range of an attached `HistoryBackend`. `query()` is the only
 // question-answering entry point.
 //
-// Batch subjects are the primary API: vector-in/vector-out, computed in
-// parallel over the exec pool. Answers are deterministic — bit-identical
-// across PL_THREADS settings (the serve oracle test locks this) — because
-// every batch slot is computed on its own into its own index, and the
-// flight events are then recorded serially in index order.
+// Batch subjects are the primary API: vector-in/vector-out, one slot per
+// asked ASN, with one flight event per slot recorded in index order.
+// Concurrent readers are safe against each other (the serve oracle test
+// runs four at once and checks every answer against a linear scan).
 //
 // Temporal queries ride the same cuts: `drift(from, to)` tallies the
 // Table-3 taxonomy at two as-of days, `first_flip(asn, category)` finds the

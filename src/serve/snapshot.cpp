@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "check/contracts.hpp"
-#include "exec/pool.hpp"
 #include "util/date.hpp"
 
 namespace pl::serve {
@@ -49,25 +48,27 @@ std::int64_t count_lt(const std::vector<Day>& sorted, Day day) noexcept {
 
 }  // namespace
 
-Snapshot::BuiltAsn Snapshot::build_asn_rows(
+void Snapshot::append_asn_rows(
     asn::Asn asn, std::span<const lifetimes::AdminLifetime> admin,
-    std::span<const lifetimes::OpLifetime> op, const SnapshotConfig& config) {
+    std::span<const lifetimes::OpLifetime> op) {
+  if (admin.empty() && op.empty()) return;
   const joint::AsnClassification cls = joint::classify_asn(admin, op);
   const joint::AsnSquatFlags squats =
-      joint::flag_asn_squats(admin, op, cls, config.squat);
+      joint::flag_asn_squats(admin, op, cls, config_.squat);
 
-  BuiltAsn built;
-  built.row.asn = asn;
-  built.row.admin_count = static_cast<std::uint32_t>(admin.size());
-  built.row.op_count = static_cast<std::uint32_t>(op.size());
+  AsnRow row;
+  row.asn = asn;
+  row.admin_begin = static_cast<std::uint32_t>(admin_rows_.size());
+  row.op_begin = static_cast<std::uint32_t>(op_rows_.size());
+  row.admin_count = static_cast<std::uint32_t>(admin.size());
+  row.op_count = static_cast<std::uint32_t>(op.size());
 
   std::uint16_t flags = 0;
   if (!admin.empty()) flags |= kFlagEverAllocated;
   if (!op.empty()) flags |= kFlagEverActive;
 
-  built.admin.reserve(admin.size());
   for (std::size_t a = 0; a < admin.size(); ++a) {
-    built.admin.push_back(AdminLifeRow{admin[a], cls.admin_category[a]});
+    admin_rows_.push_back(AdminLifeRow{admin[a], cls.admin_category[a]});
     if (admin[a].transferred) flags |= kFlagTransferred;
     switch (cls.admin_category[a]) {
       case joint::Category::kUnused: flags |= kFlagUnusedLife; break;
@@ -81,31 +82,20 @@ Snapshot::BuiltAsn Snapshot::build_asn_rows(
     }
   }
 
-  built.op.reserve(op.size());
   for (std::size_t o = 0; o < op.size(); ++o) {
-    OpLifeRow row;
-    row.life = op[o];
-    row.category = cls.op_category[o];
-    row.admin_index = static_cast<std::int32_t>(cls.op_to_admin[o]);
-    row.dormant_squat = squats.dormant[o];
-    row.outside_activity = squats.outside[o];
-    if (row.dormant_squat) flags |= kFlagDormantSquat;
-    if (row.outside_activity) flags |= kFlagOutsideActivity;
-    built.op.push_back(row);
+    OpLifeRow life;
+    life.life = op[o];
+    life.category = cls.op_category[o];
+    life.admin_index = static_cast<std::int32_t>(cls.op_to_admin[o]);
+    life.dormant_squat = squats.dormant[o];
+    life.outside_activity = squats.outside[o];
+    if (life.dormant_squat) flags |= kFlagDormantSquat;
+    if (life.outside_activity) flags |= kFlagOutsideActivity;
+    op_rows_.push_back(life);
   }
 
-  built.row.flags = flags;
-  return built;
-}
-
-void Snapshot::append_built(BuiltAsn&& built) {
-  if (built.admin.empty() && built.op.empty()) return;
-  built.row.admin_begin = static_cast<std::uint32_t>(admin_rows_.size());
-  built.row.op_begin = static_cast<std::uint32_t>(op_rows_.size());
-  rows_.push_back(built.row);
-  admin_rows_.insert(admin_rows_.end(), built.admin.begin(),
-                     built.admin.end());
-  op_rows_.insert(op_rows_.end(), built.op.begin(), built.op.end());
+  row.flags = flags;
+  rows_.push_back(row);
 }
 
 void Snapshot::assemble(std::span<const lifetimes::AdminLifetime> admin,
@@ -115,13 +105,7 @@ void Snapshot::assemble(std::span<const lifetimes::AdminLifetime> admin,
   op_rows_.clear();
 
   // Both life lists are sorted by (asn, start), so each ASN's lives are one
-  // contiguous run in each: merge-walk them into per-ASN groups.
-  struct Group {
-    asn::Asn asn;
-    std::span<const lifetimes::AdminLifetime> admin;
-    std::span<const lifetimes::OpLifetime> op;
-  };
-  std::vector<Group> groups;
+  // contiguous run in each: merge-walk them and append each ASN's rows.
   for (std::size_t a = 0, o = 0; a < admin.size() || o < op.size();) {
     const asn::Asn asn =
         o == op.size() || (a < admin.size() && admin[a].asn < op[o].asn)
@@ -131,24 +115,9 @@ void Snapshot::assemble(std::span<const lifetimes::AdminLifetime> admin,
     const std::size_t o_begin = o;
     while (a < admin.size() && admin[a].asn == asn) ++a;
     while (o < op.size() && op[o].asn == asn) ++o;
-    groups.push_back(Group{asn, admin.subspan(a_begin, a - a_begin),
-                           op.subspan(o_begin, o - o_begin)});
+    append_asn_rows(asn, admin.subspan(a_begin, a - a_begin),
+                    op.subspan(o_begin, o - o_begin));
   }
-
-  // Per-ASN row construction is independent: build each group into its own
-  // slot in parallel, then concatenate in ascending-ASN order (identical to
-  // the serial loop — see DESIGN.md §8 on the slot-merge discipline).
-  std::vector<BuiltAsn> slots(groups.size());
-  exec::parallel_for(
-      groups.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t g = begin; g < end; ++g)
-          slots[g] = build_asn_rows(groups[g].asn, groups[g].admin,
-                                    groups[g].op, config_);
-      },
-      /*grain=*/64);
-
-  for (BuiltAsn& built : slots) append_built(std::move(built));
 
   PL_ASSERT_SORTED(rows_,
                    [](const AsnRow& a, const AsnRow& b) {
@@ -425,7 +394,7 @@ pl::StatusOr<Snapshot> Snapshot::at(util::Day day,
       for (const util::DayInterval& life :
            activity->clipped(day).coalesce(config_.op_timeout_days))
         op.push_back(lifetimes::OpLifetime{asn::Asn{asn_value}, life});
-    snap.append_built(build_asn_rows(asn::Asn{asn_value}, admin, op, config_));
+    snap.append_asn_rows(asn::Asn{asn_value}, admin, op);
   }
   snap.rebuild_indexes();
   if (stats != nullptr) {

@@ -250,18 +250,6 @@ class Snapshot {
     bgp::ActivityTable activity;
   };
 
-  struct BuiltAsn {
-    AsnRow row;  ///< begin offsets filled at concatenation time
-    std::vector<AdminLifeRow> admin;
-    std::vector<OpLifeRow> op;
-  };
-
-  /// Classify + flag one ASN's lives into serving rows.
-  static BuiltAsn build_asn_rows(asn::Asn asn,
-                                 std::span<const lifetimes::AdminLifetime> admin,
-                                 std::span<const lifetimes::OpLifetime> op,
-                                 const SnapshotConfig& config);
-
   /// Why a cut at `day` is impossible, or OK.
   pl::Status check_cut(util::Day day) const;
 
@@ -273,7 +261,11 @@ class Snapshot {
   /// Rows from life lists sorted by (asn, start).
   void assemble(std::span<const lifetimes::AdminLifetime> admin,
                 std::span<const lifetimes::OpLifetime> op);
-  void append_built(BuiltAsn&& built);
+  /// Classify + flag one ASN's lives and append its serving rows (nothing
+  /// when it has no lives).
+  void append_asn_rows(asn::Asn asn,
+                       std::span<const lifetimes::AdminLifetime> admin,
+                       std::span<const lifetimes::OpLifetime> op);
   void rebuild_indexes();
 
   std::vector<AsnRow> rows_;

@@ -122,7 +122,6 @@ TEST(Fingerprint, PaperScaleSeed42IsPinned) {
   pipeline::Config config;
   config.seed = 42;
   config.scale = 1.0;
-  config.threads = 0;
   EXPECT_EQ(fingerprint(pipeline::run_simulated(config)),
             0x27d029edaaa3d797ULL);
 }

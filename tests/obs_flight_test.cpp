@@ -8,9 +8,7 @@
 //     crash;
 //   * the serving integration — every QueryService answer is attributable
 //     via its deterministic RequestId, one event per batch slot, and two
-//     identical services record identical timelines (across PL_THREADS
-//     settings too: the _serial/_mt ctest variants rerun this binary under
-//     both extremes and the golden RequestId assertions must hold in each).
+//     identical services record identical timelines.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -282,8 +280,7 @@ TEST(QueryAttribution, IdenticalServicesRecordIdenticalTimelines) {
   }
 
   // No overwrites at this volume, and the two timelines are bit-identical:
-  // what was answered cannot depend on which service (or how many pool
-  // threads — the _serial/_mt variants rerun this) computed it.
+  // what was answered cannot depend on which service computed it.
   EXPECT_EQ(first.flight().overwritten(), 0u);
   EXPECT_EQ(a, b);
 

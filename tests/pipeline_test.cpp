@@ -116,6 +116,41 @@ TEST(Pipeline, TraceCoversEveryStageWithSubstages) {
   EXPECT_DOUBLE_EQ(reprojected.admin_ms, result.timings.admin_ms);
 }
 
+TEST(Pipeline, TimingsArePopulated) {
+  Config config;
+  config.seed = 3;
+  config.scale = 0.01;
+  const Result result = run_simulated(config);
+  EXPECT_GT(result.timings.total_ms, 0.0);
+  // The stages run one after another inside the pipeline span, so their
+  // sum cannot exceed the total beyond clock rounding.
+  const double stage_sum =
+      result.timings.world_ms + result.timings.op_world_ms +
+      result.timings.render_ms + result.timings.restore_ms +
+      result.timings.admin_ms + result.timings.op_ms +
+      result.timings.taxonomy_ms;
+  EXPECT_LE(stage_sum, result.timings.total_ms * 1.01);
+}
+
+TEST(Pipeline, MetricValuesRepeatExactlyUnderChaos) {
+  // The observability determinism contract: every metric *value* (counter,
+  // gauge, histogram bucket/sum/count — all integers) is bit-identical
+  // between runs of one config. Only span timings are exempt.
+  Config config;
+  config.seed = 23;
+  config.scale = 0.02;
+  config.inject_chaos = true;
+  config.chaos = robust::ChaosConfig::uniform(0.05, 7);
+  config.restore.reorder_window_days = 3;
+  const Result a = run_simulated(config);
+  const Result b = run_simulated(config);
+  // Chaos publishes the fault books into the same registry.
+  EXPECT_GT(a.report.metrics.counter_value("pl_fault_days_delivered"), 0);
+  EXPECT_TRUE(a.robustness.delivery_accounted());
+  EXPECT_TRUE(a.robustness.transport_accounted());
+  EXPECT_EQ(a.report.metrics, b.report.metrics);
+}
+
 TEST(Pipeline, MetricsMirrorStageOutputs) {
   Config config;
   config.seed = 99;

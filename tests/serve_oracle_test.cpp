@@ -1,16 +1,20 @@
 // Oracle fuzz for the serving layer: every query answered by the
 // QueryService is checked against a naive linear scan over the pipeline's
-// own datasets — batches include deliberate duplicate ASNs, and the whole
-// suite runs under both PL_THREADS extremes via the _serial/_mt ctest
-// variants. Any divergence (thread count, batch slotting, snapshot
-// indexing) fails here.
+// own datasets — batches include deliberate duplicate ASNs, and one case
+// has four threads query one service at once (the tsan leg runs it). Any
+// divergence (concurrent readers, batch slotting, snapshot indexing) fails
+// here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "history/store.hpp"
 #include "joint/squat.hpp"
+#include "joint/taxonomy.hpp"
 #include "pipeline/pipeline.hpp"
 #include "serve/query.hpp"
 #include "serve/snapshot.hpp"
@@ -32,7 +36,9 @@ struct Oracle {
   std::set<std::uint32_t> outside_asns;   ///< ever-allocated, outside life
 
   explicit Oracle(const pipeline::Config& config)
-      : result(pipeline::run_simulated(config)) {
+      : Oracle(pipeline::run_simulated(config)) {}
+
+  explicit Oracle(pipeline::Result study) : result(std::move(study)) {
     for (const joint::SquatCandidate& candidate :
          joint::detect_dormant_squats(result.taxonomy, result.admin,
                                       result.op))
@@ -100,7 +106,66 @@ struct Oracle {
       if (life.asn == asn && life.days.contains(day)) answer.op_alive = true;
     return answer;
   }
+
+  /// The ASNs a scan must return, ascending: every ASN in range with a
+  /// life; with a filter set, one of its admin lives must match the
+  /// registry and one (maybe another) must be alive on the day.
+  std::set<std::uint32_t> scan(const ScanQuery& query) const {
+    const auto in_range = [&](asn::Asn asn) {
+      return !(asn < query.first || query.last < asn);
+    };
+    std::set<std::uint32_t> matches;
+    if (!query.registry && !query.admin_alive_on) {
+      for (const lifetimes::AdminLifetime& life : result.admin.lifetimes)
+        if (in_range(life.asn)) matches.insert(life.asn.value);
+      for (const lifetimes::OpLifetime& life : result.op.lifetimes)
+        if (in_range(life.asn)) matches.insert(life.asn.value);
+      return matches;
+    }
+    std::set<std::uint32_t> registry_ok;
+    std::set<std::uint32_t> alive_ok;
+    for (const lifetimes::AdminLifetime& life : result.admin.lifetimes) {
+      if (!in_range(life.asn)) continue;
+      if (!query.registry || life.registry == *query.registry)
+        registry_ok.insert(life.asn.value);
+      if (!query.admin_alive_on || life.days.contains(*query.admin_alive_on))
+        alive_ok.insert(life.asn.value);
+    }
+    for (const std::uint32_t value : registry_ok)
+      if (alive_ok.contains(value)) matches.insert(value);
+    return matches;
+  }
+
+  /// Lives of each kind covering `day`, counted one by one.
+  CensusAnswer census(util::Day day) const {
+    CensusAnswer answer{day, 0, 0};
+    for (const lifetimes::AdminLifetime& life : result.admin.lifetimes)
+      if (life.days.contains(day)) ++answer.admin_alive;
+    for (const lifetimes::OpLifetime& life : result.op.lifetimes)
+      if (life.days.contains(day)) ++answer.op_alive;
+    return answer;
+  }
 };
+
+/// The study's datasets over its world cut at `day`: what the pipeline
+/// would have derived on that day.
+pipeline::Result study_at(const pipeline::Result& full, util::Day day) {
+  pipeline::Result past;
+  past.truth.archive_begin = full.truth.archive_begin;
+  past.truth.archive_end = day;
+  past.admin = lifetimes::build_admin_lifetimes(
+      history::HistoryStore::truncate_archive(full.restored, day), day);
+  past.op = lifetimes::build_op_lifetimes(full.op_world.activity.clipped(day));
+  past.taxonomy = joint::classify(past.admin, past.op);
+  return past;
+}
+
+/// ASNs of a scan answer, in answer order.
+std::vector<std::uint32_t> asn_values(const std::vector<AsnAnswer>& answers) {
+  std::vector<std::uint32_t> values;
+  for (const AsnAnswer& answer : answers) values.push_back(answer.asn.value);
+  return values;
+}
 
 class ServeOracleTest : public testing::Test {
  protected:
@@ -150,6 +215,24 @@ class ServeOracleTest : public testing::Test {
     asns.insert(asns.begin() + static_cast<std::ptrdiff_t>(pick), asns[pick]);
     for (std::size_t i = n; i-- > n / 2;) asns.push_back(asns[i]);
     return asns;
+  }
+
+  /// A random ASN range, with a registry and an alive-day filter each set
+  /// half the time.
+  static ScanQuery random_scan(util::Rng& rng) {
+    const util::Day begin = oracle_->result.truth.archive_begin;
+    const util::Day end = oracle_->result.truth.archive_end;
+    ScanQuery query;
+    const std::uint32_t a = static_cast<std::uint32_t>(rng.uniform(0, 400000));
+    const std::uint32_t b = static_cast<std::uint32_t>(rng.uniform(0, 400000));
+    query.first = asn::Asn{std::min(a, b)};
+    query.last = asn::Asn{std::max(a, b)};
+    if (rng.uniform(0, 1) == 0)
+      query.registry = asn::kAllRirs[static_cast<std::size_t>(
+          rng.uniform(0, asn::kRirCount - 1))];
+    if (rng.uniform(0, 1) == 0)
+      query.admin_alive_on = begin + rng.uniform(0, end - begin);
+    return query;
   }
 
   static Oracle* oracle_;
@@ -203,58 +286,12 @@ TEST_F(ServeOracleTest, AliveQueriesMatchLinearScan) {
 TEST_F(ServeOracleTest, ScansMatchLinearFilter) {
   QueryService service(*snapshot_);
   util::Rng rng(0xCAFE);
-  const util::Day begin = oracle_->result.truth.archive_begin;
-  const util::Day end = oracle_->result.truth.archive_end;
-
   for (int round = 0; round < 6; ++round) {
-    ScanQuery query;
-    const std::uint32_t a =
-        static_cast<std::uint32_t>(rng.uniform(0, 400000));
-    const std::uint32_t b =
-        static_cast<std::uint32_t>(rng.uniform(0, 400000));
-    query.first = asn::Asn{std::min(a, b)};
-    query.last = asn::Asn{std::max(a, b)};
-    if (rng.uniform(0, 1) == 0)
-      query.registry = asn::kAllRirs[static_cast<std::size_t>(
-          rng.uniform(0, asn::kRirCount - 1))];
-    if (rng.uniform(0, 1) == 0)
-      query.admin_alive_on = begin + rng.uniform(0, end - begin);
-
-    const std::vector<AsnAnswer> got =
-        answer(service, Query::scan(query)).lookups;
-
-    // Expected ASNs by linear scan over the admin/op datasets.
-    std::set<std::uint32_t> expected;
-    const auto consider = [&](asn::Asn asn) {
-      if (asn < query.first || query.last < asn) return;
-      if (query.registry || query.admin_alive_on) {
-        bool registry_ok = !query.registry;
-        bool alive_ok = !query.admin_alive_on;
-        for (const lifetimes::AdminLifetime& life :
-             oracle_->result.admin.lifetimes) {
-          if (life.asn != asn) continue;
-          if (query.registry && life.registry == *query.registry)
-            registry_ok = true;
-          if (query.admin_alive_on &&
-              life.days.contains(*query.admin_alive_on))
-            alive_ok = true;
-        }
-        if (!registry_ok || !alive_ok) return;
-      }
-      expected.insert(asn.value);
-    };
-    for (const lifetimes::AdminLifetime& life :
-         oracle_->result.admin.lifetimes)
-      consider(life.asn);
-    for (const lifetimes::OpLifetime& life : oracle_->result.op.lifetimes)
-      consider(life.asn);
-
-    ASSERT_EQ(got.size(), expected.size()) << "round " << round;
-    std::size_t i = 0;
-    for (const std::uint32_t value : expected) {
-      EXPECT_EQ(got[i].asn.value, value);
-      ++i;
-    }
+    const ScanQuery query = random_scan(rng);
+    const std::set<std::uint32_t> expected = oracle_->scan(query);
+    EXPECT_EQ(asn_values(answer(service, Query::scan(query)).lookups),
+              std::vector<std::uint32_t>(expected.begin(), expected.end()))
+        << "round " << round;
   }
 }
 
@@ -265,19 +302,71 @@ TEST_F(ServeOracleTest, CensusMatchesLinearCountEverywhere) {
   const util::Day end = oracle_->result.truth.archive_end;
   for (int round = 0; round < 8; ++round) {
     const util::Day day = begin + rng.uniform(-5, end - begin + 5);
-    std::int64_t admin_alive = 0;
-    for (const lifetimes::AdminLifetime& life :
-         oracle_->result.admin.lifetimes)
-      if (life.days.contains(day)) ++admin_alive;
-    std::int64_t op_alive = 0;
-    for (const lifetimes::OpLifetime& life : oracle_->result.op.lifetimes)
-      if (life.days.contains(day)) ++op_alive;
-    const std::optional<CensusAnswer> census =
-        answer(service, Query::census(day)).census;
-    ASSERT_TRUE(census.has_value()) << "day " << day;
-    EXPECT_EQ(census->admin_alive, admin_alive) << "day " << day;
-    EXPECT_EQ(census->op_alive, op_alive) << "day " << day;
+    EXPECT_EQ(answer(service, Query::census(day)).census,
+              std::optional<CensusAnswer>(oracle_->census(day)))
+        << "day " << day;
   }
+}
+
+TEST_F(ServeOracleTest, ConcurrentReadersMatchLinearScan) {
+  // QueryService documents concurrent reads as safe: four threads query
+  // one service at once, every kind of question, and each answer must
+  // equal the linear scan. An as_of lookup needs a history attached; its
+  // oracle is the study's datasets over the world cut at that day.
+  const util::Day end = oracle_->result.truth.archive_end;
+  const util::Day past_day = end - 3;
+  auto history = history::HistoryStore::build(
+      oracle_->result.restored, oracle_->result.op_world.activity, end - 5,
+      end);
+  ASSERT_TRUE(history.ok()) << history.status().to_string();
+  const Oracle past(study_at(oracle_->result, past_day));
+  QueryOptions as_of_past;
+  as_of_past.as_of = past_day;
+
+  QueryService service(*snapshot_);
+  service.attach_history(&*history);
+
+  constexpr int kReaders = 4;
+  std::vector<std::thread> readers;
+  for (int reader = 0; reader < kReaders; ++reader) {
+    readers.emplace_back([&, reader] {
+      util::Rng rng(0x5EED + static_cast<std::uint64_t>(reader));
+      const util::Day begin = oracle_->result.truth.archive_begin;
+      for (int round = 0; round < 3; ++round) {
+        const std::vector<asn::Asn> asns =
+            with_duplicates(rng, random_asns(rng, 48));
+        const util::Day day = begin + rng.uniform(0, end - begin);
+
+        const std::vector<AsnAnswer> lookups =
+            answer(service, Query::lookup_batch(asns)).lookups;
+        const std::vector<AliveAnswer> alive =
+            answer(service, Query::alive_batch(asns, day)).alive;
+        EXPECT_EQ(lookups.size(), asns.size());
+        EXPECT_EQ(alive.size(), asns.size());
+        for (std::size_t i = 0; i < asns.size() && i < lookups.size() &&
+                                i < alive.size();
+             ++i) {
+          EXPECT_EQ(lookups[i], oracle_->lookup(asns[i])) << "slot " << i;
+          EXPECT_EQ(alive[i], oracle_->alive(asns[i], day)) << "slot " << i;
+        }
+        for (std::size_t i = 0; i < asns.size(); i += 7) {
+          EXPECT_EQ(answer(service, Query::lookup(asns[i])).lookups,
+                    std::vector<AsnAnswer>{oracle_->lookup(asns[i])});
+          EXPECT_EQ(answer(service, Query::lookup(asns[i], as_of_past)).lookups,
+                    std::vector<AsnAnswer>{past.lookup(asns[i])})
+              << "asn " << asns[i].value << " as of " << past_day;
+        }
+
+        const ScanQuery query = random_scan(rng);
+        const std::set<std::uint32_t> expected = oracle_->scan(query);
+        EXPECT_EQ(asn_values(answer(service, Query::scan(query)).lookups),
+                  std::vector<std::uint32_t>(expected.begin(), expected.end()));
+        EXPECT_EQ(answer(service, Query::census(day)).census,
+                  std::optional<CensusAnswer>(oracle_->census(day)));
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
 }
 
 TEST_F(ServeOracleTest, SnapshotFlagsAgreeWithGlobalDetectors) {
