@@ -99,19 +99,18 @@ int main() {
     outcome.lifetimes = static_cast<std::int64_t>(admin.lifetimes.size());
     outcome.asns = static_cast<std::int64_t>(admin.asn_count());
 
-    if (baseline_lives == 0) {
-      baseline_lives = outcome.lifetimes;
-      for (const auto& [asn, indices] : admin.by_asn)
-        baseline_per_asn[asn] =
-            static_cast<std::int64_t>(indices.size());
-    }
-    for (const auto& [asn, indices] : admin.by_asn) {
-      const auto it = baseline_per_asn.find(asn);
+    const bool baseline = baseline_lives == 0;
+    if (baseline) baseline_lives = outcome.lifetimes;
+    for (std::size_t i = 0; i < admin.lifetimes.size();) {
+      const auto run =
+          lifetimes::asn_run(admin.lifetimes, admin.lifetimes[i].asn);
+      i += run.size();
+      const auto lives = static_cast<std::int64_t>(run.size());
+      if (baseline) baseline_per_asn[run.front().asn.value] = lives;
+      const auto it = baseline_per_asn.find(run.front().asn.value);
       const std::int64_t base =
           it == baseline_per_asn.end() ? 0 : it->second;
-      if (static_cast<std::int64_t>(indices.size()) > base)
-        outcome.excess_lives +=
-            static_cast<std::int64_t>(indices.size()) - base;
+      if (lives > base) outcome.excess_lives += lives - base;
     }
 
     // Registration-date accuracy vs truth: a lifetime's regdate must match

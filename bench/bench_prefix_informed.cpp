@@ -59,10 +59,10 @@ int main() {
   const auto rate = [](const lifetimes::OpDataset& dataset) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.3f",
-                  dataset.by_asn.empty()
+                  dataset.lifetimes.empty()
                       ? 0.0
                       : static_cast<double>(dataset.lifetimes.size()) /
-                            static_cast<double>(dataset.by_asn.size()));
+                            static_cast<double>(dataset.asn_count()));
     return std::string(buf);
   };
   table.add_row({"30-day timeout (paper 4.2)",
@@ -82,11 +82,14 @@ int main() {
   // (prefix-set changes inside the timeout).
   std::int64_t merges = 0;
   std::int64_t splits = 0;
-  for (const auto& [asn, plain_indices] : plain.by_asn) {
-    const auto informed_it = informed.by_asn.find(asn);
-    if (informed_it == informed.by_asn.end()) continue;
-    const auto plain_count = plain_indices.size();
-    const auto informed_count = informed_it->second.size();
+  for (std::size_t i = 0; i < plain.lifetimes.size();) {
+    const auto plain_run =
+        lifetimes::asn_run(plain.lifetimes, plain.lifetimes[i].asn);
+    i += plain_run.size();
+    const auto plain_count = plain_run.size();
+    const auto informed_count =
+        lifetimes::asn_run(informed.lifetimes, plain_run.front().asn).size();
+    if (informed_count == 0) continue;
     if (informed_count < plain_count) merges += static_cast<std::int64_t>(
         plain_count - informed_count);
     if (informed_count > plain_count) splits += static_cast<std::int64_t>(
@@ -103,10 +106,8 @@ int main() {
   std::int64_t checked = 0;
   std::int64_t kept_separate = 0;
   for (const bgpsim::SquatEvent& event : p.op_world.attacks.events) {
-    const auto it = informed.by_asn.find(event.asn.value);
-    if (it == informed.by_asn.end()) continue;
-    for (const std::size_t index : it->second) {
-      const lifetimes::OpLifetime& life = informed.lifetimes[index];
+    for (const lifetimes::OpLifetime& life :
+         lifetimes::asn_run(informed.lifetimes, event.asn)) {
       if (!life.days.overlaps(event.days)) continue;
       ++checked;
       if (life.days.first >= event.days.first - 1) ++kept_separate;

@@ -109,11 +109,11 @@ int main(int argc, char** argv) {
 
   // Point lookup: the first ASN with both an admin and an op dimension —
   // the "parallel lives" the paper is named for.
-  for (const auto& [asn_value, indices] : result.admin.by_asn) {
-    if (!result.op.by_asn.contains(asn_value)) continue;
+  for (const lifetimes::AdminLifetime& first : result.admin.lifetimes) {
+    if (lifetimes::asn_run(result.op.lifetimes, first.asn).empty()) continue;
     const serve::AsnAnswer answer =
-        ask(serve::Query::lookup(asn::Asn{asn_value})).lookups.front();
-    std::cout << "\n  lookup(AS" << asn_value << "): "
+        ask(serve::Query::lookup(first.asn)).lookups.front();
+    std::cout << "\n  lookup(AS" << first.asn.value << "): "
               << answer.admin_life_count << " admin / "
               << answer.op_life_count << " op lives, registered "
               << util::format_iso(answer.latest_registration) << " under "
@@ -121,8 +121,7 @@ int main(int argc, char** argv) {
               << (answer.currently_allocated ? ", currently allocated"
                                              : ", no longer allocated")
               << (answer.currently_active ? " and active" : "") << "\n";
-    std::cout << "    " << lifetimes::admin_record_json(
-        result.admin.lifetimes[indices.front()]) << "\n";
+    std::cout << "    " << lifetimes::admin_record_json(first) << "\n";
     break;
   }
 

@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
   lifetimes::AdminDataset subset;
   for (const lifetimes::AdminLifetime& life : admin.lifetimes)
     if (life.registry == rir) subset.lifetimes.push_back(life);
-  subset.index();
   const std::string json_path =
       std::string(asn::file_token(rir)) + "_admin.jsonl";
   const std::string csv_path =

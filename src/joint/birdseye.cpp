@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
 
 namespace pl::joint {
 
@@ -42,16 +41,6 @@ class DiffSeries {
   std::vector<std::int32_t> delta_;
 };
 
-/// Registry of an ASN's (first) admin life; kRirCount if none.
-std::unordered_map<std::uint32_t, std::size_t> registry_of_asn(
-    const lifetimes::AdminDataset& admin) {
-  std::unordered_map<std::uint32_t, std::size_t> out;
-  out.reserve(admin.by_asn.size());
-  for (const auto& [asn, indices] : admin.by_asn)
-    out.emplace(asn, asn::index_of(admin.lifetimes[indices.front()].registry));
-  return out;
-}
-
 }  // namespace
 
 DailyCensus compute_census(const lifetimes::AdminDataset& admin,
@@ -72,11 +61,12 @@ DailyCensus compute_census(const lifetimes::AdminDataset& admin,
     admin_all.add(life.days);
   }
 
-  const auto registries = registry_of_asn(admin);
+  // An op life counts toward the registry of its ASN's first admin life.
   for (const lifetimes::OpLifetime& life : op.lifetimes) {
     op_all.add(life.days);
-    const auto it = registries.find(life.asn.value);
-    if (it != registries.end()) op_series[it->second].add(life.days);
+    const auto admin_run = lifetimes::asn_run(admin.lifetimes, life.asn);
+    if (!admin_run.empty())
+      op_series[asn::index_of(admin_run.front().registry)].add(life.days);
   }
 
   for (std::size_t r = 0; r < asn::kRirCount; ++r) {
@@ -156,17 +146,19 @@ QuarterlySeries compute_quarterly(const lifetimes::AdminDataset& admin,
 
 namespace {
 
-void tally_lives(std::map<std::pair<std::size_t, std::uint32_t>, int>& counts,
+/// ASN counts with 1, 2 and 3+ lives, per registry.
+using LifeBuckets = std::array<std::array<std::int64_t, 3>, asn::kRirCount>;
+
+void add_asn(LifeBuckets& buckets, std::size_t registry, std::size_t lives) {
+  ++buckets[registry][lives == 1 ? 0 : lives == 2 ? 1 : 2];
+}
+
+void tally_lives(const LifeBuckets& buckets,
                  std::array<LivesPerAsnRow, asn::kRirCount>& rows,
                  LivesPerAsnRow& total) {
-  std::array<std::array<std::int64_t, 3>, asn::kRirCount> buckets{};
   std::array<std::int64_t, 3> total_buckets{};
-  for (const auto& [key, lives] : counts) {
-    const std::size_t bucket = lives == 1 ? 0 : lives == 2 ? 1 : 2;
-    ++buckets[key.first][bucket];
-    ++total_buckets[bucket];
-  }
   for (std::size_t r = 0; r < asn::kRirCount; ++r) {
+    for (std::size_t b = 0; b < 3; ++b) total_buckets[b] += buckets[r][b];
     const std::int64_t n =
         buckets[r][0] + buckets[r][1] + buckets[r][2];
     rows[r].asns = n;
@@ -191,22 +183,26 @@ LivesPerAsnTable compute_lives_per_asn(const lifetimes::AdminDataset& admin,
                                        const lifetimes::OpDataset& op) {
   LivesPerAsnTable table;
 
-  std::map<std::pair<std::size_t, std::uint32_t>, int> admin_counts;
-  for (const auto& [asn, indices] : admin.by_asn) {
-    const std::size_t r =
-        asn::index_of(admin.lifetimes[indices.front()].registry);
-    admin_counts[{r, asn}] = static_cast<int>(indices.size());
+  // Each ASN is one run of each list, counted under the registry of its
+  // first admin life.
+  LifeBuckets admin_buckets{};
+  for (std::size_t i = 0; i < admin.lifetimes.size();) {
+    const auto run =
+        lifetimes::asn_run(admin.lifetimes, admin.lifetimes[i].asn);
+    i += run.size();
+    add_asn(admin_buckets, asn::index_of(run.front().registry), run.size());
   }
-  tally_lives(admin_counts, table.admin, table.admin_total);
+  tally_lives(admin_buckets, table.admin, table.admin_total);
 
-  const auto registries = registry_of_asn(admin);
-  std::map<std::pair<std::size_t, std::uint32_t>, int> op_counts;
-  for (const auto& [asn, indices] : op.by_asn) {
-    const auto it = registries.find(asn);
-    if (it == registries.end()) continue;  // never allocated: no RIR row
-    op_counts[{it->second, asn}] = static_cast<int>(indices.size());
+  LifeBuckets op_buckets{};
+  for (std::size_t i = 0; i < op.lifetimes.size();) {
+    const auto run = lifetimes::asn_run(op.lifetimes, op.lifetimes[i].asn);
+    i += run.size();
+    const auto admin_run = lifetimes::asn_run(admin.lifetimes, run.front().asn);
+    if (admin_run.empty()) continue;  // never allocated: no RIR row
+    add_asn(op_buckets, asn::index_of(admin_run.front().registry), run.size());
   }
-  tally_lives(op_counts, table.op, table.op_total);
+  tally_lives(op_buckets, table.op, table.op_total);
   return table;
 }
 

@@ -86,14 +86,14 @@ std::vector<SquatCandidate> detect_outside_delegation_activity(
   for (std::size_t o = 0; o < op.lifetimes.size(); ++o) {
     if (taxonomy.op_category[o] != Category::kOutsideDelegation) continue;
     const lifetimes::OpLifetime& op_life = op.lifetimes[o];
-    const auto admin_it = admin.by_asn.find(op_life.asn.value);
-    if (admin_it == admin.by_asn.end()) continue;  // never allocated
+    const auto admin_run = lifetimes::asn_run(admin.lifetimes, op_life.asn);
+    if (admin_run.empty()) continue;  // never allocated
 
     // Distance to the closest admin life and to the previous op life.
     std::int64_t closest_admin_gap = -1;
-    std::size_t closest_admin = 0;
-    for (const std::size_t a : admin_it->second) {
-      const auto& admin_days = admin.lifetimes[a].days;
+    const lifetimes::AdminLifetime* closest_admin = nullptr;
+    for (const lifetimes::AdminLifetime& admin_life : admin_run) {
+      const auto& admin_days = admin_life.days;
       std::int64_t gap;
       if (admin_days.last < op_life.days.first)
         gap = op_life.days.first - admin_days.last;
@@ -103,29 +103,28 @@ std::vector<SquatCandidate> detect_outside_delegation_activity(
         continue;  // would overlap; not this category
       if (closest_admin_gap < 0 || gap < closest_admin_gap) {
         closest_admin_gap = gap;
-        closest_admin = a;
+        closest_admin = &admin_life;
       }
     }
-    if (closest_admin_gap < 0) continue;
+    if (closest_admin == nullptr) continue;
 
     std::int64_t dormancy = 0;
-    const auto op_it = op.by_asn.find(op_life.asn.value);
-    for (const std::size_t prior : op_it->second) {
-      if (prior == o) continue;
-      const auto& prior_days = op.lifetimes[prior].days;
-      if (prior_days.last < op_life.days.first)
-        dormancy = op_life.days.first - prior_days.last - 1;
+    for (const lifetimes::OpLifetime& prior :
+         lifetimes::asn_run(op.lifetimes, op_life.asn)) {
+      if (&prior == &op_life) continue;
+      if (prior.days.last < op_life.days.first)
+        dormancy = op_life.days.first - prior.days.last - 1;
     }
 
     SquatCandidate candidate;
     candidate.asn = op_life.asn;
     candidate.op_index = o;
-    candidate.admin_index = closest_admin;
+    candidate.admin_index =
+        static_cast<std::size_t>(closest_admin - admin.lifetimes.data());
     candidate.dormancy = dormancy;
     candidate.relative_duration =
         static_cast<double>(op_life.days.length()) /
-        static_cast<double>(
-            admin.lifetimes[closest_admin].days.length());
+        static_cast<double>(closest_admin->days.length());
     candidates.push_back(candidate);
   }
   return candidates;

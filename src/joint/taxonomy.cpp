@@ -27,9 +27,6 @@ AsnClassification classify_asn(std::span<const lifetimes::AdminLifetime> admin,
   cls.op_to_admin.assign(op.size(), -1);
   cls.admin_to_ops.resize(admin.size());
 
-  std::vector<bool> admin_has_partial(admin.size(), false);
-  std::vector<bool> admin_has_inside(admin.size(), false);
-
   for (std::size_t o = 0; o < op.size(); ++o) {
     const lifetimes::OpLifetime& op_life = op[o];
     std::int64_t best_admin = -1;
@@ -42,10 +39,13 @@ AsnClassification classify_asn(std::span<const lifetimes::AdminLifetime> admin,
       if (overlap <= 0) continue;
       const bool contains = admin_life.days.contains(op_life.days);
       cls.admin_to_ops[a].push_back(o);
-      if (contains)
-        admin_has_inside[a] = true;
-      else
-        admin_has_partial[a] = true;
+      // Any crossing op life makes the admin life partial; otherwise an
+      // inside one makes it complete.
+      Category& admin_class = cls.admin_category[a];
+      if (!contains)
+        admin_class = Category::kPartialOverlap;
+      else if (admin_class == Category::kUnused)
+        admin_class = Category::kCompleteOverlap;
       if (overlap > best_overlap) {
         best_overlap = overlap;
         best_admin = static_cast<std::int64_t>(a);
@@ -53,36 +53,21 @@ AsnClassification classify_asn(std::span<const lifetimes::AdminLifetime> admin,
       }
     }
     cls.op_to_admin[o] = best_admin;
-    if (best_admin < 0)
-      cls.op_category[o] = Category::kOutsideDelegation;
-    else
+    if (best_admin >= 0)
       cls.op_category[o] =
           inside ? Category::kCompleteOverlap : Category::kPartialOverlap;
-  }
-
-  for (std::size_t a = 0; a < admin.size(); ++a) {
-    if (admin_has_partial[a])
-      cls.admin_category[a] = Category::kPartialOverlap;
-    else if (admin_has_inside[a])
-      cls.admin_category[a] = Category::kCompleteOverlap;
-    else
-      cls.admin_category[a] = Category::kUnused;
   }
   return cls;
 }
 
 Taxonomy classify(const lifetimes::AdminDataset& admin,
                   const lifetimes::OpDataset& op) {
-  PL_EXPECT(([&] {
-              for (const auto& [asn, indices] : admin.by_asn)
-                for (const std::size_t index : indices)
-                  if (index >= admin.lifetimes.size() ||
-                      admin.lifetimes[index].asn.value != asn)
-                    return false;
-              return true;
-            })(),
-            "classify() requires a freshly indexed AdminDataset (by_asn "
-            "entries must point at lifetimes of the same ASN)");
+  PL_EXPECT(std::is_sorted(admin.lifetimes.begin(), admin.lifetimes.end(),
+                           lifetimes::AsnStartOrder{}) &&
+                std::is_sorted(op.lifetimes.begin(), op.lifetimes.end(),
+                               lifetimes::AsnStartOrder{}),
+            "classify() requires both datasets sorted by (asn, start): that "
+            "order is the per-ASN index");
   Taxonomy taxonomy;
   taxonomy.admin_category.assign(admin.lifetimes.size(), Category::kUnused);
   taxonomy.op_category.assign(op.lifetimes.size(),
@@ -90,53 +75,40 @@ Taxonomy classify(const lifetimes::AdminDataset& admin,
   taxonomy.op_to_admin.assign(op.lifetimes.size(), -1);
   taxonomy.admin_to_ops.resize(admin.lifetimes.size());
 
-  // Classification only relates lives of the same ASN. A life whose ASN has
-  // no lives on the other side keeps the default assigned above (unused /
-  // outside-delegation), so only ASNs present in both indexes are walked;
-  // within one, ops run in start order, as in classify_asn.
-  std::vector<unsigned char> has_partial;
-  std::vector<unsigned char> has_inside;
-  auto o_it = op.by_asn.begin();
-  for (const auto& [asn, a_idx] : admin.by_asn) {
-    while (o_it != op.by_asn.end() && o_it->first < asn) ++o_it;
-    if (o_it == op.by_asn.end()) break;
-    if (o_it->first != asn) continue;
-    has_partial.assign(a_idx.size(), 0);
-    has_inside.assign(a_idx.size(), 0);
-    for (const std::size_t oi : o_it->second) {
-      const lifetimes::OpLifetime& op_life = op.lifetimes[oi];
-      std::int64_t best_admin = -1;
-      std::int64_t best_overlap = 0;
-      bool inside = false;
-      for (std::size_t a = 0; a < a_idx.size(); ++a) {
-        const lifetimes::AdminLifetime& admin_life = admin.lifetimes[a_idx[a]];
-        const std::int64_t overlap =
-            util::overlap_days(admin_life.days, op_life.days);
-        if (overlap <= 0) continue;
-        const bool contains = admin_life.days.contains(op_life.days);
-        taxonomy.admin_to_ops[a_idx[a]].push_back(oi);
-        if (contains)
-          has_inside[a] = 1;
-        else
-          has_partial[a] = 1;
-        if (overlap > best_overlap) {
-          best_overlap = overlap;
-          best_admin = static_cast<std::int64_t>(a);
-          inside = contains;
-        }
-      }
-      if (best_admin >= 0) {
-        taxonomy.op_to_admin[oi] = static_cast<std::int64_t>(
-            a_idx[static_cast<std::size_t>(best_admin)]);
-        taxonomy.op_category[oi] = inside ? Category::kCompleteOverlap
-                                          : Category::kPartialOverlap;
-      }
+  // Classification only relates lives of the same ASN, and each ASN's lives
+  // are one contiguous run of each list. Merge-walk the two lists and
+  // classify every ASN with lives on both sides; a life whose ASN has none
+  // on the other side keeps the default assigned above (unused /
+  // outside-delegation), which is what classify_asn gives it too.
+  const std::span<const lifetimes::AdminLifetime> admins = admin.lifetimes;
+  const std::span<const lifetimes::OpLifetime> ops = op.lifetimes;
+  for (std::size_t a = 0, o = 0; a < admins.size() && o < ops.size();) {
+    if (admins[a].asn < ops[o].asn) {
+      ++a;
+      continue;
     }
-    for (std::size_t a = 0; a < a_idx.size(); ++a) {
-      if (has_partial[a] != 0)
-        taxonomy.admin_category[a_idx[a]] = Category::kPartialOverlap;
-      else if (has_inside[a] != 0)
-        taxonomy.admin_category[a_idx[a]] = Category::kCompleteOverlap;
+    if (ops[o].asn < admins[a].asn) {
+      ++o;
+      continue;
+    }
+    const asn::Asn asn = admins[a].asn;
+    const std::size_t a_begin = a;
+    const std::size_t o_begin = o;
+    while (a < admins.size() && admins[a].asn == asn) ++a;
+    while (o < ops.size() && ops[o].asn == asn) ++o;
+    AsnClassification cls =
+        classify_asn(admins.subspan(a_begin, a - a_begin),
+                     ops.subspan(o_begin, o - o_begin));
+    for (std::size_t i = 0; i < cls.admin_category.size(); ++i) {
+      taxonomy.admin_category[a_begin + i] = cls.admin_category[i];
+      for (std::size_t& local : cls.admin_to_ops[i]) local += o_begin;
+      taxonomy.admin_to_ops[a_begin + i] = std::move(cls.admin_to_ops[i]);
+    }
+    for (std::size_t i = 0; i < cls.op_category.size(); ++i) {
+      taxonomy.op_category[o_begin + i] = cls.op_category[i];
+      if (cls.op_to_admin[i] >= 0)
+        taxonomy.op_to_admin[o_begin + i] =
+            static_cast<std::int64_t>(a_begin) + cls.op_to_admin[i];
     }
   }
 
@@ -170,7 +142,7 @@ OutsideSplit split_outside(const Taxonomy& taxonomy,
     if (taxonomy.op_category[o] != Category::kOutsideDelegation) continue;
     const std::uint32_t asn = op.lifetimes[o].asn.value;
     if (asn::is_bogon(asn::Asn{asn})) continue;  // operators filter bogons
-    if (admin.by_asn.contains(asn))
+    if (!lifetimes::asn_run(admin.lifetimes, asn::Asn{asn}).empty())
       ever.insert(asn);
     else
       never.insert(asn);

@@ -64,8 +64,8 @@ struct AsnClassification {
                          const AsnClassification&) = default;
 };
 
-/// Classify one ASN. Both spans must be sorted by start day (the dataset
-/// invariant after index()).
+/// Classify one ASN. Both spans must be sorted by start day, as each ASN's
+/// run of a dataset is.
 AsnClassification classify_asn(std::span<const lifetimes::AdminLifetime> admin,
                                std::span<const lifetimes::OpLifetime> op);
 
@@ -73,7 +73,8 @@ AsnClassification classify_asn(std::span<const lifetimes::AdminLifetime> admin,
 /// the same ASN, "partial" if it overlaps one but crosses its boundary,
 /// "outside" if it overlaps none. An admin life is "partial" if any op life
 /// crosses its boundary, else "complete" if any op life lies inside, else
-/// "unused".
+/// "unused". Both datasets must be sorted by (asn, start); each ASN's runs
+/// go through `classify_asn`.
 Taxonomy classify(const lifetimes::AdminDataset& admin,
                   const lifetimes::OpDataset& op);
 

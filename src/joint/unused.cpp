@@ -59,7 +59,8 @@ UnusedAnalysis analyze_unused(const Taxonomy& taxonomy,
 
   analysis.unused_asns = static_cast<std::int64_t>(unused_asns.size());
   for (const std::uint32_t asn : unused_asns)
-    if (!used_asns.contains(asn) && !op.by_asn.contains(asn))
+    if (!used_asns.contains(asn) &&
+        lifetimes::asn_run(op.lifetimes, asn::Asn{asn}).empty())
       ++analysis.never_seen_asns;
 
   for (std::size_t r = 0; r < asn::kRirCount; ++r)

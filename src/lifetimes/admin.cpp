@@ -193,33 +193,6 @@ void append_asn_lifetimes(std::uint32_t asn_value,
 
 }  // namespace
 
-void AdminDataset::index() {
-  by_asn.clear();
-  std::sort(lifetimes.begin(), lifetimes.end(),
-            [](const AdminLifetime& a, const AdminLifetime& b) {
-              if (a.asn != b.asn) return a.asn < b.asn;
-              return a.days.first < b.days.first;
-            });
-  // Lifetimes are sorted by ASN, so keys arrive ascending: the end-hint
-  // makes every map insert O(1) instead of a fresh root-down walk.
-  std::vector<std::size_t>* slot = nullptr;
-  for (std::size_t i = 0; i < lifetimes.size(); ++i) {
-    const std::uint32_t asn = lifetimes[i].asn.value;
-    if (slot == nullptr || by_asn.rbegin()->first != asn)
-      slot = &by_asn
-                  .emplace_hint(by_asn.end(), asn,
-                                std::vector<std::size_t>{})
-                  ->second;
-    slot->push_back(i);
-  }
-  PL_ASSERT_SORTED(lifetimes,
-                   [](const AdminLifetime& a, const AdminLifetime& b) {
-                     if (a.asn != b.asn) return a.asn < b.asn;
-                     return a.days.first < b.days.first;
-                   },
-                   "AdminDataset::lifetimes after index()");
-}
-
 FirstObserved registry_first_observed(const restore::RestoredArchive& archive) {
   FirstObserved first_observed;
   for (const restore::RestoredRegistry& registry : archive.registries) {
@@ -252,7 +225,6 @@ AdminDataset build_admin_lifetimes(const restore::RestoredArchive& archive,
   dataset.archive_end = archive_end;
   dataset.lifetimes = build_admin_lifetimes(
       spans, registry_first_observed(archive), archive_end, config);
-  dataset.index();
   return dataset;
 }
 
@@ -288,6 +260,8 @@ std::vector<AdminLifetime> build_admin_lifetimes(
     append_asn_lifetimes(*asn_value, asn_spans, first_observed, archive_end,
                          config, pieces, lifetimes);
   }
+  PL_ASSERT_SORTED(lifetimes, AsnStartOrder{},
+                   "admin lifetimes leaving the builder");
   return lifetimes;
 }
 

@@ -18,6 +18,7 @@
 #include <optional>
 #include <vector>
 
+#include "lifetimes/order.hpp"
 #include "obs/metrics.hpp"
 #include "restore/types.hpp"
 
@@ -47,13 +48,11 @@ struct AdminBuildConfig {
 };
 
 struct AdminDataset {
-  std::vector<AdminLifetime> lifetimes;  ///< sorted by (asn, start)
-  std::map<std::uint32_t, std::vector<std::size_t>> by_asn;
+  /// Sorted by (asn, start) — the per-ASN index (see lifetimes/order.hpp).
+  std::vector<AdminLifetime> lifetimes;
   util::Day archive_end = 0;
 
-  std::size_t asn_count() const noexcept { return by_asn.size(); }
-
-  void index();
+  std::size_t asn_count() const noexcept { return count_asns(lifetimes); }
 };
 
 /// Each registry's first observed day, in `kAllRirs` order — the minimum
@@ -71,14 +70,13 @@ using RegistrySpanMaps =
 /// Build the administrative lifetimes, sorted by (asn, start), from the
 /// per-registry span maps and their backdating anchors. The serving layer
 /// derives every snapshot's admin lives through this form, over its
-/// working set; it needs no per-ASN index, so none is built.
+/// working set.
 std::vector<AdminLifetime> build_admin_lifetimes(
     const RegistrySpanMaps& spans, const FirstObserved& first_observed,
     util::Day archive_end, const AdminBuildConfig& config = {});
 
 /// Build the administrative dataset from the restored archive: the form
-/// above over its registries and `registry_first_observed(archive)`, then
-/// indexed.
+/// above over its registries and `registry_first_observed(archive)`.
 AdminDataset build_admin_lifetimes(const restore::RestoredArchive& archive,
                                    util::Day archive_end,
                                    const AdminBuildConfig& config = {});

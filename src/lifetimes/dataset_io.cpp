@@ -179,10 +179,12 @@ pl::StatusOr<AdminDataset> load_admin_json(std::istream& in) {
     dataset.archive_end = std::max(dataset.archive_end, *end);
   }
   if (in.bad()) return pl::unavailable_error("stream read failed");
-  dataset.index();
-  // index() sorted by (asn, start): any same-ASN neighbour whose intervals
-  // touch is a duplicate or an overlap — the builder never emits those, so
-  // the file is damaged or hand-edited. Reject rather than serve it.
+  // Restore the (asn, start) order the builder guarantees. Then any
+  // same-ASN neighbour whose intervals touch is a duplicate or an overlap —
+  // the builder never emits those, so the file is damaged or hand-edited.
+  // Reject rather than serve it.
+  std::sort(dataset.lifetimes.begin(), dataset.lifetimes.end(),
+            AsnStartOrder{});
   for (std::size_t i = 1; i < dataset.lifetimes.size(); ++i) {
     const AdminLifetime& prev = dataset.lifetimes[i - 1];
     const AdminLifetime& cur = dataset.lifetimes[i];
@@ -214,14 +216,9 @@ pl::StatusOr<OpDataset> load_op_json(std::istream& in) {
         OpLifetime{*asn, util::DayInterval{*start, *end}});
   }
   if (in.bad()) return pl::unavailable_error("stream read failed");
-  // Restore the (asn, start) order and by_asn index the builder guarantees.
+  // Restore the (asn, start) order; reject overlaps as above.
   std::sort(dataset.lifetimes.begin(), dataset.lifetimes.end(),
-            [](const OpLifetime& a, const OpLifetime& b) {
-              if (a.asn != b.asn) return a.asn < b.asn;
-              return a.days.first < b.days.first;
-            });
-  for (std::size_t i = 0; i < dataset.lifetimes.size(); ++i)
-    dataset.by_asn[dataset.lifetimes[i].asn.value].push_back(i);
+            AsnStartOrder{});
   for (std::size_t i = 1; i < dataset.lifetimes.size(); ++i) {
     const OpLifetime& prev = dataset.lifetimes[i - 1];
     const OpLifetime& cur = dataset.lifetimes[i];

@@ -5,7 +5,7 @@
 // Every entry point returns pl::Status / pl::StatusOr — the bool/exception
 // mix older callers juggled is gone, and the legacy void `write_*` shims
 // are gone with it. Loaders validate shape as well as syntax: duplicate or
-// overlapping lifetimes for one ASN are kDataLoss, not silently indexed.
+// overlapping lifetimes for one ASN are kDataLoss, not silently served.
 #pragma once
 
 #include <istream>
@@ -38,8 +38,9 @@ pl::Status save_op_json(const std::string& path, const OpDataset& dataset);
 /// Parse a Listing-1 JSON-lines stream back into a dataset. Blank lines are
 /// skipped; a malformed line fails with kDataLoss naming the line number.
 /// The JSON form carries only the Listing-1 fields, so `country`,
-/// `opaque_id`, `open_ended` and `transferred` come back defaulted; the
-/// dataset is re-indexed and `archive_end` is set to the latest end date.
+/// `opaque_id`, `open_ended` and `transferred` come back defaulted.
+/// Records may arrive in any order; the dataset comes back sorted by
+/// (asn, start), and the admin `archive_end` is the latest end date.
 pl::StatusOr<AdminDataset> load_admin_json(std::istream& in);
 pl::StatusOr<OpDataset> load_op_json(std::istream& in);
 

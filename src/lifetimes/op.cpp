@@ -29,21 +29,7 @@ std::vector<OpLifetime> coalesce_activity(const bgp::ActivityTable& activity,
 
 OpDataset build_op_lifetimes(const bgp::ActivityTable& activity,
                              int timeout_days) {
-  OpDataset dataset;
-  dataset.lifetimes = coalesce_activity(activity, timeout_days);
-  // Lifetimes are sorted by ASN, so hinting at end() makes each index-map
-  // insert O(1) instead of a tree descent.
-  std::vector<std::size_t>* slot = nullptr;
-  for (std::size_t i = 0; i < dataset.lifetimes.size(); ++i) {
-    const std::uint32_t asn = dataset.lifetimes[i].asn.value;
-    if (slot == nullptr || dataset.by_asn.rbegin()->first != asn)
-      slot = &dataset.by_asn
-                  .emplace_hint(dataset.by_asn.end(), asn,
-                                std::vector<std::size_t>{})
-                  ->second;
-    slot->push_back(i);
-  }
-  return dataset;
+  return OpDataset{coalesce_activity(activity, timeout_days)};
 }
 
 void record_metrics(const OpDataset& dataset, obs::Registry& metrics) {

@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "bgp/activity.hpp"
+#include "lifetimes/order.hpp"
 #include "obs/metrics.hpp"
 #include "util/interval.hpp"
 
@@ -24,19 +24,19 @@ struct OpLifetime {
 };
 
 struct OpDataset {
-  std::vector<OpLifetime> lifetimes;  ///< sorted by (asn, start)
-  std::map<std::uint32_t, std::vector<std::size_t>> by_asn;
+  /// Sorted by (asn, start) — the per-ASN index (see lifetimes/order.hpp).
+  std::vector<OpLifetime> lifetimes;
 
-  std::size_t asn_count() const noexcept { return by_asn.size(); }
+  std::size_t asn_count() const noexcept { return count_asns(lifetimes); }
 };
 
 /// Coalesce activity runs into lifetimes using `timeout_days`, sorted by
 /// (asn, start). The serving layer derives every snapshot's op lives
-/// through this form; it needs no per-ASN index, so none is built.
+/// through this form.
 std::vector<OpLifetime> coalesce_activity(
     const bgp::ActivityTable& activity, int timeout_days = kPaperTimeoutDays);
 
-/// The op dataset: `coalesce_activity`, indexed by ASN.
+/// The op dataset: `coalesce_activity` as a dataset.
 OpDataset build_op_lifetimes(const bgp::ActivityTable& activity,
                              int timeout_days = kPaperTimeoutDays);
 

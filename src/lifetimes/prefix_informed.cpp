@@ -72,11 +72,8 @@ OpDataset build_prefix_informed_lifetimes(const bgp::ActivityTable& activity,
       }
     }
 
-    auto& indices = dataset.by_asn[asn.value];
-    for (const util::DayInterval& life : lives) {
-      indices.push_back(dataset.lifetimes.size());
+    for (const util::DayInterval& life : lives)
       dataset.lifetimes.push_back(OpLifetime{asn, life});
-    }
   }
   return dataset;
 }

@@ -51,7 +51,7 @@ struct Config {
   bool inject_chaos = false;
   robust::ChaosConfig chaos;
   /// Write the JSON observability report (trace tree + metrics snapshot,
-  /// schema `pl-obs/1`) to this path after the run. Empty falls back to the
+  /// schema `pl-obs/2`) to this path after the run. Empty falls back to the
   /// `PL_TRACE` environment variable; unset disables the dump. The report
   /// is always available in memory as `Result::report` either way.
   std::string trace_path;

@@ -149,8 +149,8 @@ class StreamingRestorer {
 
 /// Publish one registry's sanitization-step accounting (§3.1 steps i–v plus
 /// the ingestion guard) into the metrics registry, labelled
-/// `{registry="<file token>"}`. Counters only — parallel-safe, so the
-/// pipeline calls this from inside the per-registry restore shards.
+/// `{registry="<file token>"}`. Counters only; the pipeline calls it once
+/// per restored registry.
 void record_metrics(const RestorationReport& report, asn::Rir rir,
                     obs::Registry& metrics);
 

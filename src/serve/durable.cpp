@@ -581,22 +581,18 @@ pl::StatusOr<WalReplay> replay_wal(const std::string& path) {
   return replay;
 }
 
-// -- deterministic retry ---------------------------------------------------
+// -- retry -----------------------------------------------------------------
 
 pl::StatusOr<Snapshot> load_with_retry(const SnapshotLoader& loader,
                                        const RetryPolicy& policy,
-                                       VirtualClock& clock, int* attempts) {
+                                       int* attempts) {
   const int max_attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;
-  std::int64_t delay = policy.base_delay_ms;
   pl::StatusOr<Snapshot> result = pl::internal_error("retry loop never ran");
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     if (attempts != nullptr) *attempts = attempt;
     result = loader();
     if (result.ok() || result.status().code() != pl::StatusCode::kUnavailable)
       return result;
-    if (attempt == max_attempts) break;
-    clock.sleep_ms(delay < policy.max_delay_ms ? delay : policy.max_delay_ms);
-    delay *= 2;
   }
   return result;
 }
@@ -669,7 +665,7 @@ pl::Status DurableService::open_impl(Snapshot bootstrap) {
                                       ? config_.loader
                                       : [&spath] { return open_snapshot(spath); };
     int attempts = 0;
-    auto loaded = load_with_retry(loader, config_.retry, clock_, &attempts);
+    auto loaded = load_with_retry(loader, config_.retry, &attempts);
     health_.load_attempts = attempts;
     metrics_->counter("pl_serve_snapshot_load_attempts").add(attempts);
     if (loaded.ok()) {

@@ -21,7 +21,7 @@
 //     WAL truncate), replay on open, quarantine of days that fail to fold,
 //     and a structured `HealthReport` so operators see degradation instead
 //     of guessing. Snapshot loads retry transient `kUnavailable` errors
-//     with deterministic virtual-clock backoff.
+//     up to `RetryPolicy::max_attempts` times.
 //
 // Crash discipline: every mutation of durable state passes named
 // `robust::CrashPoints` sites (`kAdvanceCrashSites`); the crash test kills
@@ -131,25 +131,11 @@ struct WalReplay {
 /// accounting so the caller can degrade instead of dying.
 pl::StatusOr<WalReplay> replay_wal(const std::string& path);
 
-// -- deterministic retry ---------------------------------------------------
+// -- retry -----------------------------------------------------------------
 
-/// Fake monotonic clock for deterministic backoff: sleep just advances the
-/// counter. Tests and the retry loop share one instance, so "how long did
-/// we back off" is exact and reproducible.
-class VirtualClock {
- public:
-  std::int64_t now_ms() const noexcept { return now_ms_; }
-  void sleep_ms(std::int64_t ms) noexcept { now_ms_ += ms < 0 ? 0 : ms; }
-
- private:
-  std::int64_t now_ms_ = 0;
-};
-
-/// Bounded exponential backoff for transient (kUnavailable) load errors.
+/// Retry bound for transient (kUnavailable) load errors.
 struct RetryPolicy {
-  int max_attempts = 4;              ///< total attempts, first one included
-  std::int64_t base_delay_ms = 50;   ///< delay before attempt 2
-  std::int64_t max_delay_ms = 2000;  ///< cap for the doubling delay
+  int max_attempts = 4;  ///< total attempts, first one included
 
   friend bool operator==(const RetryPolicy&, const RetryPolicy&) = default;
 };
@@ -157,12 +143,11 @@ struct RetryPolicy {
 /// Loader signature for `load_with_retry` (and the DurableConfig test hook).
 using SnapshotLoader = std::function<pl::StatusOr<Snapshot>()>;
 
-/// Run `loader` until it succeeds or fails with anything other than
-/// kUnavailable, sleeping on `clock` between attempts per `policy`. The
-/// attempt count (>= 1) lands in `*attempts` when non-null.
+/// Run `loader` until it succeeds, fails with anything other than
+/// kUnavailable, or has run `policy.max_attempts` times; attempts run back
+/// to back. The attempt count (>= 1) lands in `*attempts` when non-null.
 pl::StatusOr<Snapshot> load_with_retry(const SnapshotLoader& loader,
                                        const RetryPolicy& policy,
-                                       VirtualClock& clock,
                                        int* attempts = nullptr);
 
 // -- the durable service ---------------------------------------------------
@@ -301,7 +286,6 @@ class DurableService {
   std::unique_ptr<obs::FlightRecorder> flight_;  ///< shared with service_
   std::unique_ptr<QueryService> service_;
 
-  VirtualClock clock_;
   HealthReport health_;
   int days_since_checkpoint_ = 0;
   bool crashed_ = false;  ///< injected crash latched; instance is dead

@@ -217,12 +217,10 @@ Snapshot Snapshot::from_datasets(lifetimes::AdminDataset admin,
   Snapshot snap;
   snap.config_ = config;
 
-  const auto by_asn_then_start = [](const auto& a, const auto& b) {
-    if (a.asn != b.asn) return a.asn < b.asn;
-    return a.days.first < b.days.first;
-  };
-  std::sort(admin.lifetimes.begin(), admin.lifetimes.end(), by_asn_then_start);
-  std::sort(op.lifetimes.begin(), op.lifetimes.end(), by_asn_then_start);
+  std::sort(admin.lifetimes.begin(), admin.lifetimes.end(),
+            lifetimes::AsnStartOrder{});
+  std::sort(op.lifetimes.begin(), op.lifetimes.end(),
+            lifetimes::AsnStartOrder{});
 
   util::Day end = admin.archive_end;
   for (const lifetimes::AdminLifetime& life : admin.lifetimes)

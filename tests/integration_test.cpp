@@ -93,11 +93,12 @@ TEST_F(IntegrationTest, AdminLifetimeCountMatchesObservableTruth) {
 }
 
 TEST_F(IntegrationTest, AdminLivesPerAsnNeverOverlap) {
-  for (const auto& [asn_value, indices] : pipeline().admin.by_asn)
-    for (std::size_t k = 1; k < indices.size(); ++k)
-      EXPECT_LT(pipeline().admin.lifetimes[indices[k - 1]].days.last,
-                pipeline().admin.lifetimes[indices[k]].days.first)
-          << asn_value;
+  const auto& lives = pipeline().admin.lifetimes;
+  for (std::size_t i = 1; i < lives.size(); ++i)
+    if (lives[i - 1].asn == lives[i].asn) {
+      EXPECT_LT(lives[i - 1].days.last, lives[i].days.first)
+          << lives[i].asn.value;
+    }
 }
 
 TEST_F(IntegrationTest, TaxonomyIsAPartition) {

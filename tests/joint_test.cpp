@@ -13,6 +13,7 @@ namespace {
 
 using lifetimes::AdminDataset;
 using lifetimes::AdminLifetime;
+using lifetimes::AsnStartOrder;
 using lifetimes::OpDataset;
 using lifetimes::OpLifetime;
 using util::DayInterval;
@@ -44,18 +45,12 @@ struct Fixture {
   void add_admin(AdminLifetime life) { admin.lifetimes.push_back(life); }
   void add_op(OpLifetime life) { op.lifetimes.push_back(life); }
 
+  /// Put both lists in the (asn, start) order the builders emit.
   void finish() {
-    admin.index();
+    std::sort(admin.lifetimes.begin(), admin.lifetimes.end(),
+              AsnStartOrder{});
     admin.archive_end = make_day(2021, 3, 1);
-    // Build the op index the same way build_op_lifetimes does.
-    std::sort(op.lifetimes.begin(), op.lifetimes.end(),
-              [](const OpLifetime& a, const OpLifetime& b) {
-                if (a.asn != b.asn) return a.asn < b.asn;
-                return a.days.first < b.days.first;
-              });
-    op.by_asn.clear();
-    for (std::size_t i = 0; i < op.lifetimes.size(); ++i)
-      op.by_asn[op.lifetimes[i].asn.value].push_back(i);
+    std::sort(op.lifetimes.begin(), op.lifetimes.end(), AsnStartOrder{});
   }
 };
 

@@ -2,6 +2,9 @@
 // restored-archive inputs, structural invariants as oracles.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "lifetimes/admin.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
@@ -89,7 +92,7 @@ TEST_P(AdminBuilderProperty, InvariantsHold) {
 
   // 1. Every ASN with delegated spans produces at least one lifetime and
   //    vice versa.
-  EXPECT_EQ(dataset.by_asn.size(), delegated.size());
+  EXPECT_EQ(dataset.asn_count(), delegated.size());
 
   std::map<std::uint32_t, util::IntervalSet> covered;
   for (const AdminLifetime& life : dataset.lifetimes) {
@@ -114,13 +117,31 @@ TEST_P(AdminBuilderProperty, InvariantsHold) {
   }
 
   // 6. Per-ASN lifetimes are disjoint and ordered.
-  for (const auto& [asn_value, indices] : dataset.by_asn)
-    for (std::size_t k = 1; k < indices.size(); ++k)
-      EXPECT_LT(dataset.lifetimes[indices[k - 1]].days.last,
-                dataset.lifetimes[indices[k]].days.first)
-          << "asn " << asn_value;
+  for (std::size_t i = 1; i < dataset.lifetimes.size(); ++i)
+    if (dataset.lifetimes[i - 1].asn == dataset.lifetimes[i].asn) {
+      EXPECT_LT(dataset.lifetimes[i - 1].days.last,
+                dataset.lifetimes[i].days.first)
+          << "asn " << dataset.lifetimes[i].asn.value;
+    }
 
-  // 7. Determinism: rebuilding yields the identical dataset.
+  // 7. The (asn, start) order is the per-ASN index: every ASN's run (and
+  //    the empty run of an ASN with no life, 99 and 300 included) is
+  //    exactly the linear filter of that ASN's lives, in order, and
+  //    asn_count() is the number of distinct ASNs.
+  std::set<std::uint32_t> distinct;
+  for (const AdminLifetime& life : dataset.lifetimes)
+    distinct.insert(life.asn.value);
+  EXPECT_EQ(dataset.asn_count(), distinct.size());
+  for (std::uint32_t value = 99; value <= 300; ++value) {
+    std::vector<AdminLifetime> expected;
+    for (const AdminLifetime& life : dataset.lifetimes)
+      if (life.asn.value == value) expected.push_back(life);
+    const auto run = asn_run(dataset.lifetimes, asn::Asn{value});
+    EXPECT_EQ(std::vector<AdminLifetime>(run.begin(), run.end()), expected)
+        << "asn " << value;
+  }
+
+  // 8. Determinism: rebuilding yields the identical dataset.
   const AdminDataset again = build_admin_lifetimes(archive, kEnd);
   ASSERT_EQ(again.lifetimes.size(), dataset.lifetimes.size());
   for (std::size_t i = 0; i < dataset.lifetimes.size(); ++i) {

@@ -196,7 +196,9 @@ TEST(AdminBuilder, IndexGroupsByAsn) {
   const AdminDataset dataset = build_admin_lifetimes(archive, kEnd);
   EXPECT_EQ(dataset.lifetimes.size(), 3u);
   EXPECT_EQ(dataset.asn_count(), 2u);
-  EXPECT_EQ(dataset.by_asn.at(100).size(), 2u);
+  EXPECT_EQ(asn_run(dataset.lifetimes, asn::Asn{100}).size(), 2u);
+  EXPECT_EQ(asn_run(dataset.lifetimes, asn::Asn{300}).size(), 1u);
+  EXPECT_TRUE(asn_run(dataset.lifetimes, asn::Asn{200}).empty());
   // Lifetimes sorted by (asn, start).
   EXPECT_LE(dataset.lifetimes[0].days.first, dataset.lifetimes[1].days.first);
 }
@@ -235,7 +237,6 @@ TEST(Sensitivity, CurvesAreMonotone) {
     life.days = DayInterval{0, 600};
     admin.lifetimes.push_back(life);
   }
-  admin.index();
 
   const SensitivityCurves curves = analyze_timeout_sensitivity(
       activity, admin, {1, 5, 40, 400});
@@ -279,7 +280,6 @@ TEST(DatasetIo, CsvHasHeaderAndRows) {
   life.registration_date = make_day(2000, 1, 1);
   life.days = DayInterval{make_day(2000, 1, 1), make_day(2001, 1, 1)};
   dataset.lifetimes.push_back(life);
-  dataset.index();
   std::ostringstream out;
   ASSERT_TRUE(save_admin_csv(out, dataset).ok());
   const std::string text = out.str();

@@ -310,36 +310,26 @@ TEST(DurableRetry, TransientUnavailableIsRetriedDeterministically) {
     if (calls < 3) return pl::unavailable_error("transient");
     return Snapshot{};
   };
-  VirtualClock clock;
   RetryPolicy policy;
   policy.max_attempts = 4;
-  policy.base_delay_ms = 50;
-  policy.max_delay_ms = 2000;
   int attempts = 0;
-  auto loaded = load_with_retry(loader, policy, clock, &attempts);
+  auto loaded = load_with_retry(loader, policy, &attempts);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(attempts, 3);
-  // Virtual backoff: 50ms then 100ms — exact, no wall clock involved.
-  EXPECT_EQ(clock.now_ms(), 150);
 }
 
-TEST(DurableRetry, GivesUpAfterMaxAttemptsAndCapsBackoff) {
+TEST(DurableRetry, GivesUpAfterMaxAttempts) {
   int calls = 0;
   const SnapshotLoader loader = [&calls]() -> pl::StatusOr<Snapshot> {
     ++calls;
     return pl::unavailable_error("still down");
   };
-  VirtualClock clock;
   RetryPolicy policy;
   policy.max_attempts = 5;
-  policy.base_delay_ms = 800;
-  policy.max_delay_ms = 1000;
-  auto loaded = load_with_retry(loader, policy, clock);
+  auto loaded = load_with_retry(loader, policy);
   EXPECT_EQ(loaded.status().code(), pl::StatusCode::kUnavailable);
   EXPECT_EQ(calls, 5);
-  // 800 + 1000 + 1000 + 1000: the cap kicks in after the first doubling.
-  EXPECT_EQ(clock.now_ms(), 3800);
 }
 
 TEST(DurableRetry, PermanentErrorsAreNotRetried) {
@@ -348,11 +338,9 @@ TEST(DurableRetry, PermanentErrorsAreNotRetried) {
     ++calls;
     return pl::data_loss_error("corrupt");
   };
-  VirtualClock clock;
-  auto loaded = load_with_retry(loader, RetryPolicy{}, clock);
+  auto loaded = load_with_retry(loader, RetryPolicy{});
   EXPECT_EQ(loaded.status().code(), pl::StatusCode::kDataLoss);
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(clock.now_ms(), 0);
 }
 
 TEST(DurableService, AdvancesAndRecoversAcrossReopen) {

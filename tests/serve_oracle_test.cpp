@@ -49,6 +49,25 @@ struct Oracle {
       outside_asns.insert(candidate.asn.value);
   }
 
+  /// The §6 class of one admin life, written out from the definitions in
+  /// joint/taxonomy.hpp rather than taken from the pipeline's taxonomy
+  /// (which the snapshot shares a classifier with): "partial" if an op
+  /// life of its ASN shares a day with it but crosses its boundary, else
+  /// "complete" if one lies inside it, else "unused".
+  joint::Category admin_category(const lifetimes::AdminLifetime& life) const {
+    bool inside = false;
+    for (const lifetimes::OpLifetime& op : result.op.lifetimes) {
+      if (op.asn != life.asn || op.days.last < life.days.first ||
+          life.days.last < op.days.first)
+        continue;
+      if (op.days.first < life.days.first || life.days.last < op.days.last)
+        return joint::Category::kPartialOverlap;
+      inside = true;
+    }
+    return inside ? joint::Category::kCompleteOverlap
+                  : joint::Category::kUnused;
+  }
+
   /// Linear-scan answer for one ASN — no index, no snapshot.
   AsnAnswer lookup(asn::Asn asn) const {
     AsnAnswer answer;
@@ -75,8 +94,7 @@ struct Oracle {
       answer.latest_registry = latest.registry;
       answer.latest_country = latest.country;
       answer.latest_registration = latest.registration_date;
-      answer.latest_admin_category =
-          result.taxonomy.admin_category[admin_indices.back()];
+      answer.latest_admin_category = admin_category(latest);
       for (const std::size_t i : admin_indices) {
         const lifetimes::AdminLifetime& life = result.admin.lifetimes[i];
         if (life.days.contains(end)) answer.currently_allocated = true;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "history/store.hpp"
 #include "lifetimes/dataset_io.hpp"
@@ -12,6 +15,7 @@
 #include "serve/query.hpp"
 #include "serve/serving.hpp"
 #include "serve/snapshot.hpp"
+#include "util/rng.hpp"
 #include "util/status.hpp"
 
 namespace pl::serve {
@@ -27,6 +31,22 @@ pipeline::Result small_pipeline() {
 Snapshot small_snapshot(const pipeline::Result& result) {
   return Snapshot::build(result.restored, result.op_world.activity,
                          result.truth.archive_end);
+}
+
+/// The lines of `records` in a seeded random order, so a loader cannot
+/// lean on the order a dataset was saved in.
+std::stringstream shuffled_lines(const std::string& records) {
+  std::vector<std::string> lines;
+  std::istringstream in(records);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  util::Rng rng(20);
+  for (std::size_t i = lines.size(); i > 1; --i)
+    std::swap(lines[i - 1],
+              lines[static_cast<std::size_t>(
+                  rng.uniform(0, static_cast<std::int64_t>(i) - 1))]);
+  std::stringstream out;
+  for (const std::string& line : lines) out << line << '\n';
+  return out;
 }
 
 /// `q` answered by `service`; the query must succeed.
@@ -75,7 +95,15 @@ TEST(DatasetIo, AdminJsonRoundTripsListingFields) {
     EXPECT_EQ(out.days, in.days);
     EXPECT_EQ(out.registry, in.registry);
   }
-  EXPECT_EQ(loaded->by_asn.size(), result.admin.by_asn.size());
+  EXPECT_EQ(loaded->asn_count(), result.admin.asn_count());
+
+  // The same records in shuffled order come back in (asn, start) order.
+  std::stringstream shuffled = shuffled_lines(stream.str());
+  pl::StatusOr<lifetimes::AdminDataset> reloaded =
+      lifetimes::load_admin_json(shuffled);
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(reloaded->lifetimes, loaded->lifetimes);
+  EXPECT_EQ(reloaded->archive_end, loaded->archive_end);
 }
 
 TEST(DatasetIo, OpJsonRoundTripsExactly) {
@@ -86,7 +114,14 @@ TEST(DatasetIo, OpJsonRoundTripsExactly) {
   pl::StatusOr<lifetimes::OpDataset> loaded = lifetimes::load_op_json(stream);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->lifetimes, result.op.lifetimes);
-  EXPECT_EQ(loaded->by_asn, result.op.by_asn);
+  EXPECT_EQ(loaded->asn_count(), result.op.asn_count());
+
+  // The same records in shuffled order come back in (asn, start) order.
+  std::stringstream shuffled = shuffled_lines(stream.str());
+  pl::StatusOr<lifetimes::OpDataset> reloaded =
+      lifetimes::load_op_json(shuffled);
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(reloaded->lifetimes, result.op.lifetimes);
 }
 
 TEST(DatasetIo, MalformedLineFailsWithDataLossNamingTheLine) {
@@ -130,25 +165,28 @@ TEST(Snapshot, AgreesWithPipelineDatasets) {
 
   // Every admin life of every ASN appears on its row in dataset order, and
   // the row's taxonomy classes match the global classification.
-  for (const auto& [asn_value, indices] : result.admin.by_asn) {
-    const AsnRow* row = snapshot.find(asn::Asn{asn_value});
+  const auto& admin = result.admin.lifetimes;
+  for (std::size_t i = 0; i < admin.size();) {
+    const auto run = lifetimes::asn_run(admin, admin[i].asn);
+    const AsnRow* row = snapshot.find(admin[i].asn);
     ASSERT_NE(row, nullptr);
     const auto lives = snapshot.admin_lives(*row);
-    ASSERT_EQ(lives.size(), indices.size());
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      EXPECT_EQ(lives[i].life, result.admin.lifetimes[indices[i]]);
-      EXPECT_EQ(lives[i].category,
-                result.taxonomy.admin_category[indices[i]]);
+    ASSERT_EQ(lives.size(), run.size());
+    for (std::size_t k = 0; k < run.size(); ++k, ++i) {
+      EXPECT_EQ(lives[k].life, admin[i]);
+      EXPECT_EQ(lives[k].category, result.taxonomy.admin_category[i]);
     }
   }
-  for (const auto& [asn_value, indices] : result.op.by_asn) {
-    const AsnRow* row = snapshot.find(asn::Asn{asn_value});
+  const auto& op = result.op.lifetimes;
+  for (std::size_t i = 0; i < op.size();) {
+    const auto run = lifetimes::asn_run(op, op[i].asn);
+    const AsnRow* row = snapshot.find(op[i].asn);
     ASSERT_NE(row, nullptr);
     const auto lives = snapshot.op_lives(*row);
-    ASSERT_EQ(lives.size(), indices.size());
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      EXPECT_EQ(lives[i].life, result.op.lifetimes[indices[i]]);
-      EXPECT_EQ(lives[i].category, result.taxonomy.op_category[indices[i]]);
+    ASSERT_EQ(lives.size(), run.size());
+    for (std::size_t k = 0; k < run.size(); ++k, ++i) {
+      EXPECT_EQ(lives[k].life, op[i]);
+      EXPECT_EQ(lives[k].category, result.taxonomy.op_category[i]);
     }
   }
 }
