@@ -9,8 +9,8 @@
 #   tsan       PL_TSAN build + concurrency-labelled suites
 #   obs-off    PL_OBS_OFF build + full suite (kill-switch stays buildable)
 #   checked    PL_CHECKED build + full suite (contracts armed, death tests)
-#   lint       pl-lint over src/ tests/ bench/ examples/ (ctest -L lint),
-#              then the ratchet summary + --check-baseline staleness dry-run
+#   lint       pl-lint over src/ tests/ tools/ bench/ examples/ plus the
+#              rule-fixture suite (ctest -L lint)
 #   serve      serving-layer suites under contracts armed (ctest -L serve)
 #   durability crash-injection + WAL/snapshot chaos under contracts armed
 #              (ctest -L durability)
@@ -57,32 +57,6 @@ run_leg checked "-DPL_CHECKED=ON -DPL_WERROR=ON" ""
 # lint reuses the plain tree: pl-lint is already built there, so this leg
 # is pure analysis time.
 run_leg lint    "-DPL_WERROR=ON"                 "-L lint" plain
-# Surface the gate's ratchet line at matrix level and dry-run the baseline
-# staleness check: exit 3 means an entry in tools/pl-lint/baseline.json no
-# longer matches any finding and must be shrunk with --update-baseline
-# before it silently grandfathers a regression of the same shape.
-LINT_BIN="$ROOT/build-matrix-plain/tools/pl-lint"
-if [ -x "$LINT_BIN" ]; then
-  RATCHET_LOG="$ROOT/build-matrix-plain/verify-lint-ratchet.log"
-  if "$LINT_BIN" --root "$ROOT" \
-       --layers "$ROOT/tools/pl-lint/layers.txt" \
-       --baseline "$ROOT/tools/pl-lint/baseline.json" \
-       --cache "$ROOT/build-matrix-plain/pl-lint-cache.json" \
-       --check-baseline \
-       "$ROOT/src" "$ROOT/tests" "$ROOT/tools" "$ROOT/bench" \
-       "$ROOT/examples" >"$RATCHET_LOG" 2>&1; then
-    grep '^ratchet:' "$RATCHET_LOG" || true
-  else
-    RC=$?
-    if [ "$RC" -eq 3 ]; then
-      echo "FAIL  lint-baseline: stale entries, run pl-lint --update-baseline"
-    else
-      echo "FAIL  lint-baseline (rc=$RC)  log: $RATCHET_LOG"
-    fi
-    grep '^ratchet:' "$RATCHET_LOG" || true
-    FAILED=1
-  fi
-fi
 # serve reuses the checked tree: the oracle fuzz + advance-vs-rebuild
 # suites run with contracts armed, which is where snapshot indexing bugs
 # would trip PL_ASSERT_SORTED and friends.

@@ -217,10 +217,12 @@ Snapshot Snapshot::from_datasets(lifetimes::AdminDataset admin,
   Snapshot snap;
   snap.config_ = config;
 
-  std::sort(admin.lifetimes.begin(), admin.lifetimes.end(),
-            lifetimes::AsnStartOrder{});
-  std::sort(op.lifetimes.begin(), op.lifetimes.end(),
-            lifetimes::AsnStartOrder{});
+  PL_EXPECT(std::is_sorted(admin.lifetimes.begin(), admin.lifetimes.end(),
+                           lifetimes::AsnStartOrder{}) &&
+                std::is_sorted(op.lifetimes.begin(), op.lifetimes.end(),
+                               lifetimes::AsnStartOrder{}),
+            "from_datasets() requires both datasets sorted by (asn, start), "
+            "as the builders and the JSON loaders leave them");
 
   util::Day end = admin.archive_end;
   for (const lifetimes::AdminLifetime& life : admin.lifetimes)

@@ -160,8 +160,10 @@ class Snapshot {
                         util::Day archive_end, const SnapshotConfig& config = {});
 
   /// Build a query-only snapshot from already-built datasets (e.g. loaded
-  /// from Listing-1 JSON). No working set: advance_day() on the result
-  /// fails with kFailedPrecondition.
+  /// from Listing-1 JSON). Precondition: both datasets are sorted by
+  /// (asn, start) — the builders and the JSON loaders guarantee it; the
+  /// order is checked, not restored. No working set: advance_day() on the
+  /// result fails with kFailedPrecondition.
   static Snapshot from_datasets(lifetimes::AdminDataset admin,
                                 lifetimes::OpDataset op,
                                 const SnapshotConfig& config = {});

@@ -8,4 +8,11 @@ namespace pl::widget {
 // by generated bindings outside this repo
 inline int helper_answer() { return 42; }
 
+// The finding anchors at the declarator line, one below `template`, so the
+// justification sits between the two to reach it.
+template <typename T>
+// pl-lint: allow(dead-public-api) fixture: reached only through a macro
+// expansion the token scan cannot see
+T helper_twice(T value) { return value + value; }
+
 }  // namespace pl::widget

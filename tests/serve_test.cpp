@@ -2,6 +2,7 @@
 // queries, the QueryService metrics, and the pipeline post_stage hook.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -268,6 +269,26 @@ TEST(QueryService, QueryOnlySnapshotRefusesAdvance) {
   const pl::Status status = service.advance_day(DayDelta{});
   EXPECT_EQ(status.code(), pl::StatusCode::kFailedPrecondition);
 }
+
+#if defined(PL_CHECKED) && PL_CHECKED
+// from_datasets() checks the (asn, start) order instead of restoring it:
+// an unsorted dataset on either side is a caller bug and aborts.
+TEST(SnapshotDeathTest, FromDatasetsRejectsUnsortedDatasets) {
+  const pipeline::Result result = small_pipeline();
+  ASSERT_GE(result.admin.asn_count(), 2u);
+  ASSERT_GE(result.op.asn_count(), 2u);
+  lifetimes::AdminDataset admin = result.admin;
+  std::reverse(admin.lifetimes.begin(), admin.lifetimes.end());
+  lifetimes::OpDataset op = result.op;
+  std::reverse(op.lifetimes.begin(), op.lifetimes.end());
+  EXPECT_DEATH(
+      { const Snapshot snap = Snapshot::from_datasets(admin, result.op); },
+      "contract PL_EXPECT.*sorted by \\(asn, start\\)");
+  EXPECT_DEATH(
+      { const Snapshot snap = Snapshot::from_datasets(result.admin, op); },
+      "contract PL_EXPECT.*sorted by \\(asn, start\\)");
+}
+#endif  // PL_CHECKED
 
 TEST(QueryService, WrongDayAdvanceIsInvalidArgument) {
   const pipeline::Result result = small_pipeline();

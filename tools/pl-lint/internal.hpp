@@ -1,14 +1,10 @@
 // pl-lint internals shared between the per-file rule engine (lint.cpp) and
 // the whole-program model extractor (model.cpp): the tokenizer, the
-// suppression-directive parser, token-walk helpers, and the minimal JSON
-// cursor used by every pl-lint document reader (report, cache, baseline,
-// graph). Nothing here is part of the public analyzer API (lint.hpp /
-// model.hpp); tests reach it only through those.
+// suppression-directive parser and token-walk helpers. Nothing here is part
+// of the public analyzer API (lint.hpp / model.hpp); tests reach it only
+// through those.
 #pragma once
 
-#include <cctype>
-#include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -57,8 +53,6 @@ struct AllowSpan {
   int from = 0;       ///< first covered line
   int to = 0;         ///< last covered line (== from for single-line)
   bool file_wide = false;
-
-  friend bool operator==(const AllowSpan&, const AllowSpan&) = default;
 };
 
 /// One det-ok(reason) annotation; attaches to the function whose definition
@@ -66,9 +60,6 @@ struct AllowSpan {
 struct DetOk {
   int line = 0;     ///< line of the directive comment
   int through = 0;  ///< first code line after the comment block
-  std::string reason;
-
-  friend bool operator==(const DetOk&, const DetOk&) = default;
 };
 
 struct Suppressions {
@@ -117,138 +108,5 @@ std::vector<DrainSite> find_unordered_drains(const Tokens& tokens);
 /// extractor calls it directly so a file is lexed exactly once.
 Report run_file_rules(std::string_view relpath, const Lexed& lexed,
                       const Suppressions& suppressions);
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader shared by every pl-lint document parser (objects,
-// arrays, strings, ints, bools — exactly what the JsonWriter emitters
-// produce).
-
-struct JsonCursor {
-  std::string_view text;
-  std::size_t i = 0;
-  bool ok = true;
-
-  void skip_ws() {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])))
-      ++i;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (i < text.size() && text[i] == c) {
-      ++i;
-      return true;
-    }
-    ok = false;
-    return false;
-  }
-
-  bool peek(char c) {
-    skip_ws();
-    return i < text.size() && text[i] == c;
-  }
-
-  std::string string() {
-    skip_ws();
-    std::string out;
-    if (i >= text.size() || text[i] != '"') {
-      ok = false;
-      return out;
-    }
-    ++i;
-    while (i < text.size() && text[i] != '"') {
-      if (text[i] == '\\' && i + 1 < text.size()) {
-        ++i;
-        switch (text[i]) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u':
-            if (i + 4 < text.size()) {
-              out += static_cast<char>(
-                  std::strtol(std::string(text.substr(i + 1, 4)).c_str(),
-                              nullptr, 16));
-              i += 4;
-            }
-            break;
-          default: out += text[i];
-        }
-      } else {
-        out += text[i];
-      }
-      ++i;
-    }
-    if (i >= text.size()) ok = false;
-    ++i;
-    return out;
-  }
-
-  std::int64_t integer() {
-    skip_ws();
-    const std::size_t start = i;
-    if (i < text.size() && (text[i] == '-' || text[i] == '+')) ++i;
-    while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i])))
-      ++i;
-    if (i == start) {
-      ok = false;
-      return 0;
-    }
-    return std::strtoll(std::string(text.substr(start, i - start)).c_str(),
-                        nullptr, 10);
-  }
-
-  bool boolean() {
-    skip_ws();
-    if (text.compare(i, 4, "true") == 0) {
-      i += 4;
-      return true;
-    }
-    if (text.compare(i, 5, "false") == 0) {
-      i += 5;
-      return false;
-    }
-    ok = false;
-    return false;
-  }
-
-  /// Skip any value (used for keys the reader does not model).
-  void skip_value() {
-    skip_ws();
-    if (i >= text.size()) {
-      ok = false;
-      return;
-    }
-    const char c = text[i];
-    if (c == '"') {
-      string();
-    } else if (c == '{' || c == '[') {
-      const char closer = c == '{' ? '}' : ']';
-      ++i;
-      int depth = 1;
-      bool in_string = false;
-      while (i < text.size() && depth > 0) {
-        const char d = text[i];
-        if (in_string) {
-          if (d == '\\')
-            ++i;
-          else if (d == '"')
-            in_string = false;
-        } else if (d == '"') {
-          in_string = true;
-        } else if (d == c) {
-          ++depth;
-        } else if (d == closer) {
-          --depth;
-        }
-        ++i;
-      }
-      if (depth != 0) ok = false;
-    } else {
-      while (i < text.size() && text[i] != ',' && text[i] != '}' &&
-             text[i] != ']')
-        ++i;
-    }
-  }
-};
 
 }  // namespace pl::lint::detail

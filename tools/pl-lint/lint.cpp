@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <cstdint>
 #include <set>
 #include <utility>
 
-#include "bench/common.hpp"
 #include "internal.hpp"
 
 namespace pl::lint {
@@ -246,12 +244,7 @@ Suppressions parse_suppressions(const std::vector<Comment>& comments) {
         std::string_view(comment.text).substr(at + 8);
     const std::size_t det_ok = rest.find("det-ok");
     if (det_ok != std::string_view::npos) {
-      const std::size_t open = rest.find('(', det_ok);
-      const std::size_t close = rest.find(')', open);
-      std::string reason;
-      if (open != std::string_view::npos && close != std::string_view::npos)
-        reason = std::string(rest.substr(open + 1, close - open - 1));
-      out.det_ok.push_back(DetOk{comment.line, through, std::move(reason)});
+      out.det_ok.push_back(DetOk{comment.line, through});
       continue;
     }
     const std::size_t allow_file = rest.find("allow-file");
@@ -957,7 +950,7 @@ const std::vector<RuleInfo>& rule_catalog() {
        "sinks need a det-ok(reason) annotation on every path"},
       {"dead-public-api",
        "free functions exported by src/ headers need at least one cross-TU "
-       "reference (or a baseline entry with a reason)"},
+       "reference (or a justified allow() at the definition)"},
   };
   return catalog;
 }
@@ -1000,122 +993,6 @@ Report lint_source(std::string_view relpath, std::string_view content) {
   const Lexed lexed = detail::lex(content);
   const Suppressions suppressions = detail::parse_suppressions(lexed.comments);
   return detail::run_file_rules(relpath, lexed, suppressions);
-}
-
-std::string report_json(const Report& report, std::string_view root,
-                        const std::map<std::string, double>* timing_ms) {
-  bench::JsonWriter json(/*pretty=*/true);
-  json.begin_object();
-  json.key("schema").value("pl-lint/1");
-  json.key("root").value(root);
-  if (timing_ms) {
-    json.key("timing_ms").begin_object();
-    for (const auto& [name, ms] : *timing_ms) json.key(name).value(ms, 3);
-    json.end_object();
-  }
-  json.key("files_scanned")
-      .value(static_cast<std::int64_t>(report.files_scanned));
-  json.key("clean").value(report.clean());
-  json.key("findings").begin_array();
-  for (const Finding& finding : report.findings) {
-    json.begin_object();
-    json.key("file").value(finding.file);
-    json.key("line").value(static_cast<std::int64_t>(finding.line));
-    json.key("rule").value(finding.rule);
-    json.key("message").value(finding.message);
-    json.end_object();
-  }
-  json.end_array();
-  json.key("suppressions").begin_array();
-  for (const auto& [rule, budget] : report.suppressions) {
-    json.begin_object();
-    json.key("rule").value(rule);
-    json.key("declared").value(static_cast<std::int64_t>(budget.declared));
-    json.key("used").value(static_cast<std::int64_t>(budget.used));
-    json.end_object();
-  }
-  json.end_array();
-  json.key("rules").begin_array();
-  for (const RuleInfo& rule : rule_catalog()) {
-    json.begin_object();
-    json.key("id").value(rule.id);
-    json.key("summary").value(rule.summary);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-  return json.str();
-}
-
-std::optional<Report> report_from_json(std::string_view json) {
-  detail::JsonCursor cursor{json};
-  Report report;
-  if (!cursor.consume('{')) return std::nullopt;
-  bool saw_schema = false;
-  while (cursor.ok && !cursor.peek('}')) {
-    const std::string key = cursor.string();
-    if (!cursor.consume(':')) return std::nullopt;
-    if (key == "schema") {
-      if (cursor.string() != "pl-lint/1") return std::nullopt;
-      saw_schema = true;
-    } else if (key == "files_scanned") {
-      report.files_scanned = static_cast<int>(cursor.integer());
-    } else if (key == "findings") {
-      if (!cursor.consume('[')) return std::nullopt;
-      while (cursor.ok && !cursor.peek(']')) {
-        if (!cursor.consume('{')) return std::nullopt;
-        Finding finding;
-        while (cursor.ok && !cursor.peek('}')) {
-          const std::string field = cursor.string();
-          if (!cursor.consume(':')) return std::nullopt;
-          if (field == "file")
-            finding.file = cursor.string();
-          else if (field == "line")
-            finding.line = static_cast<int>(cursor.integer());
-          else if (field == "rule")
-            finding.rule = cursor.string();
-          else if (field == "message")
-            finding.message = cursor.string();
-          else
-            cursor.skip_value();
-          if (!cursor.peek('}')) cursor.consume(',');
-        }
-        cursor.consume('}');
-        report.findings.push_back(std::move(finding));
-        if (!cursor.peek(']')) cursor.consume(',');
-      }
-      cursor.consume(']');
-    } else if (key == "suppressions") {
-      if (!cursor.consume('[')) return std::nullopt;
-      while (cursor.ok && !cursor.peek(']')) {
-        if (!cursor.consume('{')) return std::nullopt;
-        std::string rule;
-        SuppressionBudget budget;
-        while (cursor.ok && !cursor.peek('}')) {
-          const std::string field = cursor.string();
-          if (!cursor.consume(':')) return std::nullopt;
-          if (field == "rule")
-            rule = cursor.string();
-          else if (field == "declared")
-            budget.declared = static_cast<int>(cursor.integer());
-          else if (field == "used")
-            budget.used = static_cast<int>(cursor.integer());
-          else
-            cursor.skip_value();
-          if (!cursor.peek('}')) cursor.consume(',');
-        }
-        cursor.consume('}');
-        if (!rule.empty()) report.suppressions.emplace(rule, budget);
-        if (!cursor.peek(']')) cursor.consume(',');
-      }
-      cursor.consume(']');
-    } else {
-      cursor.skip_value();
-    }
-    if (!cursor.peek('}')) cursor.consume(',');
-  }
-  if (!cursor.ok || !saw_schema) return std::nullopt;
-  return report;
 }
 
 }  // namespace pl::lint

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,8 +27,6 @@ struct Finding {
   int line = 0;
   std::string rule;
   std::string message;
-
-  friend bool operator==(const Finding&, const Finding&) = default;
 };
 
 /// Per-rule suppression accounting: how many allow() comments a file
@@ -37,9 +34,6 @@ struct Finding {
 struct SuppressionBudget {
   int declared = 0;
   int used = 0;
-
-  friend bool operator==(const SuppressionBudget&,
-                         const SuppressionBudget&) = default;
 };
 
 /// Result of linting one file or a whole tree.
@@ -52,7 +46,7 @@ struct Report {
   void merge(const Report& other);
 };
 
-/// Static description of one rule for --list-rules and the JSON report.
+/// Static description of one rule for --list-rules.
 struct RuleInfo {
   std::string_view id;
   std::string_view summary;
@@ -65,17 +59,5 @@ const std::vector<RuleInfo>& rule_catalog();
 /// "tests/..." / ...); it selects which rules apply and appears in the
 /// findings. Pure: no filesystem access.
 Report lint_source(std::string_view relpath, std::string_view content);
-
-/// Serialize a report as a `pl-lint/1` JSON document (via the shared
-/// bench::JsonWriter so the artifact matches the BENCH_*.json conventions).
-/// `timing_ms`, when given, is emitted as a "timing_ms" object (gate wall
-/// times, cache hit counts); readers that don't know it skip it.
-std::string report_json(const Report& report, std::string_view root,
-                        const std::map<std::string, double>* timing_ms =
-                            nullptr);
-
-/// Parse a `pl-lint/1` document back (findings, suppressions,
-/// files_scanned). nullopt on malformed input or an unknown schema.
-std::optional<Report> report_from_json(std::string_view json);
 
 }  // namespace pl::lint

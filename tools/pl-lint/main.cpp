@@ -1,28 +1,23 @@
 // pl-lint CLI: walk the given files/directories, run the per-file rules and
 // the whole-program passes (model.hpp), and print findings as
-// `file:line: rule-id: message` plus the suppression and ratchet summaries.
+// `file:line: rule-id: message` plus the suppression-budget and timing
+// summaries.
 //
-//   pl-lint [--root DIR] [--json PATH] [--graph PATH] [--layers PATH]
-//           [--baseline PATH] [--update-baseline] [--check-baseline]
-//           [--cache PATH] [--list-rules] PATH...
+//   pl-lint [--root DIR] [--layers PATH] [--list-rules] PATH...
 //
 // `--root` anchors the repo-relative labels (and thereby the path-scoped
 // rule policy). `--layers` names the architecture manifest for the
-// layer-violation pass (skipped without one). `--baseline` freezes known
-// findings with per-entry reasons; the ratchet fails the run when a count
-// grows, `--update-baseline` rewrites the file with only ever-lower counts,
-// and `--check-baseline` is the CI dry-run: exit 3 when the baseline could
-// shrink but wasn't updated. `--cache` persists per-file models keyed by
-// content hash so unchanged files skip re-extraction.
+// layer-violation pass (skipped without one). Every unsuppressed finding
+// fails the run; the only way to keep one is a justified allow() comment
+// at the site (lint.hpp).
 //
-// Exit codes: 0 clean, 1 findings, 2 usage/IO error, 3 stale baseline.
+// Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -88,21 +83,12 @@ double ms_between(std::chrono::steady_clock::time_point from,
 
 int main(int argc, char** argv) {
   fs::path root = fs::current_path();
-  std::string json_path;
-  std::string graph_path;
   std::string layers_path;
-  std::string baseline_path;
-  std::string cache_path;
-  bool update_baseline = false;
-  bool check_baseline = false;
   std::vector<fs::path> inputs;
 
   const auto usage = [] {
-    std::cerr << "usage: pl-lint [--root DIR] [--json PATH] [--graph PATH] "
-                 "[--layers PATH]\n"
-                 "               [--baseline PATH] [--update-baseline] "
-                 "[--check-baseline]\n"
-                 "               [--cache PATH] [--list-rules] PATH...\n";
+    std::cerr << "usage: pl-lint [--root DIR] [--layers PATH] [--list-rules] "
+                 "PATH...\n";
   };
 
   for (int a = 1; a < argc; ++a) {
@@ -112,22 +98,10 @@ int main(int argc, char** argv) {
         std::cout << rule.id << "  " << rule.summary << "\n";
       return 0;
     }
-    if (arg == "--update-baseline") {
-      update_baseline = true;
-    } else if (arg == "--check-baseline") {
-      check_baseline = true;
-    } else if (arg == "--root" && a + 1 < argc) {
+    if (arg == "--root" && a + 1 < argc) {
       root = argv[++a];
-    } else if (arg == "--json" && a + 1 < argc) {
-      json_path = argv[++a];
-    } else if (arg == "--graph" && a + 1 < argc) {
-      graph_path = argv[++a];
     } else if (arg == "--layers" && a + 1 < argc) {
       layers_path = argv[++a];
-    } else if (arg == "--baseline" && a + 1 < argc) {
-      baseline_path = argv[++a];
-    } else if (arg == "--cache" && a + 1 < argc) {
-      cache_path = argv[++a];
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "pl-lint: unknown flag " << arg << "\n";
       usage();
@@ -164,40 +138,18 @@ int main(int argc, char** argv) {
     manifest = *parsed;
   }
 
-  // --- per-file extraction, through the content-hash cache ----------------
-  std::map<std::string, pl::lint::FileModel> cached;
-  if (!cache_path.empty()) {
-    std::string text;
-    if (read_file(cache_path, &text))
-      if (auto parsed = pl::lint::cache_from_json(text))
-        for (pl::lint::FileModel& model : *parsed)
-          cached.emplace(model.relpath, std::move(model));
-    // A missing, stale, or foreign cache is not an error: extraction
-    // simply re-runs.
-  }
-
+  // --- per-file extraction ------------------------------------------------
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<pl::lint::FileModel> models;
   models.reserve(files.size());
-  int cache_hits = 0;
-  int cache_misses = 0;
   for (const fs::path& file : files) {
     std::string content;
     if (!read_file(file, &content)) {
       std::cerr << "pl-lint: cannot read " << file.string() << "\n";
       return 2;
     }
-    const std::string label = relative_label(file, root);
-    const std::uint64_t hash = pl::lint::content_hash(content);
-    const auto it = cached.find(label);
-    if (it != cached.end() && it->second.hash == hash) {
-      ++cache_hits;
-      models.push_back(std::move(it->second));
-      cached.erase(it);
-    } else {
-      ++cache_misses;
-      models.push_back(pl::lint::extract_file_model(label, content));
-    }
+    models.push_back(
+        pl::lint::extract_file_model(relative_label(file, root), content));
   }
 
   pl::lint::Report report;
@@ -223,103 +175,18 @@ int main(int argc, char** argv) {
   report.suppressions["det-ok"].declared += det_ok_declared;
   report.suppressions["det-ok"].used += analysis.det_ok_used;
 
-  // --- baseline ratchet ---------------------------------------------------
-  pl::lint::Baseline baseline;
-  bool have_baseline = false;
-  if (!baseline_path.empty() && fs::exists(baseline_path)) {
-    std::string text;
-    if (!read_file(baseline_path, &text)) {
-      std::cerr << "pl-lint: cannot read baseline " << baseline_path << "\n";
-      return 2;
-    }
-    const auto parsed = pl::lint::baseline_from_json(text);
-    if (!parsed) {
-      std::cerr << "pl-lint: malformed baseline " << baseline_path << "\n";
-      return 2;
-    }
-    baseline = *parsed;
-    have_baseline = true;
-  }
-  const pl::lint::RatchetResult ratchet =
-      pl::lint::apply_baseline(report, baseline);
-
-  for (const pl::lint::Finding& finding : ratchet.failures)
+  for (const pl::lint::Finding& finding : report.findings)
     std::cout << finding.file << ":" << finding.line << ": " << finding.rule
               << ": " << finding.message << "\n";
-
-  int declared = 0;
-  int used = 0;
-  for (const auto& [rule, budget] : report.suppressions) {
-    declared += budget.declared;
-    used += budget.used;
+  for (const auto& [rule, budget] : report.suppressions)
     std::cout << "suppression-budget: " << rule
               << " declared=" << budget.declared << " used=" << budget.used
               << "\n";
-  }
-
-  const double extract_ms = ms_between(t0, t1);
-  const double analyze_ms = ms_between(t1, t2);
-  std::cout << "ratchet: baseline=" << baseline.total() << " entries="
-            << baseline.entries.size() << " absorbed=" << ratchet.baselined
-            << " suppressions declared=" << declared << " used=" << used
-            << (ratchet.can_shrink ? " (baseline can shrink)" : "") << "\n";
-  std::printf(
-      "timing: extract=%.1fms analyze=%.1fms cache_hits=%d cache_misses=%d\n",
-      extract_ms, analyze_ms, cache_hits, cache_misses);
+  std::printf("timing: extract=%.1fms analyze=%.1fms\n", ms_between(t0, t1),
+              ms_between(t1, t2));
   std::cout << "pl-lint: " << report.files_scanned << " files, "
             << analysis.functions << " functions, " << analysis.calls
-            << " call edges, " << ratchet.failures.size() << " findings ("
-            << ratchet.baselined << " baselined)\n";
+            << " call edges, " << report.findings.size() << " findings\n";
 
-  // --- artifacts ----------------------------------------------------------
-  if (!json_path.empty()) {
-    const std::map<std::string, double> timing = {
-        {"extract", extract_ms},
-        {"analyze", analyze_ms},
-        {"cache_hits", static_cast<double>(cache_hits)},
-        {"cache_misses", static_cast<double>(cache_misses)}};
-    std::ofstream out(json_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "pl-lint: cannot write " << json_path << "\n";
-      return 2;
-    }
-    out << pl::lint::report_json(report, root.generic_string(), &timing)
-        << "\n";
-  }
-  if (!graph_path.empty()) {
-    std::ofstream out(graph_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "pl-lint: cannot write " << graph_path << "\n";
-      return 2;
-    }
-    out << pl::lint::graph_json(analysis, manifest, models,
-                                root.generic_string())
-        << "\n";
-  }
-  if (!cache_path.empty()) {
-    std::ofstream out(cache_path, std::ios::binary);
-    if (out) out << pl::lint::cache_json(models) << "\n";
-    // Best effort: an unwritable cache only costs the next run speed.
-  }
-
-  if (update_baseline && have_baseline && ratchet.can_shrink) {
-    std::ofstream out(baseline_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "pl-lint: cannot write " << baseline_path << "\n";
-      return 2;
-    }
-    out << pl::lint::baseline_json(ratchet.shrunk) << "\n";
-    std::cout << "pl-lint: baseline shrunk to " << ratchet.shrunk.total()
-              << " findings across " << ratchet.shrunk.entries.size()
-              << " entries\n";
-  }
-
-  if (!ratchet.failures.empty()) return 1;
-  if (check_baseline && ratchet.can_shrink) {
-    std::cerr << "pl-lint: baseline " << baseline_path
-              << " is stale (could shrink to " << ratchet.shrunk.total()
-              << "); run with --update-baseline\n";
-    return 3;
-  }
-  return 0;
+  return report.clean() ? 0 : 1;
 }

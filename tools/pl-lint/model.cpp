@@ -1,8 +1,7 @@
 // Whole-program model: per-file extraction (include edges + a heuristic
 // symbol/call/sink index recovered from the shared tokenizer) and the four
 // cross-TU passes — layer-violation, include-cycle, determinism-taint,
-// dead-public-api. Serialization of the model documents lives in
-// model_io.cpp.
+// dead-public-api.
 //
 // The symbol scanner is deliberately heuristic, like the per-file rules: it
 // tracks namespace/class/function scopes with a brace stack, recognizes
@@ -14,6 +13,7 @@
 #include "model.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <deque>
 #include <map>
 #include <set>
@@ -622,20 +622,10 @@ FunctionSym* enclosing_function(std::vector<FunctionSym>& fns, int line) {
 // ---------------------------------------------------------------------------
 // Extraction.
 
-std::uint64_t content_hash(std::string_view text) {
-  std::uint64_t hash = 1469598103934665603ull;  // FNV offset basis
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;  // FNV prime
-  }
-  return hash;
-}
-
 FileModel extract_file_model(std::string_view relpath,
                              std::string_view content) {
   FileModel model;
   model.relpath = std::string(relpath);
-  model.hash = content_hash(content);
 
   const Lexed lexed = detail::lex(content);
   const Suppressions supp = detail::parse_suppressions(lexed.comments);
@@ -667,10 +657,7 @@ FileModel extract_file_model(std::string_view relpath,
         if (!target || fn.line < target->line) target = &fn;
       }
     }
-    if (target) {
-      target->det_ok = true;
-      target->det_ok_reason = det.reason;
-    }
+    if (target) target->det_ok = true;
   }
 
   std::set<std::string> refs;
@@ -707,12 +694,11 @@ std::optional<LayerManifest> parse_layers(std::string_view text) {
     return s;
   };
   std::string_view rest = flat;
-  bool any = false;
+  int next_rank = 0;
   while (true) {
     const std::size_t sep = rest.find('<');
     std::string_view segment = trim(rest.substr(0, sep));
     if (!segment.empty()) {
-      any = true;
       std::vector<std::string> level;
       if (segment.front() == '{') {
         if (segment.back() != '}') return std::nullopt;
@@ -730,19 +716,18 @@ std::optional<LayerManifest> parse_layers(std::string_view text) {
         level.emplace_back(segment);
       }
       if (level.empty()) return std::nullopt;
-      const int rank = static_cast<int>(manifest.levels.size());
       for (const std::string& name : level) {
         if (manifest.rank.contains(name)) return std::nullopt;  // duplicate
-        manifest.rank.emplace(name, rank);
+        manifest.rank.emplace(name, next_rank);
       }
-      manifest.levels.push_back(std::move(level));
+      ++next_rank;
     } else if (sep != std::string_view::npos) {
       return std::nullopt;  // empty segment between two '<'
     }
     if (sep == std::string_view::npos) break;
     rest.remove_prefix(sep + 1);
   }
-  if (!any) return std::nullopt;
+  if (next_rank == 0) return std::nullopt;
   return manifest;
 }
 
@@ -758,6 +743,13 @@ std::string subsystem_of(std::string_view relpath) {
 // Whole-program analysis.
 
 namespace {
+
+/// One resolved include edge between two scanned files.
+struct GraphEdge {
+  std::string from;
+  std::string to;
+  int line = 0;
+};
 
 /// Normalize "a/b/../c" and "./" segments.
 std::string normalize_path(std::string_view path) {
@@ -813,6 +805,7 @@ ProgramAnalysis analyze_program(const std::vector<FileModel>& models,
   const Flagger flag{analysis, by_path};
 
   // --- resolve include edges ---------------------------------------------
+  std::vector<GraphEdge> edges;
   for (const FileModel& model : models) {
     const std::size_t slash = model.relpath.rfind('/');
     const std::string dir =
@@ -828,14 +821,13 @@ ProgramAnalysis analyze_program(const std::vector<FileModel>& models,
         }
       }
       if (!resolved.empty() && resolved != model.relpath)
-        analysis.edges.push_back(
-            GraphEdge{model.relpath, resolved, inc.line});
+        edges.push_back(GraphEdge{model.relpath, resolved, inc.line});
     }
   }
 
   // --- layer-violation ----------------------------------------------------
   if (!manifest.empty()) {
-    for (const GraphEdge& edge : analysis.edges) {
+    for (const GraphEdge& edge : edges) {
       const std::string from = subsystem_of(edge.from);
       const std::string to = subsystem_of(edge.to);
       if (from.empty() || to.empty() || from == to) continue;
@@ -862,7 +854,7 @@ ProgramAnalysis analyze_program(const std::vector<FileModel>& models,
   // --- include-cycle ------------------------------------------------------
   {
     std::map<std::string, std::vector<const GraphEdge*>> adjacency;
-    for (const GraphEdge& edge : analysis.edges)
+    for (const GraphEdge& edge : edges)
       adjacency[edge.from].push_back(&edge);
     std::map<std::string, int> color;  // 0 white, 1 gray, 2 black
     std::vector<std::string> path;
@@ -903,7 +895,7 @@ ProgramAnalysis analyze_program(const std::vector<FileModel>& models,
             const std::string& succ =
                 cycle.size() > 1 ? cycle[1] : cycle.front();
             int line = 1;
-            for (const GraphEdge& candidate : analysis.edges)
+            for (const GraphEdge& candidate : edges)
               if (candidate.from == anchor && candidate.to == succ) {
                 line = candidate.line;
                 break;
@@ -1099,8 +1091,8 @@ ProgramAnalysis analyze_program(const std::vector<FileModel>& models,
         flag("dead-public-api", model.relpath, fn.line,
              "free function '" + fn.qname +
                  "' is exported by this header but referenced by no other "
-                 "translation unit; remove it or record a baseline entry "
-                 "with a reason");
+                 "translation unit; remove it or justify it with an "
+                 "allow() comment");
         analysis.dead.push_back(
             DeadSymbol{fn.qname, model.relpath, fn.line});
       }
@@ -1108,38 +1100,6 @@ ProgramAnalysis analyze_program(const std::vector<FileModel>& models,
   }
 
   return analysis;
-}
-
-// ---------------------------------------------------------------------------
-// Baseline ratchet.
-
-RatchetResult apply_baseline(const Report& report, const Baseline& baseline) {
-  RatchetResult result;
-  std::map<std::pair<std::string, std::string>, int> allowance;
-  std::map<std::pair<std::string, std::string>, int> actual;
-  for (const BaselineEntry& entry : baseline.entries)
-    allowance[{entry.rule, entry.file}] += entry.count;
-  for (const Finding& finding : report.findings) {
-    const std::pair<std::string, std::string> key{finding.rule, finding.file};
-    ++actual[key];
-    auto it = allowance.find(key);
-    if (it != allowance.end() && it->second > 0) {
-      --it->second;
-      ++result.baselined;
-    } else {
-      result.failures.push_back(finding);
-    }
-  }
-  for (const BaselineEntry& entry : baseline.entries) {
-    const auto it = actual.find({entry.rule, entry.file});
-    const int now = it == actual.end() ? 0 : it->second;
-    const int kept = std::min(entry.count, now);
-    if (kept != entry.count) result.can_shrink = true;
-    if (kept > 0)
-      result.shrunk.entries.push_back(
-          BaselineEntry{entry.rule, entry.file, kept, entry.reason});
-  }
-  return result;
 }
 
 }  // namespace pl::lint

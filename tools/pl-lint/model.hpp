@@ -16,15 +16,12 @@
 //   dead-public-api    a free function exported by a src/ header that no
 //                      other translation unit references
 //
-// Per-file extraction (`extract_file_model`) is pure and cacheable by
-// content hash; the cross-TU passes (`analyze_program`) run over the cached
-// models, so the tree gate re-lexes only files that changed. Findings may
-// be frozen into baseline.json with a one-line reason each; the ratchet
-// (`apply_baseline`) fails the gate when a count grows and only ever lets
-// the baseline shrink.
+// Per-file extraction (`extract_file_model`) is pure; the cross-TU passes
+// (`analyze_program`) run over the extracted models. A model-rule finding
+// is silenced only by a justified allow() comment in the file it anchors
+// in, exactly like a per-file rule finding.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -37,14 +34,12 @@
 namespace pl::lint {
 
 // ---------------------------------------------------------------------------
-// Per-file model (cache unit).
+// Per-file model.
 
 /// One `#include "..."` directive, as written.
 struct IncludeEdge {
   std::string target;
   int line = 0;
-
-  friend bool operator==(const IncludeEdge&, const IncludeEdge&) = default;
 };
 
 /// One nondeterminism sink occurrence inside a function body.
@@ -53,8 +48,6 @@ struct SinkHit {
   std::string kind;
   std::string token;  ///< the offending identifier / container name
   int line = 0;
-
-  friend bool operator==(const SinkHit&, const SinkHit&) = default;
 };
 
 /// One call site inside a function body, overload-insensitive.
@@ -62,8 +55,6 @@ struct CallSite {
   std::string name;  ///< last identifier of the callee chain
   std::string qual;  ///< explicit qualifier ("util", "obs::Span"), or ""
   bool member = false;  ///< reached through `.` / `->`
-
-  friend bool operator==(const CallSite&, const CallSite&) = default;
 };
 
 /// One function recovered from the tokens: a definition (with body-derived
@@ -76,41 +67,25 @@ struct FunctionSym {
   int end_line = 0;
   bool is_definition = false;
   bool det_ok = false;
-  std::string det_ok_reason;
   std::vector<CallSite> calls;
   std::vector<SinkHit> sinks;
-
-  friend bool operator==(const FunctionSym&, const FunctionSym&) = default;
 };
 
-/// Everything the cross-TU passes need from one file. Extraction is pure
-/// (tokens only) and keyed by `hash`, so the gate caches it per file.
+/// Everything the cross-TU passes need from one file.
 struct FileModel {
   std::string relpath;
-  std::uint64_t hash = 0;
   std::vector<IncludeEdge> includes;
   std::vector<FunctionSym> functions;
   std::vector<std::string> refs;  ///< sorted unique identifiers in the file
   Report file_report;             ///< per-file rule findings + budgets
   std::vector<detail::AllowSpan> allows;  ///< for model-rule suppression
   int det_ok_declared = 0;  ///< det-ok annotations written in the file
-
-  friend bool operator==(const FileModel&, const FileModel&) = default;
 };
-
-/// FNV-1a 64-bit, the cache key. Stable across platforms by construction.
-std::uint64_t content_hash(std::string_view text);
 
 /// Extract the model for one file: per-file rule report + include edges +
 /// symbol/call/sink index. Pure: no filesystem access.
 FileModel extract_file_model(std::string_view relpath,
                              std::string_view content);
-
-/// Serialize / parse a model cache (`pl-lint-cache/1`). The parser returns
-/// nullopt on malformed input or a foreign schema; a stale or damaged cache
-/// is simply ignored by callers (extraction re-runs).
-std::string cache_json(const std::vector<FileModel>& models);
-std::optional<std::vector<FileModel>> cache_from_json(std::string_view json);
 
 // ---------------------------------------------------------------------------
 // Architecture manifest (layers.txt).
@@ -120,7 +95,6 @@ std::optional<std::vector<FileModel>> cache_from_json(std::string_view json);
 /// independent.
 struct LayerManifest {
   std::map<std::string, int> rank;
-  std::vector<std::vector<std::string>> levels;  ///< rank -> members
 
   bool empty() const noexcept { return rank.empty(); }
 };
@@ -146,8 +120,6 @@ struct TaintWitness {
   std::vector<std::string> path;  ///< qnames, root first
   SinkHit sink;
   std::string sink_file;
-
-  friend bool operator==(const TaintWitness&, const TaintWitness&) = default;
 };
 
 /// One dead exported symbol.
@@ -155,22 +127,10 @@ struct DeadSymbol {
   std::string qname;
   std::string file;
   int line = 0;
-
-  friend bool operator==(const DeadSymbol&, const DeadSymbol&) = default;
-};
-
-/// One resolved include edge between two scanned files.
-struct GraphEdge {
-  std::string from;
-  std::string to;
-  int line = 0;
-
-  friend bool operator==(const GraphEdge&, const GraphEdge&) = default;
 };
 
 struct ProgramAnalysis {
-  Report report;  ///< findings of the four model rules (before baseline)
-  std::vector<GraphEdge> edges;
+  Report report;  ///< findings of the four model rules
   std::vector<TaintWitness> taint;
   std::vector<DeadSymbol> dead;
   int functions = 0;  ///< symbol-index size (definitions)
@@ -183,70 +143,5 @@ struct ProgramAnalysis {
 /// det-ok annotations are counted under the pseudo-rule "det-ok".
 ProgramAnalysis analyze_program(const std::vector<FileModel>& models,
                                 const LayerManifest& manifest);
-
-// ---------------------------------------------------------------------------
-// pl-graph/1 artifact.
-
-/// Parsed pl-graph/1 document (what pl-statusz renders).
-struct GraphDoc {
-  std::vector<std::vector<std::string>> levels;
-  std::vector<std::pair<std::string, std::string>> nodes;  ///< file, subsystem
-  std::vector<GraphEdge> edges;
-  std::vector<TaintWitness> taint;
-  std::vector<DeadSymbol> dead;
-  int functions = 0;
-  int calls = 0;
-
-  friend bool operator==(const GraphDoc&, const GraphDoc&) = default;
-};
-
-/// Serialize the program model as a `pl-graph/1` JSON document.
-std::string graph_json(const ProgramAnalysis& analysis,
-                       const LayerManifest& manifest,
-                       const std::vector<FileModel>& models,
-                       std::string_view root);
-
-/// Parse a `pl-graph/1` document back. nullopt on malformed input or a
-/// foreign schema.
-std::optional<GraphDoc> graph_from_json(std::string_view json);
-
-// ---------------------------------------------------------------------------
-// Baseline ratchet.
-
-/// One frozen finding bucket: `count` findings of `rule` in `file` are
-/// tolerated, with a one-line human reason. The gate fails when the actual
-/// count exceeds `count`; `--update-baseline` only ever lowers counts (and
-/// drops entries that reach zero) — the ratchet.
-struct BaselineEntry {
-  std::string rule;
-  std::string file;
-  int count = 0;
-  std::string reason;
-
-  friend bool operator==(const BaselineEntry&, const BaselineEntry&) = default;
-};
-
-struct Baseline {
-  std::vector<BaselineEntry> entries;
-
-  int total() const noexcept {
-    int n = 0;
-    for (const BaselineEntry& entry : entries) n += entry.count;
-    return n;
-  }
-};
-
-std::string baseline_json(const Baseline& baseline);
-std::optional<Baseline> baseline_from_json(std::string_view json);
-
-/// Result of ratcheting a report against the baseline.
-struct RatchetResult {
-  std::vector<Finding> failures;  ///< findings not absorbed by the baseline
-  int baselined = 0;              ///< findings absorbed
-  Baseline shrunk;     ///< the baseline as --update-baseline would write it
-  bool can_shrink = false;  ///< shrunk differs from the input baseline
-};
-
-RatchetResult apply_baseline(const Report& report, const Baseline& baseline);
 
 }  // namespace pl::lint

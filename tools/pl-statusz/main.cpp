@@ -4,16 +4,13 @@
 // reports (trace + metrics + latency histograms, written via PL_TRACE or
 // QueryService::report()) and pl-flight/1 flight-recorder dumps (written by
 // DurableService on crash / quarantine / degradation, or by the pipeline
-// via PL_FLIGHT). The lint gate leaves a third: the pl-graph/1 program
-// model pl-lint writes next to its report. This tool is the human
-// front-end: counters and gauges, latency percentiles (p50/p90/p99/p999),
-// the tail of the flight timeline, and the architecture view — a plain-text
-// /statusz for a process that is no longer running.
+// via PL_FLIGHT). This tool is the human front-end: counters and gauges,
+// latency percentiles (p50/p90/p99/p999) and the tail of the flight
+// timeline — a plain-text /statusz for a process that is no longer running.
 //
 //   pl-statusz --obs report.json            # metrics + latency percentiles
 //   pl-statusz --flight dump.plflight       # flight-recorder tail
 //   pl-statusz --tail 16 --flight d.plflight
-//   pl-statusz --graph pl-graph.json        # layer table + taint witnesses
 //   pl-statusz --selftest                   # exercise the formats in-process
 //
 // --selftest round-trips both formats (including damaged-file salvage) and
@@ -28,12 +25,10 @@
 #include <string>
 #include <vector>
 
-#include "model.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
@@ -91,70 +86,6 @@ int render_flight(const std::string& path, std::size_t tail) {
   // kDataLoss still rendered (salvaged prefix) but reported on the exit
   // code so scripts notice the damage.
   return read.ok() ? 0 : 1;
-}
-
-/// pl-graph/1 view: the layers.txt table with per-subsystem file counts,
-/// then every taint witness as a call chain ending at its sink, then the
-/// dead exported symbols. The layer table reads bottom-up, like the
-/// manifest: a subsystem may only include rows printed above itself.
-int render_graph(const std::string& path) {
-  const std::optional<std::string> json = read_file(path);
-  if (!json.has_value()) {
-    std::cerr << "pl-statusz: cannot read " << path << "\n";
-    return 1;
-  }
-  const std::optional<pl::lint::GraphDoc> doc =
-      pl::lint::graph_from_json(*json);
-  if (!doc.has_value()) {
-    std::cerr << "pl-statusz: " << path << " is not a pl-graph document\n";
-    return 1;
-  }
-
-  std::cout << "== program model (" << path << ") ==\n"
-            << doc->nodes.size() << " files, " << doc->functions
-            << " functions, " << doc->calls << " call edges, "
-            << doc->edges.size() << " include edges\n";
-
-  std::cout << "\nlayers (low to high; includes may only point up this "
-               "table)\n";
-  for (std::size_t rank = 0; rank < doc->levels.size(); ++rank) {
-    std::cout << "  " << rank << "  ";
-    for (std::size_t i = 0; i < doc->levels[rank].size(); ++i) {
-      const std::string& name = doc->levels[rank][i];
-      std::size_t files = 0;
-      for (const auto& [file, subsystem] : doc->nodes)
-        if (subsystem == name) ++files;
-      if (i) std::cout << "  ";
-      std::cout << name << " (" << files << ")";
-    }
-    std::cout << "\n";
-  }
-
-  if (!doc->taint.empty()) {
-    std::cout << "\ntaint witnesses (" << doc->taint.size() << ")\n";
-    for (const pl::lint::TaintWitness& witness : doc->taint) {
-      std::cout << "  " << witness.root << " (" << witness.file << ":"
-                << witness.line << ")\n    ";
-      for (std::size_t i = 0; i < witness.path.size(); ++i) {
-        if (i) std::cout << " -> ";
-        std::cout << witness.path[i];
-      }
-      std::cout << " -> [" << witness.sink.kind << "] "
-                << witness.sink.token << " (" << witness.sink_file << ":"
-                << witness.sink.line << ")\n";
-    }
-  }
-
-  if (!doc->dead.empty()) {
-    std::cout << "\ndead exported symbols (" << doc->dead.size() << ")\n";
-    for (const pl::lint::DeadSymbol& dead : doc->dead)
-      std::cout << "  " << dead.qname << " (" << dead.file << ":"
-                << dead.line << ")\n";
-  }
-
-  if (doc->taint.empty() && doc->dead.empty())
-    std::cout << "\nno taint witnesses, no dead exported symbols\n";
-  return 0;
 }
 
 #define SELF_CHECK(cond)                                                   \
@@ -243,44 +174,13 @@ int selftest() {
   SELF_CHECK(damaged.events[0] == events[0]);
   std::remove(path.c_str());
 
-  // pl-graph/1 round trip through the real writer: a two-file program with
-  // one taint chain must come back with its layer table and witness intact.
-  {
-    using namespace pl::lint;
-    const std::vector<FileModel> models = {
-        extract_file_model("src/util/stamp.cpp",
-                           "// pl-lint: allow(nondet-time) selftest\n"
-                           "namespace pl::util {\n"
-                           "long stamp_ms() {\n"
-                           "  return std::chrono::steady_clock::now()\n"
-                           "      .time_since_epoch().count();\n"
-                           "}\n"
-                           "}  // namespace pl::util\n"),
-        extract_file_model("src/high/use.cpp",
-                           "namespace pl::high {\n"
-                           "long next() { return pl::util::stamp_ms() + 1; }\n"
-                           "}  // namespace pl::high\n")};
-    const std::optional<LayerManifest> manifest = parse_layers("util < high");
-    SELF_CHECK(manifest.has_value());
-    const ProgramAnalysis analysis = analyze_program(models, *manifest);
-    const std::optional<GraphDoc> doc =
-        graph_from_json(graph_json(analysis, *manifest, models, "selftest"));
-    SELF_CHECK(doc.has_value());
-    SELF_CHECK(doc->levels.size() == 2);
-    SELF_CHECK(doc->nodes.size() == 2);
-    SELF_CHECK(!doc->taint.empty());
-    SELF_CHECK(doc->taint[0].sink.kind == "clock");
-    SELF_CHECK(!graph_from_json("{\"schema\":\"pl-obs/1\"}").has_value());
-  }
-
   std::cout << "pl-statusz selftest: ok\n";
   return 0;
 }
 
 int usage() {
   std::cerr << "usage: pl-statusz [--obs report.json] "
-               "[--flight dump.plflight] [--tail N] "
-               "[--graph pl-graph.json] [--selftest]\n";
+               "[--flight dump.plflight] [--tail N] [--selftest]\n";
   return 2;
 }
 
@@ -289,7 +189,6 @@ int usage() {
 int main(int argc, char** argv) {
   std::string obs_path;
   std::string flight_path;
-  std::string graph_path;
   std::size_t tail = 32;
   bool run_selftest = false;
 
@@ -301,8 +200,6 @@ int main(int argc, char** argv) {
       obs_path = argv[++i];
     } else if (arg == "--flight" && i + 1 < argc) {
       flight_path = argv[++i];
-    } else if (arg == "--graph" && i + 1 < argc) {
-      graph_path = argv[++i];
     } else if (arg == "--tail" && i + 1 < argc) {
       tail = static_cast<std::size_t>(std::stoul(argv[++i]));
     } else {
@@ -310,12 +207,11 @@ int main(int argc, char** argv) {
     }
   }
   if (run_selftest) return selftest();
-  if (obs_path.empty() && flight_path.empty() && graph_path.empty())
+  if (obs_path.empty() && flight_path.empty())
     return usage();
 
   int rc = 0;
   if (!obs_path.empty()) rc |= render_obs(obs_path);
   if (!flight_path.empty()) rc |= render_flight(flight_path, tail);
-  if (!graph_path.empty()) rc |= render_graph(graph_path);
   return rc;
 }
