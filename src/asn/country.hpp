@@ -32,6 +32,9 @@ class CountryCode {
 
   constexpr bool unknown() const noexcept { return packed_ == 0; }
 
+  /// The two letters as one 16-bit key (0 = unknown); a dense table index.
+  constexpr std::uint16_t packed() const noexcept { return packed_; }
+
   friend constexpr auto operator<=>(const CountryCode&,
                                     const CountryCode&) = default;
 

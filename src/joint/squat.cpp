@@ -40,13 +40,12 @@ std::vector<SquatCandidate> detect_dormant_squats(
   return candidates;
 }
 
-AsnSquatFlags flag_asn_squats(std::span<const lifetimes::AdminLifetime> admin,
-                              std::span<const lifetimes::OpLifetime> op,
-                              const AsnClassification& cls,
-                              const SquatDetectorConfig& config) {
-  AsnSquatFlags flags;
-  flags.dormant.assign(op.size(), false);
-  flags.outside.assign(op.size(), false);
+void flag_asn_squats(std::span<const lifetimes::AdminLifetime> admin,
+                     std::span<const lifetimes::OpLifetime> op,
+                     const AsnClassification& cls,
+                     const SquatDetectorConfig& config, AsnSquatFlags& out) {
+  out.dormant.assign(op.size(), false);
+  out.outside.assign(op.size(), false);
 
   // Dormant awakenings: walk each complete-overlap admin life's contained
   // op lives in start order, measuring dormancy from the allocation start
@@ -56,15 +55,15 @@ AsnSquatFlags flag_asn_squats(std::span<const lifetimes::AdminLifetime> admin,
     if (cls.admin_category[a] != Category::kCompleteOverlap) continue;
     const lifetimes::AdminLifetime& life = admin[a];
     util::Day previous_end = life.days.first - 1;  // allocation start
-    for (const std::size_t o : cls.admin_to_ops[a]) {
-      if (!life.days.contains(op[o].days)) continue;
+    for (const auto& [overlap_admin, o] : cls.overlaps) {
+      if (overlap_admin != a || !life.days.contains(op[o].days)) continue;
       const std::int64_t dormancy =
           static_cast<std::int64_t>(op[o].days.first) - previous_end - 1;
       const double relative = static_cast<double>(op[o].days.length()) /
                               static_cast<double>(life.days.length());
       if (dormancy >= config.dormancy_days &&
           relative <= config.max_relative_duration)
-        flags.dormant[o] = true;
+        out.dormant[o] = true;
       previous_end = op[o].days.last;
     }
   }
@@ -74,9 +73,7 @@ AsnSquatFlags flag_asn_squats(std::span<const lifetimes::AdminLifetime> admin,
   // outside life overlaps none of them, so a closest gap always exists).
   for (std::size_t o = 0; o < op.size(); ++o)
     if (cls.op_category[o] == Category::kOutsideDelegation && !admin.empty())
-      flags.outside[o] = true;
-
-  return flags;
+      out.outside[o] = true;
 }
 
 std::vector<SquatCandidate> detect_outside_delegation_activity(

@@ -57,10 +57,11 @@ struct AsnSquatFlags {
 /// Per-ASN mirror of the two detectors above, used by the serving layer to
 /// stamp detector flags onto snapshot rows. For every ASN the set of
 /// flagged op lives equals what the global detectors emit for that ASN (the
-/// serve oracle test cross-checks the two implementations).
-AsnSquatFlags flag_asn_squats(std::span<const lifetimes::AdminLifetime> admin,
-                              std::span<const lifetimes::OpLifetime> op,
-                              const AsnClassification& cls,
-                              const SquatDetectorConfig& config = {});
+/// serve oracle test cross-checks the two implementations). Writes into
+/// `out`, replacing its contents and reusing its buffers.
+void flag_asn_squats(std::span<const lifetimes::AdminLifetime> admin,
+                     std::span<const lifetimes::OpLifetime> op,
+                     const AsnClassification& cls,
+                     const SquatDetectorConfig& config, AsnSquatFlags& out);
 
 }  // namespace pl::joint

@@ -19,13 +19,13 @@ std::string_view category_name(Category category) noexcept {
   return kCategoryNames[static_cast<std::size_t>(category)];
 }
 
-AsnClassification classify_asn(std::span<const lifetimes::AdminLifetime> admin,
-                               std::span<const lifetimes::OpLifetime> op) {
-  AsnClassification cls;
-  cls.admin_category.assign(admin.size(), Category::kUnused);
-  cls.op_category.assign(op.size(), Category::kOutsideDelegation);
-  cls.op_to_admin.assign(op.size(), -1);
-  cls.admin_to_ops.resize(admin.size());
+void classify_asn(std::span<const lifetimes::AdminLifetime> admin,
+                  std::span<const lifetimes::OpLifetime> op,
+                  AsnClassification& out) {
+  out.admin_category.assign(admin.size(), Category::kUnused);
+  out.op_category.assign(op.size(), Category::kOutsideDelegation);
+  out.op_to_admin.assign(op.size(), -1);
+  out.overlaps.clear();
 
   for (std::size_t o = 0; o < op.size(); ++o) {
     const lifetimes::OpLifetime& op_life = op[o];
@@ -38,10 +38,11 @@ AsnClassification classify_asn(std::span<const lifetimes::AdminLifetime> admin,
           util::overlap_days(admin_life.days, op_life.days);
       if (overlap <= 0) continue;
       const bool contains = admin_life.days.contains(op_life.days);
-      cls.admin_to_ops[a].push_back(o);
+      out.overlaps.emplace_back(static_cast<std::uint32_t>(a),
+                                static_cast<std::uint32_t>(o));
       // Any crossing op life makes the admin life partial; otherwise an
       // inside one makes it complete.
-      Category& admin_class = cls.admin_category[a];
+      Category& admin_class = out.admin_category[a];
       if (!contains)
         admin_class = Category::kPartialOverlap;
       else if (admin_class == Category::kUnused)
@@ -52,12 +53,11 @@ AsnClassification classify_asn(std::span<const lifetimes::AdminLifetime> admin,
         inside = contains;
       }
     }
-    cls.op_to_admin[o] = best_admin;
+    out.op_to_admin[o] = best_admin;
     if (best_admin >= 0)
-      cls.op_category[o] =
+      out.op_category[o] =
           inside ? Category::kCompleteOverlap : Category::kPartialOverlap;
   }
-  return cls;
 }
 
 Taxonomy classify(const lifetimes::AdminDataset& admin,
@@ -82,6 +82,7 @@ Taxonomy classify(const lifetimes::AdminDataset& admin,
   // outside-delegation), which is what classify_asn gives it too.
   const std::span<const lifetimes::AdminLifetime> admins = admin.lifetimes;
   const std::span<const lifetimes::OpLifetime> ops = op.lifetimes;
+  AsnClassification cls;  // reused across ASNs
   for (std::size_t a = 0, o = 0; a < admins.size() && o < ops.size();) {
     if (admins[a].asn < ops[o].asn) {
       ++a;
@@ -96,14 +97,14 @@ Taxonomy classify(const lifetimes::AdminDataset& admin,
     const std::size_t o_begin = o;
     while (a < admins.size() && admins[a].asn == asn) ++a;
     while (o < ops.size() && ops[o].asn == asn) ++o;
-    AsnClassification cls =
-        classify_asn(admins.subspan(a_begin, a - a_begin),
-                     ops.subspan(o_begin, o - o_begin));
-    for (std::size_t i = 0; i < cls.admin_category.size(); ++i) {
+    classify_asn(admins.subspan(a_begin, a - a_begin),
+                 ops.subspan(o_begin, o - o_begin), cls);
+    for (std::size_t i = 0; i < cls.admin_category.size(); ++i)
       taxonomy.admin_category[a_begin + i] = cls.admin_category[i];
-      for (std::size_t& local : cls.admin_to_ops[i]) local += o_begin;
-      taxonomy.admin_to_ops[a_begin + i] = std::move(cls.admin_to_ops[i]);
-    }
+    // Pairs come op-major, so each admin life's list stays ascending.
+    for (const auto& [local_admin, local_op] : cls.overlaps)
+      taxonomy.admin_to_ops[a_begin + local_admin].push_back(o_begin +
+                                                             local_op);
     for (std::size_t i = 0; i < cls.op_category.size(); ++i) {
       taxonomy.op_category[o_begin + i] = cls.op_category[i];
       if (cls.op_to_admin[i] >= 0)

@@ -7,6 +7,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "lifetimes/admin.hpp"
@@ -57,17 +58,22 @@ struct AsnClassification {
   /// For each op life, the local index of the admin life it overlaps most,
   /// -1 if none.
   std::vector<std::int64_t> op_to_admin;
-  /// For each admin life, the local indices of op lives overlapping it.
-  std::vector<std::vector<std::size_t>> admin_to_ops;
+  /// Every overlapping (admin, op) pair of local indices, ordered by op
+  /// life, then admin life: one admin life's overlapping op lives appear
+  /// in start order.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> overlaps;
 
   friend bool operator==(const AsnClassification&,
                          const AsnClassification&) = default;
 };
 
-/// Classify one ASN. Both spans must be sorted by start day, as each ASN's
-/// run of a dataset is.
-AsnClassification classify_asn(std::span<const lifetimes::AdminLifetime> admin,
-                               std::span<const lifetimes::OpLifetime> op);
+/// Classify one ASN into `out`, replacing its contents. Both spans must be
+/// sorted by start day, as each ASN's run of a dataset is. `out`'s buffers
+/// are reused, so classifying ASN after ASN into one object allocates only
+/// while they grow.
+void classify_asn(std::span<const lifetimes::AdminLifetime> admin,
+                  std::span<const lifetimes::OpLifetime> op,
+                  AsnClassification& out);
 
 /// Classify. An op life is "complete" if fully inside some admin life of
 /// the same ASN, "partial" if it overlaps one but crosses its boundary,

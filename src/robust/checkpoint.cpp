@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 
 #include "util/crc32.hpp"
 
@@ -46,11 +45,14 @@ pl::StatusOr<std::string> read_file(const std::string& path) {
   std::error_code ec;
   if (!std::filesystem::exists(path, ec))
     return pl::not_found_error("no such file: " + path);
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) return pl::unavailable_error("cannot size " + path);
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return pl::unavailable_error("cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return pl::unavailable_error("read failed: " + path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (static_cast<std::uintmax_t>(in.gcount()) != size)
+    return pl::unavailable_error("read failed: " + path);
   return bytes;
 }
 

@@ -9,7 +9,6 @@
 
 #include "robust/checkpoint.hpp"
 #include "util/crc32.hpp"
-#include "util/intern.hpp"
 
 namespace pl::serve {
 namespace {
@@ -409,18 +408,25 @@ pl::StatusOr<Snapshot> open_snapshot(const std::string& path) {
 // -- day-delta codec -------------------------------------------------------
 
 std::string encode_day_delta(const DayDelta& delta) {
-  // Intern the country codes into a per-frame table (first-seen order) so
-  // each fact references one by a single varint id; 0 = unknown country.
-  util::StringPool countries;
-  for (const DelegationFact& fact : delta.delegation)
-    if (!fact.state.country.unknown())
-      countries.intern(fact.state.country.to_string());
+  // Number the country codes in first-seen order (a per-frame table) so
+  // each fact references one by a single varint id; 0 = unknown country,
+  // whose packed code 0 never gets an id.
+  std::vector<std::uint32_t> country_id(std::size_t{1} << 16);
+  std::vector<asn::CountryCode> countries;
+  for (const DelegationFact& fact : delta.delegation) {
+    const asn::CountryCode country = fact.state.country;
+    std::uint32_t& id = country_id[country.packed()];
+    if (id == 0 && !country.unknown()) {
+      countries.push_back(country);
+      id = static_cast<std::uint32_t>(countries.size());
+    }
+  }
 
   robust::CheckpointWriter w;
   w.varint(kDayDeltaFormatVersion);
   w.varint(zigzag(delta.day));
   w.varint(countries.size());
-  for (const std::string& token : countries.tokens()) w.str(token);
+  for (const asn::CountryCode country : countries) w.str(country.to_string());
 
   w.varint(delta.delegation.size());
   std::int64_t prev_asn = 0;
@@ -437,9 +443,7 @@ std::string encode_day_delta(const DayDelta& delta) {
     if (state.registration_date.has_value())
       w.varint(zigzag(static_cast<std::int64_t>(*state.registration_date) -
                       delta.day));
-    w.varint(state.country.unknown()
-                 ? 0
-                 : countries.find(state.country.to_string()) + 1);
+    w.varint(country_id[state.country.packed()]);
     w.varint(state.opaque_id);
   }
 

@@ -478,7 +478,7 @@ pl::Status QueryService::advance_day(const DayDelta& delta) {
   const obs::RequestId rid =
       obs::derive_request_id(obs::kQueryStream, seq, 0);
   AdvanceStats stats;
-  const pl::Status status = snapshot_.advance_day(delta, &stats);
+  const pl::Status status = snapshot_.advance_day(delta, &stats, &span);
   record_event(rid, obs::EventKind::kAdvanceDay,
                obs::query_detail(obs::kCacheNone, 0,
                                  static_cast<std::uint32_t>(status.code()),

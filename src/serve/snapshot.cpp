@@ -1,7 +1,6 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "check/contracts.hpp"
@@ -46,15 +45,52 @@ std::int64_t count_lt(const std::vector<Day>& sorted, Day day) noexcept {
   return std::lower_bound(sorted.begin(), sorted.end(), day) - sorted.begin();
 }
 
+/// Sort days ascending in linear time: an LSD radix sort, four stable 8-bit
+/// passes over the day biased to unsigned (so negative days order first),
+/// with `buffer` as the other half of each pass. A pass whose digit is the
+/// same for every day would move nothing, so it is skipped. Sorted ints
+/// have one order, so the result equals std::sort's.
+void radix_sort(std::vector<Day>& days, std::vector<Day>& buffer) {
+  if (days.empty()) return;
+  constexpr int kPasses = 4;
+  const auto digit = [](Day day, int pass) {
+    return ((static_cast<std::uint32_t>(day) ^ 0x80000000u) >> (8 * pass)) &
+           0xFFu;
+  };
+  std::array<std::array<std::uint32_t, 256>, kPasses> offsets{};
+  for (const Day day : days)
+    for (int pass = 0; pass < kPasses; ++pass) ++offsets[pass][digit(day, pass)];
+  buffer.resize(days.size());
+  for (int pass = 0; pass < kPasses; ++pass) {
+    std::array<std::uint32_t, 256>& offset = offsets[pass];
+    if (offset[digit(days.front(), pass)] == days.size()) continue;
+    std::uint32_t next = 0;
+    for (std::uint32_t& slot : offset) next += std::exchange(slot, next);
+    for (const Day day : days) buffer[offset[digit(day, pass)]++] = day;
+    days.swap(buffer);
+  }
+}
+
+/// A child span of `parent` named `name`; inert without a parent.
+obs::Span phase_span(obs::Span* parent, const char* name) {
+  return parent != nullptr ? parent->child(name) : obs::Span{};
+}
+
+/// The (registry, ASN) key of a fact: registry-major, so a delta in
+/// slice_day's order gives an ascending key list.
+std::uint64_t fact_key(const DelegationFact& fact) noexcept {
+  return (std::uint64_t{asn::index_of(fact.registry)} << 32) | fact.asn.value;
+}
+
 }  // namespace
 
 void Snapshot::append_asn_rows(
     asn::Asn asn, std::span<const lifetimes::AdminLifetime> admin,
-    std::span<const lifetimes::OpLifetime> op) {
+    std::span<const lifetimes::OpLifetime> op, joint::AsnClassification& cls,
+    joint::AsnSquatFlags& squats) {
   if (admin.empty() && op.empty()) return;
-  const joint::AsnClassification cls = joint::classify_asn(admin, op);
-  const joint::AsnSquatFlags squats =
-      joint::flag_asn_squats(admin, op, cls, config_.squat);
+  joint::classify_asn(admin, op, cls);
+  joint::flag_asn_squats(admin, op, cls, config_.squat, squats);
 
   AsnRow row;
   row.asn = asn;
@@ -103,7 +139,11 @@ void Snapshot::assemble(std::span<const lifetimes::AdminLifetime> admin,
   rows_.clear();
   admin_rows_.clear();
   op_rows_.clear();
+  admin_rows_.reserve(admin.size());
+  op_rows_.reserve(op.size());
 
+  joint::AsnClassification cls;
+  joint::AsnSquatFlags squats;
   // Both life lists are sorted by (asn, start), so each ASN's lives are one
   // contiguous run in each: merge-walk them and append each ASN's rows.
   for (std::size_t a = 0, o = 0; a < admin.size() || o < op.size();) {
@@ -116,7 +156,7 @@ void Snapshot::assemble(std::span<const lifetimes::AdminLifetime> admin,
     while (a < admin.size() && admin[a].asn == asn) ++a;
     while (o < op.size() && op[o].asn == asn) ++o;
     append_asn_rows(asn, admin.subspan(a_begin, a - a_begin),
-                    op.subspan(o_begin, o - o_begin));
+                    op.subspan(o_begin, o - o_begin), cls, squats);
   }
 
   PL_ASSERT_SORTED(rows_,
@@ -138,31 +178,52 @@ void Snapshot::rebuild_indexes() {
   op_starts_.reserve(op_rows_.size());
   op_ends_.reserve(op_rows_.size());
 
+  // Country lists gather through a table indexed by the packed code, not a
+  // tree walk per row, and move into the map in code order at the end.
+  std::vector<std::uint32_t> country_slot(std::size_t{1} << 16);  // 1 + index
+  std::vector<std::pair<asn::CountryCode, std::vector<std::uint32_t>>>
+      country_rows;
   for (std::uint32_t r = 0; r < rows_.size(); ++r) {
     const AsnRow& row = rows_[r];
     std::array<bool, asn::kRirCount> seen_registry{};
-    std::set<asn::CountryCode> seen_country;
-    for (const AdminLifeRow& life : admin_lives(row)) {
-      admin_starts_.push_back(life.life.days.first);
-      admin_ends_.push_back(life.life.days.last);
-      const std::size_t rir = asn::index_of(life.life.registry);
+    const std::span<const AdminLifeRow> lives = admin_lives(row);
+    for (std::size_t i = 0; i < lives.size(); ++i) {
+      const lifetimes::AdminLifetime& life = lives[i].life;
+      admin_starts_.push_back(life.days.first);
+      admin_ends_.push_back(life.days.last);
+      const std::size_t rir = asn::index_of(life.registry);
       if (!seen_registry[rir]) {
         seen_registry[rir] = true;
         by_registry_[rir].push_back(r);
       }
-      if (!life.life.country.unknown() &&
-          seen_country.insert(life.life.country).second)
-        by_country_[life.life.country].push_back(r);
+      // An ASN has a handful of lives: list its row under a country the
+      // first time one of them names it.
+      if (life.country.unknown() ||
+          std::any_of(lives.begin(), lives.begin() + i,
+                      [&](const AdminLifeRow& earlier) {
+                        return earlier.life.country == life.country;
+                      }))
+        continue;
+      std::uint32_t& slot = country_slot[life.country.packed()];
+      if (slot == 0) {
+        country_rows.emplace_back(life.country, std::vector<std::uint32_t>{});
+        slot = static_cast<std::uint32_t>(country_rows.size());
+      }
+      country_rows[slot - 1].second.push_back(r);
     }
     for (const OpLifeRow& life : op_lives(row)) {
       op_starts_.push_back(life.life.days.first);
       op_ends_.push_back(life.life.days.last);
     }
   }
-  std::sort(admin_starts_.begin(), admin_starts_.end());
-  std::sort(admin_ends_.begin(), admin_ends_.end());
-  std::sort(op_starts_.begin(), op_starts_.end());
-  std::sort(op_ends_.begin(), op_ends_.end());
+  std::sort(country_rows.begin(), country_rows.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& [country, list] : country_rows)
+    by_country_.emplace_hint(by_country_.end(), country, std::move(list));
+  std::vector<Day> buffer;
+  for (std::vector<Day>* days :
+       {&admin_starts_, &admin_ends_, &op_starts_, &op_ends_})
+    radix_sort(*days, buffer);
 }
 
 Snapshot Snapshot::build(const restore::RestoredArchive& archive,
@@ -191,16 +252,32 @@ Snapshot Snapshot::build(const restore::RestoredArchive& archive,
   return snap;
 }
 
-void Snapshot::derive(AdvanceStats* stats) {
-  const WorkingSet& working = *working_;
-  lifetimes::RegistrySpanMaps spans;
-  for (std::size_t r = 0; r < asn::kRirCount; ++r)
-    spans[r] = &working.spans[r];
-  assemble(lifetimes::build_admin_lifetimes(spans, working.first_observed,
-                                            archive_end_, config_.admin),
-           lifetimes::coalesce_activity(working.activity,
-                                        config_.op_timeout_days));
+void Snapshot::derive(AdvanceStats* stats, obs::Span* span) {
+  {  // the life lists die before the index phase, keeping the peak low
+    const WorkingSet& working = *working_;
+    obs::Span lives_span = phase_span(span, "lifetimes");
+    lifetimes::RegistrySpanMaps spans;
+    for (std::size_t r = 0; r < asn::kRirCount; ++r)
+      spans[r] = &working.spans[r];
+    const std::vector<lifetimes::AdminLifetime> admin =
+        lifetimes::build_admin_lifetimes(spans, working.first_observed,
+                                         archive_end_, config_.admin);
+    const std::vector<lifetimes::OpLifetime> op =
+        lifetimes::coalesce_activity(working.activity,
+                                     config_.op_timeout_days);
+    lives_span.note("admin_lives", static_cast<std::int64_t>(admin.size()));
+    lives_span.note("op_lives", static_cast<std::int64_t>(op.size()));
+    lives_span.finish();
+
+    obs::Span assemble_span = phase_span(span, "assemble");
+    assemble(admin, op);
+    assemble_span.note("rows", static_cast<std::int64_t>(rows_.size()));
+  }
+
+  obs::Span index_span = phase_span(span, "index");
   rebuild_indexes();
+  index_span.note("countries", static_cast<std::int64_t>(by_country_.size()));
+  index_span.finish();
   if (stats != nullptr) {
     stats->touched_admin = std::count_if(
         rows_.begin(), rows_.end(),
@@ -265,7 +342,8 @@ AliveCensus Snapshot::alive_census(util::Day day) const noexcept {
   return census;
 }
 
-pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats) {
+pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats,
+                                 obs::Span* span) {
   if (!working_)
     return pl::failed_precondition_error(
         "snapshot has no working set (built from datasets, not from a "
@@ -275,23 +353,41 @@ pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats) {
         "advance_day expects day " + util::format_iso(archive_end_ + 1) +
         ", got " + util::format_iso(delta.day));
 
+  obs::Span apply_span = phase_span(span, "apply");
   // Validate before mutating so a rejected delta leaves the snapshot
   // untouched: at most one fact per (registry, ASN).
   {
-    std::set<std::pair<std::size_t, std::uint32_t>> seen;
+    std::vector<std::uint64_t> keys;
+    keys.reserve(delta.delegation.size());
     for (const DelegationFact& fact : delta.delegation)
-      if (!seen.emplace(asn::index_of(fact.registry), fact.asn.value).second)
-        return pl::invalid_argument_error(
-            "duplicate delegation fact for AS" + asn::to_string(fact.asn) +
-            " in one registry on " + util::format_iso(delta.day));
+      keys.push_back(fact_key(fact));
+    if (!std::is_sorted(keys.begin(), keys.end()))
+      std::sort(keys.begin(), keys.end());
+    const auto duplicate = std::adjacent_find(keys.begin(), keys.end());
+    if (duplicate != keys.end())
+      return pl::invalid_argument_error(
+          "duplicate delegation fact for AS" +
+          asn::to_string(asn::Asn{static_cast<std::uint32_t>(*duplicate)}) +
+          " in one registry on " + util::format_iso(delta.day));
   }
 
+  // Facts and active ASNs arrive ascending (slice_day's order), so each tree
+  // lookup is hinted at the slot after the previous one; another order
+  // only loses the hint.
   WorkingSet& working = *working_;
+  std::size_t hinted_registry = asn::kRirCount;
+  std::map<std::uint32_t, std::vector<StateSpan>>::iterator hint;
   for (const DelegationFact& fact : delta.delegation) {
     const std::size_t r = asn::index_of(fact.registry);
     auto& fo = working.first_observed[r];
     if (!fo) fo = delta.day;  // registry's first published day
-    std::vector<StateSpan>& spans = working.spans[r][fact.asn.value];
+    if (r != hinted_registry) {
+      hinted_registry = r;
+      hint = working.spans[r].begin();
+    }
+    const auto slot = working.spans[r].try_emplace(hint, fact.asn.value);
+    hint = std::next(slot);
+    std::vector<StateSpan>& spans = slot->second;
     if (!spans.empty() && spans.back().days.last == delta.day - 1 &&
         spans.back().state == fact.state) {
       spans.back().days.last = delta.day;  // state unchanged: extend the run
@@ -300,15 +396,17 @@ pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats) {
           StateSpan{util::DayInterval{delta.day, delta.day}, fact.state});
     }
   }
-  for (const asn::Asn active : delta.active)
-    working.activity.mark_active(active, delta.day);
+  working.activity.mark_active(delta.active, delta.day);
   archive_end_ = delta.day;
+  apply_span.note("facts", static_cast<std::int64_t>(delta.delegation.size()));
+  apply_span.note("active", static_cast<std::int64_t>(delta.active.size()));
+  apply_span.finish();
 
   if (stats != nullptr) {
     stats->facts = static_cast<std::int64_t>(delta.delegation.size());
     stats->active = static_cast<std::int64_t>(delta.active.size());
   }
-  derive(stats);
+  derive(stats, span);
   return {};
 }
 
@@ -368,6 +466,8 @@ pl::StatusOr<Snapshot> Snapshot::at(util::Day day,
   snap.config_ = config_;
   snap.archive_end_ = day;
   std::int64_t spans = 0;
+  joint::AsnClassification cls;
+  joint::AsnSquatFlags squats;
   for (const std::uint32_t asn_value : keys) {
     std::array<std::vector<StateSpan>, asn::kRirCount> clipped;
     lifetimes::AsnSpansByRegistry span_lists{};
@@ -394,7 +494,7 @@ pl::StatusOr<Snapshot> Snapshot::at(util::Day day,
       for (const util::DayInterval& life :
            activity->clipped(day).coalesce(config_.op_timeout_days))
         op.push_back(lifetimes::OpLifetime{asn::Asn{asn_value}, life});
-    snap.append_asn_rows(asn::Asn{asn_value}, admin, op);
+    snap.append_asn_rows(asn::Asn{asn_value}, admin, op, cls, squats);
   }
   snap.rebuild_indexes();
   if (stats != nullptr) {

@@ -35,6 +35,7 @@
 
 #include "bgp/activity.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "joint/squat.hpp"
 #include "joint/taxonomy.hpp"
 #include "lifetimes/admin.hpp"
@@ -212,7 +213,10 @@ class Snapshot {
   /// Fold one new day in. `delta.day` must be `archive_end() + 1`; at most
   /// one fact per (registry, ASN). On success the snapshot is bit-identical
   /// to `build()` over the extended inputs; on failure it is unchanged.
-  pl::Status advance_day(const DayDelta& delta, AdvanceStats* stats = nullptr);
+  /// With `span`, each phase (`apply`, `lifetimes`, `assemble`, `index`)
+  /// opens a child of it noting what it touched.
+  pl::Status advance_day(const DayDelta& delta, AdvanceStats* stats = nullptr,
+                         obs::Span* span = nullptr);
 
   // -- the past ----------------------------------------------------------
 
@@ -257,17 +261,21 @@ class Snapshot {
 
   /// The one derivation: every serving row and index from `*working_` at
   /// `archive_end_`, through the pipeline's lifetime builders. Fills
-  /// `stats->touched_admin`/`touched_op` when given.
-  void derive(AdvanceStats* stats = nullptr);
+  /// `stats->touched_admin`/`touched_op` when given, and opens one child
+  /// span per phase under `span` when given.
+  void derive(AdvanceStats* stats = nullptr, obs::Span* span = nullptr);
 
   /// Rows from life lists sorted by (asn, start).
   void assemble(std::span<const lifetimes::AdminLifetime> admin,
                 std::span<const lifetimes::OpLifetime> op);
   /// Classify + flag one ASN's lives and append its serving rows (nothing
-  /// when it has no lives).
+  /// when it has no lives). `cls` and `squats` are scratch the caller
+  /// reuses from ASN to ASN.
   void append_asn_rows(asn::Asn asn,
                        std::span<const lifetimes::AdminLifetime> admin,
-                       std::span<const lifetimes::OpLifetime> op);
+                       std::span<const lifetimes::OpLifetime> op,
+                       joint::AsnClassification& cls,
+                       joint::AsnSquatFlags& squats);
   void rebuild_indexes();
 
   std::vector<AsnRow> rows_;

@@ -64,6 +64,49 @@ TEST(HistoryCodec, RoundTripsHandBuiltDeltaExactly) {
   EXPECT_EQ(*decoded, delta);
 }
 
+TEST(HistoryCodec, FrameBytesArePinned) {
+  // Repeated, interleaved and unknown countries: the frame's country table
+  // lists DE, US, BR, JP in first-seen order and each fact points at its
+  // 1-based id (0 for unknown). WAL and history files hold these frames,
+  // so a change to the id order or the layout must show up here.
+  serve::DayDelta delta;
+  delta.day = 7000;
+  std::uint32_t asn_value = 100;
+  for (const char* code : {"DE", "", "US", "DE", "BR", "US", "", "BR", "JP"}) {
+    serve::DelegationFact fact;
+    fact.asn = asn::Asn{asn_value};
+    asn_value += 7;
+    fact.registry = asn::Rir::kRipeNcc;
+    fact.state.status = dele::Status::kAllocated;
+    if (*code != '\0') fact.state.country = *asn::CountryCode::parse(code);
+    delta.delegation.push_back(fact);
+  }
+  delta.active = {asn::Asn{100}, asn::Asn{128}};
+
+  std::string hex;
+  for (const unsigned char byte : encode_day_delta(delta)) {
+    constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xF];
+  }
+  EXPECT_EQ(hex,
+            "504c434b010000003a00000000000000"  // magic, version, length
+            "02b06d"                            // delta version, day
+            "04024445025553024252024a50"        // DE US BR JP
+            "09"                                // nine facts:
+            "10c8010100"                        //   AS100 DE
+            "100e0000"                          //   unknown
+            "100e0200"                          //   US
+            "100e0100"                          //   DE again
+            "100e0300"                          //   BR
+            "100e0200"                          //   US again
+            "100e0000"                          //   unknown
+            "100e0300"                          //   BR again
+            "100e0400"                          //   JP
+            "02c80138"                          // active AS100, AS128
+            "7cd236e1");                        // crc32
+}
+
 TEST(HistoryCodec, RoundTripsEmptyDelta) {
   serve::DayDelta delta;
   delta.day = 1;

@@ -194,6 +194,15 @@ TEST(LintSuppressions, UnusedAllowStaysVisibleInTheBudget) {
   EXPECT_EQ(report.suppressions.at("naked-new").used, 0);
 }
 
+TEST(LintSuppressions, ProseQuotingTheSyntaxDeclaresNothing) {
+  const FileModel model = extract_file_model(
+      "tests/prose.cpp", read_fixture("suppression/prose.cpp"));
+  EXPECT_TRUE(model.file_report.suppressions.empty());
+  EXPECT_TRUE(model.allows.empty());
+  EXPECT_EQ(model.det_ok_declared, 0);
+  EXPECT_EQ(count_rule(model.file_report, "nondet-rand"), 1);
+}
+
 TEST(LintSuppressions, AllowForOneRuleDoesNotSilenceAnother) {
   const std::string source =
       "#include <cstdlib>\n"

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -212,6 +213,51 @@ TEST(Snapshot, CensusMatchesLinearCount) {
   }
 }
 
+TEST(Snapshot, CensusMatchesBruteForceOverExtremeDays) {
+  // Negative and very far-apart days vary every byte of the sorted census
+  // arrays' keys, sign bit included.
+  const std::vector<util::DayInterval> admin_days = {
+      {-1'000'000'000, -999'999'000}, {-70'000, -1}, {-1, 0},
+      {0, 255},                       {256, 65'536}, {-5, 1'000'000'000},
+      {123'456'789, 123'456'789}};
+  lifetimes::AdminDataset admin;
+  lifetimes::OpDataset op;
+  std::uint32_t asn_value = 1;
+  for (const util::DayInterval& days : admin_days) {
+    lifetimes::AdminLifetime life;
+    life.asn = asn::Asn{asn_value};
+    life.registration_date = days.first;
+    life.days = days;
+    admin.lifetimes.push_back(life);
+    // Op lives take the admin intervals in the opposite order.
+    op.lifetimes.push_back(lifetimes::OpLifetime{
+        asn::Asn{asn_value}, admin_days[admin_days.size() - asn_value]});
+    ++asn_value;
+  }
+  const Snapshot snapshot = Snapshot::from_datasets(admin, op);
+
+  std::vector<util::Day> probes = {std::numeric_limits<util::Day>::min(),
+                                   std::numeric_limits<util::Day>::max()};
+  for (const util::DayInterval& days : admin_days)
+    for (const util::Day day :
+         {days.first - 1, days.first, days.last, days.last + 1})
+      probes.push_back(day);
+  for (const util::Day day : probes) {
+    AliveCensus brute;
+    for (const lifetimes::AdminLifetime& life : admin.lifetimes)
+      if (life.days.contains(day)) ++brute.admin_alive;
+    for (const lifetimes::OpLifetime& life : op.lifetimes)
+      if (life.days.contains(day)) ++brute.op_alive;
+    EXPECT_EQ(snapshot.alive_census(day), brute) << "day " << day;
+  }
+
+  for (const Snapshot& empty :
+       {Snapshot{}, Snapshot::from_datasets({}, {})})
+    for (const util::Day day : {std::numeric_limits<util::Day>::min(), 0,
+                                std::numeric_limits<util::Day>::max()})
+      EXPECT_EQ(empty.alive_census(day), AliveCensus{}) << "day " << day;
+}
+
 TEST(Snapshot, FindMissesUnknownAsn) {
   const pipeline::Result result = small_pipeline();
   const Snapshot snapshot = small_snapshot(result);
@@ -316,6 +362,84 @@ TEST(QueryService, WrongDayAdvanceIsInvalidArgument) {
   }
   ASSERT_TRUE(service.advance_day(next).ok());
   EXPECT_FALSE(service.snapshot() == before);
+}
+
+TEST(QueryService, DuplicateFactChecksOneRegistryAtATime) {
+  const pipeline::Result result = small_pipeline();
+  QueryService service(small_snapshot(result));
+  const Snapshot before = service.snapshot();
+  DayDelta next = history::HistoryStore::slice_day(
+      result.restored, result.op_world.activity, result.truth.archive_end);
+  next.day = result.truth.archive_end + 1;
+  ASSERT_GE(next.delegation.size(), 3u);
+
+  // An adjacent repeat in input that is otherwise in slice_day's order.
+  DayDelta adjacent = next;
+  const std::size_t mid = adjacent.delegation.size() / 2;
+  adjacent.delegation.insert(adjacent.delegation.begin() + mid + 1,
+                             adjacent.delegation[mid]);
+  // A repeat far apart in input that is out of order.
+  DayDelta far = next;
+  std::reverse(far.delegation.begin(), far.delegation.end());
+  far.delegation.push_back(far.delegation.front());
+  for (const auto& [delta, repeated] :
+       {std::pair{adjacent, next.delegation[mid].asn},
+        std::pair{far, next.delegation.back().asn}}) {
+    const pl::Status status = service.advance_day(delta);
+    EXPECT_EQ(status.code(), pl::StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("AS" + asn::to_string(repeated)),
+              std::string::npos)
+        << status.to_string();
+    EXPECT_TRUE(service.snapshot() == before);
+  }
+
+  // The same ASN in two registries is two facts, not a repeat.
+  const DelegationFact first = next.delegation.front();
+  DelegationFact other = first;
+  for (const asn::Rir rir : asn::kAllRirs) {
+    const bool taken = std::any_of(
+        next.delegation.begin(), next.delegation.end(),
+        [&](const DelegationFact& fact) {
+          return fact.registry == rir && fact.asn == first.asn;
+        });
+    if (!taken) other.registry = rir;
+  }
+  ASSERT_NE(other.registry, first.registry);
+  next.delegation.push_back(other);
+  ASSERT_TRUE(service.advance_day(next).ok());
+  EXPECT_NE(service.snapshot().find(first.asn), nullptr);
+}
+
+TEST(QueryService, AdvanceDayTracesEachPhase) {
+  const pipeline::Result result = small_pipeline();
+  QueryService service(small_snapshot(result));
+  DayDelta delta = history::HistoryStore::slice_day(
+      result.restored, result.op_world.activity, result.truth.archive_end);
+  delta.day = result.truth.archive_end + 1;
+  ASSERT_TRUE(service.advance_day(delta).ok());
+  if (!obs::kEnabled) return;  // obs-off: report is empty by design
+
+  const obs::Report report = service.report();
+  const obs::TraceNode* advance = report.trace.child("serve.advance_day");
+  ASSERT_NE(advance, nullptr);
+  ASSERT_EQ(advance->children.size(), 4u);
+  const char* const phases[] = {"apply", "lifetimes", "assemble", "index"};
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_EQ(advance->children[i].name, phases[i]);
+
+  const Snapshot& snapshot = service.snapshot();
+  EXPECT_EQ(advance->child("apply")->note_value("facts"),
+            static_cast<std::int64_t>(delta.delegation.size()));
+  EXPECT_EQ(advance->child("apply")->note_value("active"),
+            static_cast<std::int64_t>(delta.active.size()));
+  EXPECT_EQ(advance->child("lifetimes")->note_value("admin_lives"),
+            static_cast<std::int64_t>(snapshot.admin_life_count()));
+  EXPECT_EQ(advance->child("lifetimes")->note_value("op_lives"),
+            static_cast<std::int64_t>(snapshot.op_life_count()));
+  EXPECT_EQ(advance->child("assemble")->note_value("rows"),
+            static_cast<std::int64_t>(snapshot.asn_count()));
+  EXPECT_EQ(advance->child("index")->note_value("countries"),
+            static_cast<std::int64_t>(snapshot.rows_by_country().size()));
 }
 
 TEST(QueryService, AdvanceBumpsVersionAndServesFoldedDay) {

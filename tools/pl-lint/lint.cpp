@@ -192,7 +192,8 @@ Lexed lex(std::string_view text) {
 // the comment's own line through the first code line after the comment block
 // (so a multi-line justification still covers the statement it precedes);
 // `allow-file(...)` covers the file; `det-ok(reason)` annotates the
-// enclosing function for the determinism-taint pass.
+// enclosing function for the determinism-taint pass. Only a comment that
+// starts with `pl-lint:` is a directive.
 
 namespace {
 
@@ -233,30 +234,27 @@ Suppressions parse_suppressions(const std::vector<Comment>& comments) {
   std::set<int> comment_lines;
   for (const Comment& comment : comments) comment_lines.insert(comment.line);
   for (const Comment& comment : comments) {
-    const std::size_t at = comment.text.find("pl-lint:");
-    if (at == std::string::npos) continue;
+    // The directive must open the comment (doc-comment markers and spaces
+    // aside) and name its kind first.
+    std::string_view rest = comment.text;
+    const auto skip = [&rest](std::string_view chars) {
+      rest.remove_prefix(std::min(rest.find_first_not_of(chars), rest.size()));
+    };
+    skip("/*! \t");
+    if (!rest.starts_with("pl-lint:")) continue;
+    rest.remove_prefix(8);
+    skip(" \t");
     // Extend through the contiguous comment block so the justification can
     // span lines and the suppression still reaches the code underneath.
     int through = comment.line;
     while (comment_lines.contains(through + 1)) ++through;
     ++through;  // the first code line after the block
-    const std::string_view rest =
-        std::string_view(comment.text).substr(at + 8);
-    const std::size_t det_ok = rest.find("det-ok");
-    if (det_ok != std::string_view::npos) {
+    if (rest.starts_with("det-ok"))
       out.det_ok.push_back(DetOk{comment.line, through});
-      continue;
-    }
-    const std::size_t allow_file = rest.find("allow-file");
-    if (allow_file != std::string_view::npos) {
-      parse_directive(rest.substr(allow_file), /*file_wide=*/true,
-                      comment.line, through, out);
-      continue;
-    }
-    const std::size_t allow = rest.find("allow");
-    if (allow != std::string_view::npos)
-      parse_directive(rest.substr(allow), /*file_wide=*/false, comment.line,
-                      through, out);
+    else if (rest.starts_with("allow-file"))
+      parse_directive(rest, /*file_wide=*/true, comment.line, through, out);
+    else if (rest.starts_with("allow"))
+      parse_directive(rest, /*file_wide=*/false, comment.line, through, out);
   }
   return out;
 }
