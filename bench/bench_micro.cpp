@@ -1,13 +1,19 @@
 // Microbenchmarks (google-benchmark): the hot paths of the pipeline —
 // delegation-file parsing/serialization, interval-set algebra, AS-path loop
-// detection, the sanitizer, and the visibility aggregator.
+// detection, the sanitizer, the visibility aggregator, and the snapshot
+// codec (over a pipeline snapshot at PL_BENCH_SCALE, default 0.02).
 #include <benchmark/benchmark.h>
+
+#include <cstdlib>
 
 #include "bgp/activity.hpp"
 #include "bgp/mrt.hpp"
 #include "bgp/rib.hpp"
 #include "bgp/sanitizer.hpp"
 #include "delegation/archive.hpp"
+#include "pipeline/pipeline.hpp"
+#include "serve/durable.hpp"
+#include "serve/snapshot.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
 
@@ -230,6 +236,45 @@ void BM_RibReconstruction(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RibReconstruction)->Arg(50000);
+
+/// A snapshot with its working set, built once from a small pipeline run.
+const serve::Snapshot& pipeline_snapshot() {
+  static const serve::Snapshot snapshot = [] {
+    pipeline::Config config;
+    config.seed = 99;
+    config.scale = 0.02;
+    if (const char* env = std::getenv("PL_BENCH_SCALE"))
+      config.scale = std::atof(env);
+    const pipeline::Result result = pipeline::run_simulated(config);
+    return serve::Snapshot::build(result.restored, result.op_world.activity,
+                                  result.truth.archive_end);
+  }();
+  return snapshot;
+}
+
+void BM_SnapshotEncode(benchmark::State& state) {
+  const serve::Snapshot& snapshot = pipeline_snapshot();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string frame = serve::encode_snapshot(snapshot);
+    bytes = frame.size();
+    benchmark::DoNotOptimize(frame.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_SnapshotEncode)->Unit(benchmark::kMillisecond);
+
+void BM_SnapshotDecode(benchmark::State& state) {
+  const std::string frame = serve::encode_snapshot(pipeline_snapshot());
+  for (auto _ : state) {
+    auto decoded = serve::decode_snapshot(frame);
+    benchmark::DoNotOptimize(decoded.ok());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_SnapshotDecode)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -35,6 +35,18 @@ class CountryCode {
   /// The two letters as one 16-bit key (0 = unknown); a dense table index.
   constexpr std::uint16_t packed() const noexcept { return packed_; }
 
+  /// The inverse of `packed()`: nullopt unless `packed` is 0 or two
+  /// uppercase letters.
+  static constexpr std::optional<CountryCode> from_packed(
+      std::uint16_t packed) noexcept {
+    const auto letter = [](unsigned c) { return c >= 'A' && c <= 'Z'; };
+    if (packed != 0 && !(letter(packed >> 8u) && letter(packed & 0xFFu)))
+      return std::nullopt;
+    CountryCode cc;
+    cc.packed_ = packed;
+    return cc;
+  }
+
   friend constexpr auto operator<=>(const CountryCode&,
                                     const CountryCode&) = default;
 

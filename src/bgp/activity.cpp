@@ -8,16 +8,6 @@ void ActivityTable::mark_active(asn::Asn asn, util::Day day) {
   activity_[asn].add(day);
 }
 
-void ActivityTable::mark_active(std::span<const asn::Asn> asns,
-                                util::Day day) {
-  auto hint = activity_.begin();
-  for (const asn::Asn asn : asns) {
-    const auto slot = activity_.try_emplace(hint, asn);
-    slot->second.add(day);
-    hint = std::next(slot);
-  }
-}
-
 void ActivityTable::mark_active(asn::Asn asn,
                                 const util::DayInterval& days) {
   if (days.empty()) return;

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -28,11 +27,6 @@ class ActivityTable {
  public:
   /// Mark `asn` active on one day.
   void mark_active(asn::Asn asn, util::Day day);
-
-  /// Mark every ASN of `asns` active on one day. Each lookup is hinted at
-  /// the slot after the previous ASN's, so an ascending list costs
-  /// amortized O(1) per ASN; any order gives the same table.
-  void mark_active(std::span<const asn::Asn> asns, util::Day day);
 
   /// Mark `asn` active over an inclusive run of days (bulk path used by the
   /// full-scale generator).

@@ -32,7 +32,7 @@ struct Piece {
 /// span order), appending to `out`. `first_observed` is the registry's first
 /// published day: lives already present in that first file are backdated to
 /// their registration date.
-void gather_asn_pieces(const std::vector<StateSpan>& spans, asn::Rir rir,
+void gather_asn_pieces(std::span<const StateSpan> spans, asn::Rir rir,
                        Day first_observed, std::vector<Piece>& out) {
   std::optional<std::size_t> previous_delegated;
   for (std::size_t s = 0; s < spans.size(); ++s) {
@@ -184,8 +184,8 @@ void append_asn_lifetimes(std::uint32_t asn_value,
                           std::vector<AdminLifetime>& out) {
   pieces.clear();
   for (std::size_t r = 0; r < asn::kRirCount; ++r) {
-    if (spans[r] == nullptr) continue;
-    gather_asn_pieces(*spans[r], asn::kAllRirs[r],
+    if (spans[r].empty()) continue;
+    gather_asn_pieces(spans[r], asn::kAllRirs[r],
                       first_observed[r].value_or(archive_end), pieces);
   }
   build_asn_lifetimes(asn_value, pieces, archive_end, config, out);
@@ -215,48 +215,63 @@ std::vector<AdminLifetime> build_asn_admin_lifetimes(
   return lifetimes;
 }
 
+SpanTables flatten_spans(const restore::RestoredArchive& archive) {
+  SpanTables tables;
+  std::vector<StateSpan> merged;
+  for (const restore::RestoredRegistry& registry : archive.registries) {
+    restore::SpanTable& table = tables[asn::index_of(registry.rir)];
+    table.keys.reserve(registry.spans.size());
+    table.offsets.reserve(registry.spans.size());
+    for (const auto& [asn_value, spans] : registry.spans) {
+      merged.clear();
+      for (const StateSpan& span : spans) {
+        if (!merged.empty() && merged.back().days.last + 1 == span.days.first &&
+            merged.back().state == span.state)
+          merged.back().days.last = span.days.last;
+        else
+          merged.push_back(span);
+      }
+      table.push_back(asn_value, merged);
+    }
+  }
+  return tables;
+}
+
 AdminDataset build_admin_lifetimes(const restore::RestoredArchive& archive,
                                    util::Day archive_end,
                                    const AdminBuildConfig& config) {
-  RegistrySpanMaps spans{};
-  for (const restore::RestoredRegistry& registry : archive.registries)
-    spans[asn::index_of(registry.rir)] = &registry.spans;
   AdminDataset dataset;
   dataset.archive_end = archive_end;
-  dataset.lifetimes = build_admin_lifetimes(
-      spans, registry_first_observed(archive), archive_end, config);
+  dataset.lifetimes =
+      build_admin_lifetimes(flatten_spans(archive),
+                            registry_first_observed(archive), archive_end,
+                            config);
   return dataset;
 }
 
 std::vector<AdminLifetime> build_admin_lifetimes(
-    const RegistrySpanMaps& spans, const FirstObserved& first_observed,
+    const SpanTables& spans, const FirstObserved& first_observed,
     util::Day archive_end, const AdminBuildConfig& config) {
-  // Walk the five registries' span maps together in ascending-ASN order and
+  // Walk the five registries' tables together in ascending-ASN order and
   // build each ASN's lives from the spans every registry holds for it, so
   // the output comes out sorted by ASN with the per-ASN builder's lives.
   // Lives already present in a registry's first file are backdated to their
   // registration date — the paper's lifetimes reach back to 1992 through
   // this field (Fig. 10), since the archive cannot witness their true start.
-  using SpanMap = std::map<std::uint32_t, std::vector<StateSpan>>;
-  std::array<SpanMap::const_iterator, asn::kRirCount> next{};
-  for (std::size_t r = 0; r < asn::kRirCount; ++r)
-    if (spans[r] != nullptr) next[r] = spans[r]->begin();
-  const auto pending = [&](std::size_t r) {
-    return spans[r] != nullptr && next[r] != spans[r]->end();
-  };
-
+  std::array<std::size_t, asn::kRirCount> next{};
   std::vector<AdminLifetime> lifetimes;
   std::vector<Piece> pieces;
   for (;;) {
     std::optional<std::uint32_t> asn_value;
     for (std::size_t r = 0; r < asn::kRirCount; ++r)
-      if (pending(r) && (!asn_value || next[r]->first < *asn_value))
-        asn_value = next[r]->first;
+      if (next[r] < spans[r].size() &&
+          (!asn_value || spans[r].keys[next[r]] < *asn_value))
+        asn_value = spans[r].keys[next[r]];
     if (!asn_value) break;
     AsnSpansByRegistry asn_spans{};
     for (std::size_t r = 0; r < asn::kRirCount; ++r)
-      if (pending(r) && next[r]->first == *asn_value)
-        asn_spans[r] = &(next[r]++)->second;
+      if (next[r] < spans[r].size() && spans[r].keys[next[r]] == *asn_value)
+        asn_spans[r] = spans[r].row(next[r]++);
     append_asn_lifetimes(*asn_value, asn_spans, first_observed, archive_end,
                          config, pieces, lifetimes);
   }

@@ -14,8 +14,8 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "lifetimes/order.hpp"
@@ -61,30 +61,34 @@ struct AdminDataset {
 /// present in that first file are backdated to their registration date.
 using FirstObserved = std::array<std::optional<util::Day>, asn::kRirCount>;
 
-/// The restored span maps of all five registries, one pointer per registry
-/// in `kAllRirs` order (nullptr for a registry with nothing restored).
-using RegistrySpanMaps =
-    std::array<const std::map<std::uint32_t, std::vector<restore::StateSpan>>*,
-               asn::kRirCount>;
+/// All five registries' span tables, in `kAllRirs` order.
+using SpanTables = std::array<restore::SpanTable, asn::kRirCount>;
+
+/// The archive's span maps as flat tables, adjacent same-state spans
+/// merged. The restorer may emit a state's run split at a day where
+/// nothing changed; the serving layer extends the trailing span one day at
+/// a time, so both paths hold this canonical form. Admin lifetimes are
+/// invariant under the merge (a zero-gap same-state continuation merges
+/// under the 4.1 rules either way).
+SpanTables flatten_spans(const restore::RestoredArchive& archive);
 
 /// Build the administrative lifetimes, sorted by (asn, start), from the
-/// per-registry span maps and their backdating anchors. The serving layer
-/// derives every snapshot's admin lives through this form, over its
-/// working set.
+/// per-registry span tables and their backdating anchors — the one driver
+/// behind the pipeline's admin dataset and every snapshot's admin lives.
 std::vector<AdminLifetime> build_admin_lifetimes(
-    const RegistrySpanMaps& spans, const FirstObserved& first_observed,
+    const SpanTables& spans, const FirstObserved& first_observed,
     util::Day archive_end, const AdminBuildConfig& config = {});
 
-/// Build the administrative dataset from the restored archive: the form
-/// above over its registries and `registry_first_observed(archive)`.
+/// Build the administrative dataset from the restored archive: the driver
+/// above over `flatten_spans(archive)` and `registry_first_observed(archive)`.
 AdminDataset build_admin_lifetimes(const restore::RestoredArchive& archive,
                                    util::Day archive_end,
                                    const AdminBuildConfig& config = {});
 
-/// One ASN's restored span lists, one pointer per registry in `kAllRirs`
-/// order (nullptr where that registry never listed the ASN).
+/// One ASN's restored spans, one view per registry in `kAllRirs` order
+/// (empty where that registry never listed the ASN).
 using AsnSpansByRegistry =
-    std::array<const std::vector<restore::StateSpan>*, asn::kRirCount>;
+    std::array<std::span<const restore::StateSpan>, asn::kRirCount>;
 
 /// The archive's backdating anchors (see `FirstObserved`).
 FirstObserved registry_first_observed(const restore::RestoredArchive& archive);

@@ -6,24 +6,53 @@
 
 namespace pl::lifetimes {
 
+RunTable flatten_activity(const bgp::ActivityTable& activity) {
+  RunTable table;
+  std::size_t runs = 0;
+  for (const auto& [asn, days] : activity.entries()) runs += days.run_count();
+  table.keys.reserve(activity.asn_count());
+  table.offsets.reserve(activity.asn_count());
+  table.values.reserve(runs);
+  for (const auto& [asn, days] : activity.entries())
+    table.push_back(asn.value, days.runs());
+  return table;
+}
+
+void append_op_lifetimes(asn::Asn asn, std::span<const util::DayInterval> runs,
+                         int timeout_days, std::vector<OpLifetime>& out) {
+  PL_ASSERT_DISJOINT(runs, "activity runs entering the lifetime builder");
+  const std::size_t first = out.size();
+  for (const util::DayInterval& run : runs) {
+    if (out.size() > first && static_cast<std::int64_t>(run.first) -
+                                      out.back().days.last - 1 <=
+                                  timeout_days)
+      out.back().days.last = run.last;
+    else
+      out.push_back(OpLifetime{asn, run});
+  }
+}
+
 std::vector<OpLifetime> coalesce_activity(const bgp::ActivityTable& activity,
                                           int timeout_days) {
   // Activity entries iterate in ascending-ASN order, so appending each
-  // ASN's coalesced lives leaves the list sorted by (asn, start).
+  // ASN's coalesced lives leaves the list sorted by (asn, start). An ASN
+  // has at most as many lives as runs.
+  std::size_t runs = 0;
+  for (const auto& [asn, days] : activity.entries()) runs += days.run_count();
   std::vector<OpLifetime> lifetimes;
-  for (const auto& [asn, days] : activity.entries()) {
-    PL_ASSERT_DISJOINT(days.runs(),
-                       "activity runs entering the lifetime builder");
-    const std::vector<util::DayInterval> lives = days.coalesce(timeout_days);
-    PL_ASSERT_SORTED(lives,
-                     [](const util::DayInterval& a,
-                        const util::DayInterval& b) {
-                       return a.first < b.first;
-                     },
-                     "coalesced op lives per ASN");
-    for (const util::DayInterval& life : lives)
-      lifetimes.push_back(OpLifetime{asn, life});
-  }
+  lifetimes.reserve(runs);
+  for (const auto& [asn, days] : activity.entries())
+    append_op_lifetimes(asn, days.runs(), timeout_days, lifetimes);
+  return lifetimes;
+}
+
+std::vector<OpLifetime> coalesce_activity(const RunTable& activity,
+                                          int timeout_days) {
+  std::vector<OpLifetime> lifetimes;
+  lifetimes.reserve(activity.values.size());
+  for (std::size_t i = 0; i < activity.size(); ++i)
+    append_op_lifetimes(asn::Asn{activity.keys[i]}, activity.row(i),
+                        timeout_days, lifetimes);
   return lifetimes;
 }
 

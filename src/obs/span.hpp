@@ -223,4 +223,10 @@ class Trace {
 
 #endif  // PL_OBS_OFF
 
+/// A child of `parent` named `name`, or an inert span without a parent: the
+/// phases of a call that takes an optional `obs::Span*` open through this.
+inline Span child_of(Span* parent, std::string name) {
+  return parent != nullptr ? parent->child(std::move(name)) : Span{};
+}
+
 }  // namespace pl::obs

@@ -8,10 +8,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "asn/rir.hpp"
 #include "delegation/record.hpp"
+#include "util/flat_table.hpp"
 #include "util/intern.hpp"
 #include "util/interval.hpp"
 
@@ -26,18 +28,19 @@ struct StateSpan {
   friend bool operator==(const StateSpan&, const StateSpan&) = default;
 };
 
+/// One registry's spans as a flat table: ascending ASN keys, each owning
+/// its ordered, disjoint spans (the serving working set's layout).
+using SpanTable = util::FlatTable<StateSpan>;
+
 /// A span timeline cut at `last_day`: spans starting later are dropped and
-/// the span straddling `last_day` ends there. The one clip rule for every
-/// "the world as of day D" cut (HistoryStore::truncate_archive and
-/// serve::Snapshot::at).
-inline std::vector<StateSpan> clip_spans(const std::vector<StateSpan>& spans,
+/// the span straddling `last_day` ends there (`util::append_clipped`, the
+/// one clip rule for every "the world as of day D" cut).
+inline std::vector<StateSpan> clip_spans(std::span<const StateSpan> spans,
                                          util::Day last_day) {
   std::vector<StateSpan> out;
-  for (const StateSpan& span : spans) {
-    if (span.days.first > last_day) break;
-    out.push_back(span);
-    out.back().days.last = std::min(span.days.last, last_day);
-  }
+  util::append_clipped(
+      spans, last_day,
+      [](auto& span) -> auto& { return span.days; }, out);
   return out;
 }
 

@@ -1,7 +1,12 @@
 #include "robust/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <filesystem>
-#include <fstream>
+#include <utility>
 
 #include "util/crc32.hpp"
 
@@ -11,23 +16,15 @@ namespace {
 
 constexpr std::string_view kMagic = "PLCK";
 // magic + version:u32 + length:u64 ... payload ... crc:u32
-constexpr std::size_t kHeaderSize = 4 + 4 + 8;
-constexpr std::size_t kTrailerSize = 4;
+constexpr std::size_t kHeaderSize = kFrameHeaderSize;
+constexpr std::size_t kTrailerSize = kFrameTrailerSize;
 
 std::uint32_t read_le32(std::string_view bytes, std::size_t at) noexcept {
-  std::uint32_t value = 0;
-  for (int i = 3; i >= 0; --i)
-    value = (value << 8) |
-            static_cast<std::uint8_t>(bytes[at + static_cast<std::size_t>(i)]);
-  return value;
+  return load_le<std::uint32_t>(bytes.data() + at);
 }
 
 std::uint64_t read_le64(std::string_view bytes, std::size_t at) noexcept {
-  std::uint64_t value = 0;
-  for (int i = 7; i >= 0; --i)
-    value = (value << 8) |
-            static_cast<std::uint8_t>(bytes[at + static_cast<std::size_t>(i)]);
-  return value;
+  return load_le<std::uint64_t>(bytes.data() + at);
 }
 
 }  // namespace
@@ -41,37 +38,58 @@ std::optional<std::size_t> frame_length(std::string_view bytes) noexcept {
   return kHeaderSize + static_cast<std::size_t>(length) + kTrailerSize;
 }
 
-pl::StatusOr<std::string> read_file(const std::string& path) {
+pl::StatusOr<MappedFile> MappedFile::open(const std::string& path) {
   std::error_code ec;
   if (!std::filesystem::exists(path, ec))
     return pl::not_found_error("no such file: " + path);
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  if (ec) return pl::unavailable_error("cannot size " + path);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return pl::unavailable_error("cannot open " + path);
-  std::string bytes(static_cast<std::size_t>(size), '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (static_cast<std::uintmax_t>(in.gcount()) != size)
-    return pl::unavailable_error("read failed: " + path);
-  return bytes;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return pl::unavailable_error("cannot open " + path);
+  struct stat info {};
+  if (::fstat(fd, &info) != 0 || !S_ISREG(info.st_mode)) {
+    ::close(fd);
+    return pl::unavailable_error("cannot size " + path);
+  }
+  const auto size = static_cast<std::size_t>(info.st_size);
+  void* data = nullptr;
+  if (size > 0) {
+    data = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE | MAP_POPULATE, fd, 0);
+    if (data == MAP_FAILED) data = nullptr;
+  }
+  ::close(fd);
+  if (size > 0 && data == nullptr)
+    return pl::unavailable_error("cannot map " + path);
+  return MappedFile(data, size);
+}
+
+MappedFile::MappedFile(MappedFile&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)) {}
+
+MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
+  if (this != &other) {
+    if (data_ != nullptr) ::munmap(data_, size_);
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+  }
+  return *this;
+}
+
+MappedFile::~MappedFile() {
+  if (data_ != nullptr) ::munmap(data_, size_);
 }
 
 std::string CheckpointWriter::finish() && {
-  std::string framed;
-  framed.reserve(kHeaderSize + buffer_.size() + kTrailerSize);
-  framed.append(kMagic);
-  for (int i = 0; i < 4; ++i)
-    framed.push_back(
-        static_cast<char>((kCheckpointVersion >> (8 * i)) & 0xFF));
-  const auto length = static_cast<std::uint64_t>(buffer_.size());
-  for (int i = 0; i < 8; ++i)
-    framed.push_back(static_cast<char>((length >> (8 * i)) & 0xFF));
-  framed.append(buffer_);
-  const std::uint32_t checksum = util::crc32(buffer_);
-  for (int i = 0; i < 4; ++i)
-    framed.push_back(static_cast<char>((checksum >> (8 * i)) & 0xFF));
-  buffer_.clear();
-  return framed;
+  const std::string_view payload =
+      std::string_view(buffer_).substr(kHeaderSize);
+  const std::uint32_t checksum = util::crc32(payload);
+  char* header = buffer_.data();
+  std::memcpy(header, kMagic.data(), kMagic.size());
+  store_le<std::uint32_t>(header + 4, kCheckpointVersion);
+  store_le<std::uint64_t>(header + 8, payload.size());
+  char trailer[kTrailerSize];
+  store_le<std::uint32_t>(trailer, checksum);
+  buffer_.append(trailer, kTrailerSize);
+  return std::move(buffer_);
 }
 
 CheckpointReader::CheckpointReader(std::string_view blob) {
@@ -138,6 +156,16 @@ std::string_view CheckpointReader::str() {
       payload_.substr(offset_, static_cast<std::size_t>(length));
   offset_ += static_cast<std::size_t>(length);
   return view;
+}
+
+std::uint32_t CheckpointReader::count(std::uint64_t min_bytes_per_item) {
+  const std::uint32_t items = static_cast<std::uint32_t>(fixed(4));
+  if (!ok_) return 0;
+  if (items * min_bytes_per_item > payload_.size() - offset_) {
+    fail("count runs past the payload");
+    return 0;
+  }
+  return items;
 }
 
 std::uint64_t CheckpointReader::container_size(

@@ -1,5 +1,6 @@
 #include "serve/durable.hpp"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -33,106 +34,6 @@ pl::Status write_file(const std::string& path, std::string_view bytes) {
 
 pl::Status crash_status(std::string_view site) {
   return pl::internal_error("crash injected at " + std::string(site));
-}
-
-// -- scalar codecs ---------------------------------------------------------
-
-void encode_double(robust::CheckpointWriter& w, double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  w.u64(bits);
-}
-
-double decode_double(robust::CheckpointReader& r) {
-  const std::uint64_t bits = r.u64();
-  double value = 0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-void encode_country(robust::CheckpointWriter& w, asn::CountryCode country) {
-  w.boolean(!country.unknown());
-  if (!country.unknown()) w.str(country.to_string());
-}
-
-pl::StatusOr<asn::CountryCode> decode_country(robust::CheckpointReader& r) {
-  if (!r.boolean()) return asn::CountryCode{};
-  const std::string_view text = r.str();
-  const std::optional<asn::CountryCode> parsed = asn::CountryCode::parse(text);
-  if (!r.ok() || !parsed.has_value())
-    return pl::data_loss_error("bad country code in snapshot");
-  return *parsed;
-}
-
-pl::StatusOr<asn::Rir> decode_rir(robust::CheckpointReader& r) {
-  const std::uint8_t raw = r.u8();
-  if (raw >= asn::kRirCount)
-    return pl::data_loss_error("registry out of range");
-  return asn::kAllRirs[raw];
-}
-
-pl::StatusOr<joint::Category> decode_category(robust::CheckpointReader& r) {
-  const std::uint8_t raw = r.u8();
-  if (raw > static_cast<std::uint8_t>(joint::Category::kOutsideDelegation))
-    return pl::data_loss_error("taxonomy category out of range");
-  return static_cast<joint::Category>(raw);
-}
-
-void encode_record_state(robust::CheckpointWriter& w,
-                         const dele::RecordState& state) {
-  w.u8(static_cast<std::uint8_t>(state.status));
-  w.boolean(state.registration_date.has_value());
-  if (state.registration_date.has_value()) w.i32(*state.registration_date);
-  encode_country(w, state.country);
-  w.u64(state.opaque_id);
-}
-
-pl::StatusOr<dele::RecordState> decode_record_state(
-    robust::CheckpointReader& r) {
-  dele::RecordState state;
-  const std::uint8_t raw_status = r.u8();
-  if (raw_status > static_cast<std::uint8_t>(dele::Status::kReserved))
-    return pl::data_loss_error("delegation status out of range");
-  state.status = static_cast<dele::Status>(raw_status);
-  if (r.boolean()) state.registration_date = r.i32();
-  auto country = decode_country(r);
-  if (!country.ok()) return country.status();
-  state.country = *country;
-  state.opaque_id = r.u64();
-  return state;
-}
-
-void encode_admin_life(robust::CheckpointWriter& w,
-                       const lifetimes::AdminLifetime& life) {
-  w.u32(life.asn.value);
-  w.i32(life.registration_date);
-  w.i32(life.days.first);
-  w.i32(life.days.last);
-  w.u8(static_cast<std::uint8_t>(asn::index_of(life.registry)));
-  encode_country(w, life.country);
-  w.u64(life.opaque_id);
-  w.boolean(life.open_ended);
-  w.boolean(life.transferred);
-}
-
-pl::StatusOr<lifetimes::AdminLifetime> decode_admin_life(
-    robust::CheckpointReader& r) {
-  lifetimes::AdminLifetime life;
-  life.asn = asn::Asn{r.u32()};
-  life.registration_date = r.i32();
-  life.days.first = r.i32();
-  life.days.last = r.i32();
-  auto rir = decode_rir(r);
-  if (!rir.ok()) return rir.status();
-  life.registry = *rir;
-  auto country = decode_country(r);
-  if (!country.ok()) return country.status();
-  life.country = *country;
-  life.opaque_id = r.u64();
-  life.open_ended = r.boolean();
-  life.transferred = r.boolean();
-  return life;
 }
 
 // -- day-delta codec helpers ----------------------------------------------
@@ -175,189 +76,448 @@ bool asn_in_range(std::int64_t value) noexcept {
 
 // -- snapshot codec (friend of Snapshot) -----------------------------------
 
+namespace {
+
+// Bit fields of the one-byte snapshot columns. Every other bit must be
+// zero: a set one is corruption, not a future extension.
+constexpr std::uint8_t kLifeOpenEnded = 0x01;     // admin: open_ended
+constexpr std::uint8_t kLifeTransferred = 0x02;   // admin: transferred
+constexpr std::uint8_t kLifeDormantSquat = 0x01;  // op: dormant_squat
+constexpr std::uint8_t kLifeOutside = 0x02;       // op: outside_activity
+constexpr std::uint8_t kSpanStatusMask = 0x03;    // span: status
+constexpr std::uint8_t kSpanHasDate = 0x04;       // span: registration date
+
+static_assert(static_cast<std::uint8_t>(dele::Status::kReserved) <=
+                  kSpanStatusMask,
+              "delegation status no longer fits the span head's 2 bits");
+
+// Bytes per item of each column group, for the payload size and the count
+// guards (a count whose items cannot fit in the rest is refused).
+constexpr std::size_t kScalarBytes = 4 + 4 + 4 + 4 + 8 + 8;  // to the config
+constexpr std::size_t kRowBytes = 4 + 4 + 4 + 2;
+constexpr std::size_t kAdminBytes = 4 + 4 + 4 + 8 + 2 + 1 + 1 + 1;
+constexpr std::size_t kOpBytes = 4 + 4 + 4 + 1 + 1;
+constexpr std::size_t kKeyBytes = 4 + 4;
+constexpr std::size_t kSpanBytes = 4 + 4 + 1 + 4 + 8 + 2;
+constexpr std::size_t kRunBytes = 4 + 4;
+
+constexpr std::uint8_t kMaxCategory =
+    static_cast<std::uint8_t>(joint::Category::kOutsideDelegation);
+
+std::uint32_t day_bits(util::Day day) noexcept {
+  return static_cast<std::uint32_t>(day);
+}
+
+util::Day day_of(std::uint32_t bits) noexcept {
+  return static_cast<util::Day>(bits);
+}
+
+/// Write a flat table's counts, keys and offsets; its values follow.
+template <typename T>
+void encode_keys(robust::CheckpointWriter& w, const util::FlatTable<T>& table) {
+  const std::size_t keys = table.size();
+  w.u32(static_cast<std::uint32_t>(keys));
+  w.u32(static_cast<std::uint32_t>(table.values.size()));
+  auto key = w.column<std::uint32_t>(keys);
+  auto offset = w.column<std::uint32_t>(keys);
+  for (std::size_t i = 0; i < keys; ++i) {
+    key.set(i, table.keys[i]);
+    offset.set(i, table.offsets[i]);
+  }
+}
+
+/// Read what `encode_keys` wrote into `table` and the value count into
+/// `values`, reserving room for the caller to append them. Returns the
+/// first layout violation — keys not strictly ascending, offsets not
+/// strictly ascending from 0, a key without values — or nullptr (also when
+/// the reader failed; the caller reports that).
+template <typename T>
+const char* decode_keys(robust::CheckpointReader& r, std::size_t value_bytes,
+                        util::FlatTable<T>& table, std::uint32_t& values) {
+  const std::uint32_t keys = r.count(kKeyBytes);
+  values = r.count(value_bytes);
+  if (r.ok() &&
+      std::uint64_t{keys} * kKeyBytes + std::uint64_t{values} * value_bytes >
+          r.remaining())
+    return "table counts run past the payload";
+  const auto key = r.column<std::uint32_t>(keys);
+  const auto offset = r.column<std::uint32_t>(keys);
+  if (!r.ok()) return nullptr;
+  if ((keys == 0) != (values == 0)) return "table keys without values";
+  table.keys.resize(keys);
+  table.offsets.resize(keys);
+  for (std::size_t i = 0; i < keys; ++i) {
+    table.keys[i] = key[i];
+    table.offsets[i] = offset[i];
+    if (i > 0 && table.keys[i - 1] >= table.keys[i])
+      return "table keys not strictly ascending";
+    if (i == 0 ? table.offsets[i] != 0
+               : table.offsets[i - 1] >= table.offsets[i])
+      return "table offsets not strictly ascending from 0";
+  }
+  if (keys > 0 && table.offsets.back() >= values)
+    return "table offsets run past the values";
+  table.values.reserve(values);
+  return nullptr;
+}
+
+/// Whether each key's runs are valid and ordered: every run non-empty, each
+/// starting more than `gap` days after the previous one ends.
+template <typename T, typename Days>
+bool runs_ordered(const util::FlatTable<T>& table, std::int64_t gap,
+                  Days days) {
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const std::span<const T> row = table.row(i);
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      const util::DayInterval& run = days(row[j]);
+      if (run.first > run.last) return false;
+      if (j > 0 && days(row[j - 1]).last + gap >= run.first) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 class SnapshotCodec {
  public:
+  // Payload v3: fixed-width little-endian scalars and column arrays, in
+  // this order (DESIGN.md §12 lists the columns and what a decode checks).
   static void encode(const Snapshot& snap, robust::CheckpointWriter& w) {
+    const std::size_t rows = snap.rows_.size();
+    const std::size_t admin = snap.admin_rows_.size();
+    const std::size_t op = snap.op_rows_.size();
+    std::size_t bytes = kScalarBytes + 4 + rows * kRowBytes + admin * kAdminBytes +
+                        op * kOpBytes + 1;
+    if (snap.working_.has_value()) {
+      for (const restore::SpanTable& table : snap.working_->spans)
+        bytes += 5 + 8 + table.size() * kKeyBytes +
+                 table.values.size() * kSpanBytes;
+      const lifetimes::RunTable& activity = snap.working_->activity;
+      bytes += 8 + activity.size() * kKeyBytes +
+               activity.values.size() * kRunBytes;
+    }
+    w.reserve(bytes);
+
     w.u32(kSnapshotFormatVersion);
     w.i32(snap.archive_end_);
-
     const SnapshotConfig& config = snap.config_;
     w.i32(config.op_timeout_days);
     w.i32(config.admin.transfer_gap_tolerance);
     w.i64(config.squat.dormancy_days);
-    encode_double(w, config.squat.max_relative_duration);
+    w.u64(std::bit_cast<std::uint64_t>(config.squat.max_relative_duration));
 
-    w.varint(snap.rows_.size());
-    for (const AsnRow& row : snap.rows_) {
-      w.u32(row.asn.value);
-      w.u32(row.admin_begin);
-      w.u32(row.admin_count);
-      w.u32(row.op_begin);
-      w.u32(row.op_count);
-      w.u16(row.flags);
+    // Rows; each row's lives are the next admin_count / op_count of the
+    // life columns, so the begins and a life's ASN are implied.
+    w.u32(static_cast<std::uint32_t>(rows));
+    {
+      auto asn = w.column<std::uint32_t>(rows);
+      auto admin_count = w.column<std::uint32_t>(rows);
+      auto op_count = w.column<std::uint32_t>(rows);
+      auto flags = w.column<std::uint16_t>(rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        const AsnRow& row = snap.rows_[i];
+        asn.set(i, row.asn.value);
+        admin_count.set(i, row.admin_count);
+        op_count.set(i, row.op_count);
+        flags.set(i, row.flags);
+      }
     }
-
-    w.varint(snap.admin_rows_.size());
-    for (const AdminLifeRow& row : snap.admin_rows_) {
-      encode_admin_life(w, row.life);
-      w.u8(static_cast<std::uint8_t>(row.category));
+    {
+      auto registration = w.column<std::uint32_t>(admin);
+      auto first = w.column<std::uint32_t>(admin);
+      auto last = w.column<std::uint32_t>(admin);
+      auto opaque = w.column<std::uint64_t>(admin);
+      auto country = w.column<std::uint16_t>(admin);
+      auto registry = w.column<std::uint8_t>(admin);
+      auto category = w.column<std::uint8_t>(admin);
+      auto bits = w.column<std::uint8_t>(admin);
+      for (std::size_t i = 0; i < admin; ++i) {
+        const AdminLifeRow& row = snap.admin_rows_[i];
+        registration.set(i, day_bits(row.life.registration_date));
+        first.set(i, day_bits(row.life.days.first));
+        last.set(i, day_bits(row.life.days.last));
+        opaque.set(i, row.life.opaque_id);
+        country.set(i, row.life.country.packed());
+        registry.set(i, static_cast<std::uint8_t>(
+                            asn::index_of(row.life.registry)));
+        category.set(i, static_cast<std::uint8_t>(row.category));
+        bits.set(i, static_cast<std::uint8_t>(
+                        (row.life.open_ended ? kLifeOpenEnded : 0) |
+                        (row.life.transferred ? kLifeTransferred : 0)));
+      }
     }
-
-    w.varint(snap.op_rows_.size());
-    for (const OpLifeRow& row : snap.op_rows_) {
-      w.u32(row.life.asn.value);
-      w.i32(row.life.days.first);
-      w.i32(row.life.days.last);
-      w.u8(static_cast<std::uint8_t>(row.category));
-      w.i32(row.admin_index);
-      w.boolean(row.dormant_squat);
-      w.boolean(row.outside_activity);
+    {
+      auto first = w.column<std::uint32_t>(op);
+      auto last = w.column<std::uint32_t>(op);
+      auto admin_index = w.column<std::uint32_t>(op);
+      auto category = w.column<std::uint8_t>(op);
+      auto bits = w.column<std::uint8_t>(op);
+      for (std::size_t i = 0; i < op; ++i) {
+        const OpLifeRow& row = snap.op_rows_[i];
+        first.set(i, day_bits(row.life.days.first));
+        last.set(i, day_bits(row.life.days.last));
+        admin_index.set(i, static_cast<std::uint32_t>(row.admin_index));
+        category.set(i, static_cast<std::uint8_t>(row.category));
+        bits.set(i, static_cast<std::uint8_t>(
+                        (row.dormant_squat ? kLifeDormantSquat : 0) |
+                        (row.outside_activity ? kLifeOutside : 0)));
+      }
     }
 
     w.boolean(snap.working_.has_value());
     if (!snap.working_.has_value()) return;
     const Snapshot::WorkingSet& working = *snap.working_;
-    for (std::size_t r = 0; r < asn::kRirCount; ++r) {
-      w.varint(working.spans[r].size());
-      for (const auto& [asn_value, spans] : working.spans[r]) {
-        w.u32(asn_value);
-        w.varint(spans.size());
-        for (const restore::StateSpan& span : spans) {
-          w.i32(span.days.first);
-          w.i32(span.days.last);
-          encode_record_state(w, span.state);
-        }
+    for (std::size_t reg = 0; reg < asn::kRirCount; ++reg) {
+      w.boolean(working.first_observed[reg].has_value());
+      w.i32(working.first_observed[reg].value_or(0));
+      const restore::SpanTable& table = working.spans[reg];
+      encode_keys(w, table);
+      const std::size_t spans = table.values.size();
+      auto first = w.column<std::uint32_t>(spans);
+      auto last = w.column<std::uint32_t>(spans);
+      auto head = w.column<std::uint8_t>(spans);
+      auto registration = w.column<std::uint32_t>(spans);
+      auto opaque = w.column<std::uint64_t>(spans);
+      auto country = w.column<std::uint16_t>(spans);
+      for (std::size_t i = 0; i < spans; ++i) {
+        const restore::StateSpan& span = table.values[i];
+        first.set(i, day_bits(span.days.first));
+        last.set(i, day_bits(span.days.last));
+        head.set(i, static_cast<std::uint8_t>(
+                        static_cast<std::uint8_t>(span.state.status) |
+                        (span.state.registration_date ? kSpanHasDate : 0)));
+        registration.set(i, day_bits(span.state.registration_date.value_or(0)));
+        opaque.set(i, span.state.opaque_id);
+        country.set(i, span.state.country.packed());
       }
-      w.boolean(working.first_observed[r].has_value());
-      if (working.first_observed[r].has_value())
-        w.i32(*working.first_observed[r]);
     }
-    w.varint(working.activity.entries().size());
-    for (const auto& [asn_key, days] : working.activity.entries()) {
-      w.u32(asn_key.value);
-      w.varint(days.runs().size());
-      for (const util::DayInterval& run : days.runs()) {
-        w.i32(run.first);
-        w.i32(run.last);
-      }
+    const lifetimes::RunTable& activity = working.activity;
+    encode_keys(w, activity);
+    auto first = w.column<std::uint32_t>(activity.values.size());
+    auto last = w.column<std::uint32_t>(activity.values.size());
+    for (std::size_t i = 0; i < activity.values.size(); ++i) {
+      first.set(i, day_bits(activity.values[i].first));
+      last.set(i, day_bits(activity.values[i].last));
     }
   }
 
+  /// Decode and check everything but the derived indexes (`index`).
   static pl::StatusOr<Snapshot> decode(robust::CheckpointReader& r) {
     const std::uint32_t version = r.u32();
     if (r.ok() && version != kSnapshotFormatVersion)
       return pl::data_loss_error("snapshot format version skew");
+
+    // The first violation wins (a null one is none); the reader's own
+    // failures (a column or count past the payload) are reported as such.
+    const char* bad = nullptr;
+    const auto reject = [&bad](const char* why) {
+      if (bad == nullptr) bad = why;
+    };
+    const auto failed = [&] { return bad != nullptr || !r.ok(); };
 
     Snapshot snap;
     snap.archive_end_ = r.i32();
     snap.config_.op_timeout_days = r.i32();
     snap.config_.admin.transfer_gap_tolerance = r.i32();
     snap.config_.squat.dormancy_days = r.i64();
-    snap.config_.squat.max_relative_duration = decode_double(r);
+    snap.config_.squat.max_relative_duration = std::bit_cast<double>(r.u64());
 
-    const std::uint64_t row_count = r.container_size(22);
-    snap.rows_.reserve(row_count);
-    for (std::uint64_t i = 0; r.ok() && i < row_count; ++i) {
-      AsnRow row;
-      row.asn = asn::Asn{r.u32()};
-      row.admin_begin = r.u32();
-      row.admin_count = r.u32();
-      row.op_begin = r.u32();
-      row.op_count = r.u32();
-      row.flags = r.u16();
-      snap.rows_.push_back(row);
+    const std::uint32_t rows = r.count(kRowBytes);
+    std::uint64_t admin = 0;
+    std::uint64_t op = 0;
+    {
+      const auto asn = r.column<std::uint32_t>(rows);
+      const auto admin_count = r.column<std::uint32_t>(rows);
+      const auto op_count = r.column<std::uint32_t>(rows);
+      const auto flags = r.column<std::uint16_t>(rows);
+      if (failed()) return failure(r, bad);
+      snap.rows_.reserve(rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        AsnRow& row = snap.rows_.emplace_back();
+        row.asn = asn::Asn{asn[i]};
+        row.admin_begin = static_cast<std::uint32_t>(admin);
+        row.admin_count = admin_count[i];
+        row.op_begin = static_cast<std::uint32_t>(op);
+        row.op_count = op_count[i];
+        row.flags = flags[i];
+        admin += row.admin_count;
+        op += row.op_count;
+        if (i > 0 && !(snap.rows_[i - 1].asn < row.asn))
+          reject("snapshot rows not sorted by ASN");
+      }
     }
+    if (!failed() && admin * kAdminBytes + op * kOpBytes > r.remaining())
+      reject("snapshot life counts run past the payload");
+    if (failed()) return failure(r, bad);
 
-    const std::uint64_t admin_count = r.container_size(30);
-    snap.admin_rows_.reserve(admin_count);
-    for (std::uint64_t i = 0; r.ok() && i < admin_count; ++i) {
-      AdminLifeRow row;
-      auto life = decode_admin_life(r);
-      if (!life.ok()) return life.status();
-      row.life = *life;
-      auto category = decode_category(r);
-      if (!category.ok()) return category.status();
-      row.category = *category;
-      snap.admin_rows_.push_back(row);
+    {
+      const auto registration = r.column<std::uint32_t>(admin);
+      const auto first = r.column<std::uint32_t>(admin);
+      const auto last = r.column<std::uint32_t>(admin);
+      const auto opaque = r.column<std::uint64_t>(admin);
+      const auto country = r.column<std::uint16_t>(admin);
+      const auto registry = r.column<std::uint8_t>(admin);
+      const auto category = r.column<std::uint8_t>(admin);
+      const auto bits = r.column<std::uint8_t>(admin);
+      if (failed()) return failure(r, bad);
+      snap.admin_rows_.reserve(admin);
+      for (std::size_t i = 0; i < admin; ++i) {
+        AdminLifeRow& row = snap.admin_rows_.emplace_back();
+        row.life.registration_date = day_of(registration[i]);
+        row.life.days = {day_of(first[i]), day_of(last[i])};
+        row.life.opaque_id = opaque[i];
+        if (const auto code = asn::CountryCode::from_packed(country[i]))
+          row.life.country = *code;
+        else
+          reject("bad country code in snapshot");
+        if (registry[i] < asn::kRirCount)
+          row.life.registry = asn::kAllRirs[registry[i]];
+        else
+          reject("registry out of range");
+        if (category[i] > kMaxCategory)
+          reject("taxonomy category out of range");
+        row.category = static_cast<joint::Category>(category[i]);
+        if ((bits[i] & ~(kLifeOpenEnded | kLifeTransferred)) != 0)
+          reject("admin life bits out of range");
+        row.life.open_ended = (bits[i] & kLifeOpenEnded) != 0;
+        row.life.transferred = (bits[i] & kLifeTransferred) != 0;
+      }
     }
-
-    const std::uint64_t op_count = r.container_size(19);
-    snap.op_rows_.reserve(op_count);
-    for (std::uint64_t i = 0; r.ok() && i < op_count; ++i) {
-      OpLifeRow row;
-      row.life.asn = asn::Asn{r.u32()};
-      row.life.days.first = r.i32();
-      row.life.days.last = r.i32();
-      auto category = decode_category(r);
-      if (!category.ok()) return category.status();
-      row.category = *category;
-      row.admin_index = r.i32();
-      row.dormant_squat = r.boolean();
-      row.outside_activity = r.boolean();
-      snap.op_rows_.push_back(row);
+    {
+      const auto first = r.column<std::uint32_t>(op);
+      const auto last = r.column<std::uint32_t>(op);
+      const auto admin_index = r.column<std::uint32_t>(op);
+      const auto category = r.column<std::uint8_t>(op);
+      const auto bits = r.column<std::uint8_t>(op);
+      if (failed()) return failure(r, bad);
+      snap.op_rows_.reserve(op);
+      for (std::size_t i = 0; i < op; ++i) {
+        OpLifeRow& row = snap.op_rows_.emplace_back();
+        row.life.days = {day_of(first[i]), day_of(last[i])};
+        row.admin_index = static_cast<std::int32_t>(admin_index[i]);
+        if (category[i] > kMaxCategory)
+          reject("taxonomy category out of range");
+        row.category = static_cast<joint::Category>(category[i]);
+        if ((bits[i] & ~(kLifeDormantSquat | kLifeOutside)) != 0)
+          reject("op life bits out of range");
+        row.dormant_squat = (bits[i] & kLifeDormantSquat) != 0;
+        row.outside_activity = (bits[i] & kLifeOutside) != 0;
+      }
     }
+    for (const AsnRow& row : snap.rows_) {
+      for (AdminLifeRow& life : std::span(snap.admin_rows_).subspan(
+               row.admin_begin, row.admin_count))
+        life.life.asn = row.asn;
+      for (OpLifeRow& life :
+           std::span(snap.op_rows_).subspan(row.op_begin, row.op_count)) {
+        life.life.asn = row.asn;
+        if (life.admin_index < -1 ||
+            life.admin_index >= static_cast<std::int64_t>(row.admin_count))
+          reject("op life admin index outside its ASN's lives");
+      }
+    }
+    if (failed()) return failure(r, bad);
 
     if (r.boolean()) {
-      Snapshot::WorkingSet working;
-      for (std::size_t reg = 0; r.ok() && reg < asn::kRirCount; ++reg) {
-        const std::uint64_t asns = r.container_size(6);
-        for (std::uint64_t i = 0; r.ok() && i < asns; ++i) {
-          const std::uint32_t asn_value = r.u32();
-          const std::uint64_t span_count = r.container_size(11);
-          std::vector<restore::StateSpan>& spans =
-              working.spans[reg][asn_value];
-          spans.reserve(span_count);
-          for (std::uint64_t j = 0; r.ok() && j < span_count; ++j) {
-            restore::StateSpan span;
-            span.days.first = r.i32();
-            span.days.last = r.i32();
-            auto state = decode_record_state(r);
-            if (!state.ok()) return state.status();
-            span.state = *state;
-            spans.push_back(std::move(span));
-          }
+      Snapshot::WorkingSet& working = snap.working_.emplace();
+      for (std::size_t reg = 0; reg < asn::kRirCount && !failed(); ++reg) {
+        const bool has_first = r.boolean();
+        const util::Day first_observed = r.i32();
+        if (has_first)
+          working.first_observed[reg] = first_observed;
+        else if (first_observed != 0)
+          reject("first observed day without its flag");
+        restore::SpanTable& table = working.spans[reg];
+        std::uint32_t spans = 0;
+        reject(decode_keys(r, kSpanBytes, table, spans));
+        const auto first = r.column<std::uint32_t>(spans);
+        const auto last = r.column<std::uint32_t>(spans);
+        const auto head = r.column<std::uint8_t>(spans);
+        const auto registration = r.column<std::uint32_t>(spans);
+        const auto opaque = r.column<std::uint64_t>(spans);
+        const auto country = r.column<std::uint16_t>(spans);
+        if (failed()) break;
+        for (std::size_t i = 0; i < spans; ++i) {
+          restore::StateSpan& span = table.values.emplace_back();
+          span.days = {day_of(first[i]), day_of(last[i])};
+          if ((head[i] & ~(kSpanStatusMask | kSpanHasDate)) != 0)
+            reject("span head bits out of range");
+          span.state.status =
+              static_cast<dele::Status>(head[i] & kSpanStatusMask);
+          if ((head[i] & kSpanHasDate) != 0)
+            span.state.registration_date = day_of(registration[i]);
+          else if (registration[i] != 0)
+            reject("span registration date without its head bit");
+          span.state.opaque_id = opaque[i];
+          if (const auto code = asn::CountryCode::from_packed(country[i]))
+            span.state.country = *code;
+          else
+            reject("bad country code in snapshot");
         }
-        if (r.boolean()) working.first_observed[reg] = r.i32();
+        if (!runs_ordered(table, 0, span_days))
+          reject("snapshot spans empty or overlapping");
       }
-      const std::uint64_t activity_count = r.container_size(6);
-      for (std::uint64_t i = 0; r.ok() && i < activity_count; ++i) {
-        const asn::Asn asn_key{r.u32()};
-        const std::uint64_t run_count = r.container_size(8);
-        for (std::uint64_t j = 0; r.ok() && j < run_count; ++j) {
-          util::DayInterval run;
-          run.first = r.i32();
-          run.last = r.i32();
-          working.activity.mark_active(asn_key, run);
-        }
+      lifetimes::RunTable& activity = working.activity;
+      std::uint32_t runs = 0;
+      if (!failed()) reject(decode_keys(r, kRunBytes, activity, runs));
+      const auto first = r.column<std::uint32_t>(runs);
+      const auto last = r.column<std::uint32_t>(runs);
+      if (!failed()) {
+        for (std::size_t i = 0; i < runs; ++i)
+          activity.values.push_back({day_of(first[i]), day_of(last[i])});
+        if (!runs_ordered(activity, 1, run_days))
+          reject("snapshot activity runs empty, overlapping or adjacent");
       }
-      snap.working_ = std::move(working);
     }
-
-    if (!r.ok() || !r.at_end())
-      return pl::data_loss_error("snapshot failed to decode: " +
-                                 std::string(r.error()));
-
-    // Structural validation: the row index must stay inside the life
-    // arrays and be sorted — a blob that passes CRC can still be hostile.
-    for (std::size_t i = 0; i < snap.rows_.size(); ++i) {
-      const AsnRow& row = snap.rows_[i];
-      const std::uint64_t admin_end =
-          static_cast<std::uint64_t>(row.admin_begin) + row.admin_count;
-      const std::uint64_t op_end =
-          static_cast<std::uint64_t>(row.op_begin) + row.op_count;
-      if (admin_end > snap.admin_rows_.size() ||
-          op_end > snap.op_rows_.size())
-        return pl::data_loss_error("snapshot row index out of bounds");
-      if (i > 0 && !(snap.rows_[i - 1].asn < row.asn))
-        return pl::data_loss_error("snapshot rows not sorted by ASN");
-    }
-
-    snap.rebuild_indexes();
+    if (failed() || !r.at_end()) return failure(r, bad);
     return snap;
+  }
+
+  /// The derived serving indexes of a decoded snapshot.
+  static void index(Snapshot& snap) { snap.rebuild_indexes(); }
+
+ private:
+  static constexpr auto span_days = [](const auto& span) -> const auto& {
+    return span.days;
+  };
+  static constexpr auto run_days = [](const auto& run) -> const auto& {
+    return run;
+  };
+
+  static pl::Status failure(const robust::CheckpointReader& r,
+                            const char* bad) {
+    if (bad != nullptr) return pl::data_loss_error(bad);
+    return pl::data_loss_error("snapshot failed to decode: " +
+                               std::string(r.ok() ? "trailing bytes"
+                                                  : r.error()));
   }
 };
 
 // -- snapshot persistence --------------------------------------------------
+
+namespace {
+
+/// Decode a snapshot frame, opening `verify` (frame and CRC), `decode`
+/// (columns and checks) and `index` (derived indexes) under `span`.
+pl::StatusOr<Snapshot> decode_frame(std::string_view frame, obs::Span* span) {
+  obs::Span verify = obs::child_of(span, "verify");
+  robust::CheckpointReader reader(frame);
+  verify.finish();
+  if (!reader.ok())
+    return pl::data_loss_error("snapshot rejected: " +
+                               std::string(reader.error()));
+  obs::Span decode = obs::child_of(span, "decode");
+  pl::StatusOr<Snapshot> snap = SnapshotCodec::decode(reader);
+  decode.finish();
+  if (!snap.ok()) return snap;
+  obs::Span index = obs::child_of(span, "index");
+  SnapshotCodec::index(*snap);
+  index.note("rows", static_cast<std::int64_t>(snap->asn_count()));
+  return snap;
+}
+
+}  // namespace
 
 std::string encode_snapshot(const Snapshot& snapshot) {
   robust::CheckpointWriter writer;
@@ -366,17 +526,17 @@ std::string encode_snapshot(const Snapshot& snapshot) {
 }
 
 pl::StatusOr<Snapshot> decode_snapshot(std::string_view frame) {
-  robust::CheckpointReader reader(frame);
-  if (!reader.ok())
-    return pl::data_loss_error("snapshot rejected: " +
-                               std::string(reader.error()));
-  return SnapshotCodec::decode(reader);
+  return decode_frame(frame, nullptr);
 }
 
 pl::Status save_snapshot(const Snapshot& snapshot, const std::string& path,
-                         robust::CrashPoints* crash) {
+                         robust::CrashPoints* crash, obs::Span* span) {
+  obs::Span encode = obs::child_of(span, "encode");
   const std::string frame = encode_snapshot(snapshot);
+  encode.note("bytes", static_cast<std::int64_t>(frame.size()));
+  encode.finish();
 
+  obs::Span write = obs::child_of(span, "write");
   const std::string tmp = path + ".tmp";
   if (crash != nullptr && crash->fire("durable.checkpoint.before_tmp"))
     return crash_status("durable.checkpoint.before_tmp");
@@ -392,6 +552,9 @@ pl::Status save_snapshot(const Snapshot& snapshot, const std::string& path,
   if (!written.ok()) return written;
   if (crash != nullptr && crash->fire("durable.checkpoint.after_tmp"))
     return crash_status("durable.checkpoint.after_tmp");
+  write.finish();
+
+  obs::Span rename = obs::child_of(span, "rename");
   if (std::rename(tmp.c_str(), path.c_str()) != 0)
     return pl::unavailable_error("rename failed: " + tmp + " -> " + path);
   if (crash != nullptr && crash->fire("durable.checkpoint.after_rename"))
@@ -399,10 +562,15 @@ pl::Status save_snapshot(const Snapshot& snapshot, const std::string& path,
   return {};
 }
 
-pl::StatusOr<Snapshot> open_snapshot(const std::string& path) {
-  auto bytes = robust::read_file(path);
-  if (!bytes.ok()) return bytes.status();
-  return decode_snapshot(*bytes);
+pl::StatusOr<Snapshot> open_snapshot(const std::string& path,
+                                     obs::Span* span) {
+  obs::Span read = obs::child_of(span, "read");
+  auto file = robust::MappedFile::open(path);
+  if (file.ok())
+    read.note("bytes", static_cast<std::int64_t>(file->bytes().size()));
+  read.finish();
+  if (!file.ok()) return file.status();
+  return decode_frame(file->bytes(), span);
 }
 
 // -- day-delta codec -------------------------------------------------------
@@ -558,9 +726,9 @@ pl::Status append_wal(const std::string& path, const DayDelta& delta,
 }
 
 pl::StatusOr<WalReplay> replay_wal(const std::string& path) {
-  auto bytes = robust::read_file(path);
-  if (!bytes.ok()) return bytes.status();
-  std::string_view wal = *bytes;
+  auto file = robust::MappedFile::open(path);
+  if (!file.ok()) return file.status();
+  std::string_view wal = file->bytes();
 
   WalReplay replay;
   while (!wal.empty()) {
@@ -665,9 +833,10 @@ pl::Status DurableService::open_impl(Snapshot bootstrap) {
   Snapshot base;
   bool from_disk = false;
   if (config_.loader != nullptr || file_exists(spath)) {
-    const SnapshotLoader loader = config_.loader != nullptr
-                                      ? config_.loader
-                                      : [&spath] { return open_snapshot(spath); };
+    const SnapshotLoader loader =
+        config_.loader != nullptr
+            ? config_.loader
+            : [&spath, &span] { return open_snapshot(spath, &span); };
     int attempts = 0;
     auto loaded = load_with_retry(loader, config_.retry, &attempts);
     health_.load_attempts = attempts;
@@ -842,8 +1011,8 @@ pl::Status DurableService::checkpoint() {
 pl::Status DurableService::checkpoint_impl(obs::Span& parent) {
   obs::Span span = parent.child("serve.durable.checkpoint");
   span.note("day", archive_end());
-  pl::Status saved =
-      save_snapshot(service_->snapshot(), snapshot_path(), config_.crash);
+  pl::Status saved = save_snapshot(service_->snapshot(), snapshot_path(),
+                                   config_.crash, &span);
   if (!saved.ok()) {
     if (config_.crash != nullptr && config_.crash->fired()) {
       crashed_ = true;

@@ -50,9 +50,11 @@ namespace pl::serve {
 
 /// Payload schema version inside the checkpoint frame. Bumped whenever the
 /// serialized Snapshot layout changes; a mismatch is rejected as kDataLoss
-/// ("snapshot format version skew"), never interpreted. Version 1 also
-/// carried a keep-working-set bit and the open-ended ASN set.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+/// ("snapshot format version skew"), never interpreted. Version 3 writes
+/// fixed-width column arrays (DESIGN.md §12); version 2 wrote one record
+/// at a time, and version 1 also carried a keep-working-set bit and the
+/// open-ended ASN set.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /// Payload schema version inside each day-delta frame (same skew policy).
 /// Version 1 was the WAL's old fixed-width record, whose payload opened
@@ -97,15 +99,20 @@ pl::StatusOr<DayDelta> decode_day_delta(std::string_view frame);
 /// atomically: the bytes land in `path + ".tmp"` first and are renamed over
 /// `path` only after a successful flush, so a crash mid-save leaves the
 /// previous snapshot intact. kUnavailable on filesystem errors.
-/// `crash` (nullable) threads the checkpoint crash sites through.
+/// `crash` (nullable) threads the checkpoint crash sites through; with
+/// `span`, the `encode`, `write` and `rename` phases open children of it.
 pl::Status save_snapshot(const Snapshot& snapshot, const std::string& path,
-                         robust::CrashPoints* crash = nullptr);
+                         robust::CrashPoints* crash = nullptr,
+                         obs::Span* span = nullptr);
 
 /// Load a snapshot saved by `save_snapshot`. kNotFound when `path` does not
 /// exist, kUnavailable when it cannot be read, kDataLoss when the frame or
 /// payload fails validation (torn write, flipped bit, version skew, index
-/// out of bounds). A kDataLoss file is NEVER partially applied.
-pl::StatusOr<Snapshot> open_snapshot(const std::string& path);
+/// out of bounds). A kDataLoss file is NEVER partially applied. With
+/// `span`, the `read`, `verify` (frame and CRC), `decode` (columns and
+/// checks) and `index` (derived indexes) phases open children of it.
+pl::StatusOr<Snapshot> open_snapshot(const std::string& path,
+                                     obs::Span* span = nullptr);
 
 // -- write-ahead log -------------------------------------------------------
 

@@ -1,10 +1,12 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "check/contracts.hpp"
 #include "util/date.hpp"
+#include "util/interval_set.hpp"
 
 namespace pl::serve {
 
@@ -12,28 +14,6 @@ namespace {
 
 using restore::StateSpan;
 using util::Day;
-
-/// Merge adjacent same-state spans. The restorer may legitimately emit a
-/// state's run split at a day where nothing changed (e.g. around a gap it
-/// later filled); advance_day() extends the trailing span one day at a
-/// time, so the working set must hold the canonical merged form for the
-/// two paths to produce identical lists. Admin lifetimes are invariant
-/// under this merge (a zero-gap same-state continuation merges under the
-/// 4.1 rules either way), so deriving from the working set gives the
-/// pipeline's lives (`Snapshot.AgreesWithPipelineDatasets` locks this).
-std::vector<StateSpan> canonicalize(const std::vector<StateSpan>& spans) {
-  std::vector<StateSpan> out;
-  out.reserve(spans.size());
-  for (const StateSpan& span : spans) {
-    if (!out.empty() && out.back().days.last + 1 == span.days.first &&
-        out.back().state == span.state) {
-      out.back().days.last = span.days.last;
-    } else {
-      out.push_back(span);
-    }
-  }
-  return out;
-}
 
 /// Count of sorted values <= day.
 std::int64_t count_le(const std::vector<Day>& sorted, Day day) noexcept {
@@ -71,15 +51,71 @@ void radix_sort(std::vector<Day>& days, std::vector<Day>& buffer) {
   }
 }
 
-/// A child span of `parent` named `name`; inert without a parent.
-obs::Span phase_span(obs::Span* parent, const char* name) {
-  return parent != nullptr ? parent->child(name) : obs::Span{};
-}
-
 /// The (registry, ASN) key of a fact: registry-major, so a delta in
 /// slice_day's order gives an ascending key list.
 std::uint64_t fact_key(const DelegationFact& fact) noexcept {
   return (std::uint64_t{asn::index_of(fact.registry)} << 32) | fact.asn.value;
+}
+
+/// A span's day interval, for the flat tables' clip.
+constexpr auto span_days = [](auto& span) -> auto& { return span.days; };
+/// A run is its own day interval.
+constexpr auto run_days = [](auto& run) -> auto& { return run; };
+
+/// Fold one registry's facts for `day` (ascending ASNs, one per ASN) into
+/// its span table: a fact that continues the ASN's trailing span extends it
+/// in place; the rest become edits merged in one pass. Returns how many
+/// facts opened a new span.
+std::int64_t apply_facts(std::span<const DelegationFact* const> facts,
+                         util::Day day, restore::SpanTable& table) {
+  std::vector<util::FlatEdit<StateSpan>> edits;
+  std::size_t at = 0;
+  for (const DelegationFact* fact : facts) {
+    const StateSpan today{util::DayInterval{day, day}, fact->state};
+    at = table.lower_bound(fact->asn.value, at);
+    if (at == table.size() || table.keys[at] != fact->asn.value) {
+      edits.push_back({fact->asn.value, {today}});  // the registry's new ASN
+      continue;
+    }
+    const std::span<StateSpan> spans = table.row(at);
+    StateSpan& last = spans.back();
+    if (last.days.last == day - 1 && last.state == fact->state) {
+      last.days.last = day;  // state unchanged: extend the run
+      continue;
+    }
+    edits.push_back({fact->asn.value, {spans.begin(), spans.end()}});
+    edits.back().values.push_back(today);
+  }
+  table.replace(edits);
+  return static_cast<std::int64_t>(edits.size());
+}
+
+/// Mark `active` (ascending, no repeats) active on `day`: a run ending the
+/// day before is extended in place, the rest become edits merged in one
+/// pass. Returns how many ASNs opened a new run.
+std::int64_t apply_active(std::span<const asn::Asn> active, util::Day day,
+                          lifetimes::RunTable& table) {
+  std::vector<util::FlatEdit<util::DayInterval>> edits;
+  std::size_t at = 0;
+  for (const asn::Asn asn : active) {
+    at = table.lower_bound(asn.value, at);
+    if (at == table.size() || table.keys[at] != asn.value) {
+      edits.push_back({asn.value, {util::DayInterval{day, day}}});
+      continue;
+    }
+    const std::span<util::DayInterval> runs = table.row(at);
+    if (runs.back().last + 1 == day) {
+      runs.back().last = day;  // active the day before: extend the run
+      continue;
+    }
+    // A new run — or, for a day the runs already reach, their union.
+    util::IntervalSet days({runs.begin(), runs.end()});
+    days.add(day);
+    if (std::ranges::equal(days.runs(), runs)) continue;
+    edits.push_back({asn.value, days.runs()});
+  }
+  table.replace(edits);
+  return static_cast<std::int64_t>(edits.size());
 }
 
 }  // namespace
@@ -242,12 +278,9 @@ Snapshot Snapshot::build(const restore::RestoredArchive& archive,
   snap.config_ = config;
   snap.archive_end_ = archive_end;
   WorkingSet& working = snap.working_.emplace();
-  for (std::size_t r = 0; r < asn::kRirCount; ++r)
-    for (const auto& [asn_value, spans] : archive.registries[r].spans)
-      working.spans[r].emplace_hint(working.spans[r].end(), asn_value,
-                                    canonicalize(spans));
+  working.spans = lifetimes::flatten_spans(archive);
   working.first_observed = lifetimes::registry_first_observed(archive);
-  working.activity = activity;
+  working.activity = lifetimes::flatten_activity(activity);
   snap.derive();
   return snap;
 }
@@ -255,12 +288,9 @@ Snapshot Snapshot::build(const restore::RestoredArchive& archive,
 void Snapshot::derive(AdvanceStats* stats, obs::Span* span) {
   {  // the life lists die before the index phase, keeping the peak low
     const WorkingSet& working = *working_;
-    obs::Span lives_span = phase_span(span, "lifetimes");
-    lifetimes::RegistrySpanMaps spans;
-    for (std::size_t r = 0; r < asn::kRirCount; ++r)
-      spans[r] = &working.spans[r];
+    obs::Span lives_span = obs::child_of(span, "lifetimes");
     const std::vector<lifetimes::AdminLifetime> admin =
-        lifetimes::build_admin_lifetimes(spans, working.first_observed,
+        lifetimes::build_admin_lifetimes(working.spans, working.first_observed,
                                          archive_end_, config_.admin);
     const std::vector<lifetimes::OpLifetime> op =
         lifetimes::coalesce_activity(working.activity,
@@ -269,12 +299,12 @@ void Snapshot::derive(AdvanceStats* stats, obs::Span* span) {
     lives_span.note("op_lives", static_cast<std::int64_t>(op.size()));
     lives_span.finish();
 
-    obs::Span assemble_span = phase_span(span, "assemble");
+    obs::Span assemble_span = obs::child_of(span, "assemble");
     assemble(admin, op);
     assemble_span.note("rows", static_cast<std::int64_t>(rows_.size()));
   }
 
-  obs::Span index_span = phase_span(span, "index");
+  obs::Span index_span = obs::child_of(span, "index");
   rebuild_indexes();
   index_span.note("countries", static_cast<std::int64_t>(by_country_.size()));
   index_span.finish();
@@ -353,58 +383,64 @@ pl::Status Snapshot::advance_day(const DayDelta& delta, AdvanceStats* stats,
         "advance_day expects day " + util::format_iso(archive_end_ + 1) +
         ", got " + util::format_iso(delta.day));
 
-  obs::Span apply_span = phase_span(span, "apply");
+  obs::Span apply_span = obs::child_of(span, "apply");
   // Validate before mutating so a rejected delta leaves the snapshot
-  // untouched: at most one fact per (registry, ASN).
-  {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(delta.delegation.size());
-    for (const DelegationFact& fact : delta.delegation)
-      keys.push_back(fact_key(fact));
-    if (!std::is_sorted(keys.begin(), keys.end()))
-      std::sort(keys.begin(), keys.end());
-    const auto duplicate = std::adjacent_find(keys.begin(), keys.end());
-    if (duplicate != keys.end())
-      return pl::invalid_argument_error(
-          "duplicate delegation fact for AS" +
-          asn::to_string(asn::Asn{static_cast<std::uint32_t>(*duplicate)}) +
-          " in one registry on " + util::format_iso(delta.day));
-  }
+  // untouched: at most one fact per (registry, ASN). The facts in that
+  // order drive the merge below; slice_day's order already is.
+  std::vector<const DelegationFact*> facts;
+  facts.reserve(delta.delegation.size());
+  for (const DelegationFact& fact : delta.delegation) facts.push_back(&fact);
+  const auto by_key = [](const DelegationFact* a, const DelegationFact* b) {
+    return fact_key(*a) < fact_key(*b);
+  };
+  if (!std::is_sorted(facts.begin(), facts.end(), by_key))
+    std::sort(facts.begin(), facts.end(), by_key);
+  const auto duplicate = std::adjacent_find(
+      facts.begin(), facts.end(),
+      [](const DelegationFact* a, const DelegationFact* b) {
+        return fact_key(*a) == fact_key(*b);
+      });
+  if (duplicate != facts.end())
+    return pl::invalid_argument_error(
+        "duplicate delegation fact for AS" + asn::to_string((*duplicate)->asn) +
+        " in one registry on " + util::format_iso(delta.day));
 
-  // Facts and active ASNs arrive ascending (slice_day's order), so each tree
-  // lookup is hinted at the slot after the previous one; another order
-  // only loses the hint.
   WorkingSet& working = *working_;
-  std::size_t hinted_registry = asn::kRirCount;
-  std::map<std::uint32_t, std::vector<StateSpan>>::iterator hint;
-  for (const DelegationFact& fact : delta.delegation) {
-    const std::size_t r = asn::index_of(fact.registry);
-    auto& fo = working.first_observed[r];
-    if (!fo) fo = delta.day;  // registry's first published day
-    if (r != hinted_registry) {
-      hinted_registry = r;
-      hint = working.spans[r].begin();
-    }
-    const auto slot = working.spans[r].try_emplace(hint, fact.asn.value);
-    hint = std::next(slot);
-    std::vector<StateSpan>& spans = slot->second;
-    if (!spans.empty() && spans.back().days.last == delta.day - 1 &&
-        spans.back().state == fact.state) {
-      spans.back().days.last = delta.day;  // state unchanged: extend the run
-    } else {
-      spans.push_back(
-          StateSpan{util::DayInterval{delta.day, delta.day}, fact.state});
-    }
+  std::int64_t inserted_spans = 0;
+  for (std::size_t f = 0; f < facts.size();) {
+    const asn::Rir registry = facts[f]->registry;
+    const std::size_t begin = f;
+    while (f < facts.size() && facts[f]->registry == registry) ++f;
+    const std::size_t r = asn::index_of(registry);
+    auto& first = working.first_observed[r];
+    if (!first) first = delta.day;  // registry's first published day
+    inserted_spans += apply_facts(
+        std::span(facts).subspan(begin, f - begin), delta.day,
+        working.spans[r]);
   }
-  working.activity.mark_active(delta.active, delta.day);
+  std::span<const asn::Asn> active = delta.active;
+  std::vector<asn::Asn> sorted;  // only for a delta out of slice_day's order
+  if (std::adjacent_find(active.begin(), active.end(),
+                         std::greater_equal<>{}) != active.end()) {
+    sorted.assign(active.begin(), active.end());
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    active = sorted;
+  }
+  const std::int64_t inserted_runs =
+      apply_active(active, delta.day, working.activity);
   archive_end_ = delta.day;
   apply_span.note("facts", static_cast<std::int64_t>(delta.delegation.size()));
   apply_span.note("active", static_cast<std::int64_t>(delta.active.size()));
+  apply_span.note("inserted_spans", inserted_spans);
+  apply_span.note("inserted_runs", inserted_runs);
   apply_span.finish();
 
   if (stats != nullptr) {
     stats->facts = static_cast<std::int64_t>(delta.delegation.size());
     stats->active = static_cast<std::int64_t>(delta.active.size());
+    stats->inserted_spans = inserted_spans;
+    stats->inserted_runs = inserted_runs;
   }
   derive(stats, span);
   return {};
@@ -432,17 +468,14 @@ pl::StatusOr<Snapshot> Snapshot::at(util::Day day, CutStats* stats) const {
   WorkingSet& cut = snap.working_.emplace();
   std::int64_t spans = 0;
   for (std::size_t r = 0; r < asn::kRirCount; ++r) {
-    auto& out = cut.spans[r];
-    for (const auto& [asn_value, list] : working_->spans[r]) {
-      std::vector<StateSpan> clipped = restore::clip_spans(list, day);
-      if (clipped.empty()) continue;
-      spans += static_cast<std::int64_t>(clipped.size());
-      auto& first = cut.first_observed[r];
-      first = std::min(first.value_or(day), clipped.front().days.first);
-      out.emplace_hint(out.end(), asn_value, std::move(clipped));
-    }
+    restore::SpanTable& out = cut.spans[r];
+    out = working_->spans[r].clipped(day, span_days);
+    spans += static_cast<std::int64_t>(out.values.size());
+    auto& first = cut.first_observed[r];
+    for (const std::uint32_t offset : out.offsets)
+      first = std::min(first.value_or(day), out.values[offset].days.first);
   }
-  cut.activity = working_->activity.clipped(day);
+  cut.activity = working_->activity.clipped(day, run_days);
   snap.derive();
   if (stats != nullptr) {
     stats->asns = static_cast<std::int64_t>(snap.asn_count());
@@ -468,18 +501,19 @@ pl::StatusOr<Snapshot> Snapshot::at(util::Day day,
   std::int64_t spans = 0;
   joint::AsnClassification cls;
   joint::AsnSquatFlags squats;
+  std::array<std::vector<StateSpan>, asn::kRirCount> clipped;
+  std::vector<util::DayInterval> runs;
+  std::vector<lifetimes::OpLifetime> op;
   for (const std::uint32_t asn_value : keys) {
-    std::array<std::vector<StateSpan>, asn::kRirCount> clipped;
     lifetimes::AsnSpansByRegistry span_lists{};
     bool any = false;
     for (std::size_t r = 0; r < asn::kRirCount; ++r) {
-      const auto it = working.spans[r].find(asn_value);
-      if (it == working.spans[r].end()) continue;
-      clipped[r] = restore::clip_spans(it->second, day);
-      if (clipped[r].empty()) continue;
+      clipped[r].clear();
+      util::append_clipped(working.spans[r].find(asn_value), day, span_days,
+                           clipped[r]);
       spans += static_cast<std::int64_t>(clipped[r].size());
-      span_lists[r] = &clipped[r];
-      any = true;
+      span_lists[r] = clipped[r];
+      any |= !clipped[r].empty();
     }
     // The live backdating anchors need no cut: one is read only for a
     // registry where this ASN has a span starting by `day`, and then the
@@ -488,12 +522,11 @@ pl::StatusOr<Snapshot> Snapshot::at(util::Day day,
     if (any)
       admin = lifetimes::build_asn_admin_lifetimes(
           asn_value, span_lists, working.first_observed, day, config_.admin);
-    std::vector<lifetimes::OpLifetime> op;
-    if (const util::IntervalSet* activity =
-            working.activity.activity(asn::Asn{asn_value}))
-      for (const util::DayInterval& life :
-           activity->clipped(day).coalesce(config_.op_timeout_days))
-        op.push_back(lifetimes::OpLifetime{asn::Asn{asn_value}, life});
+    runs.clear();
+    util::append_clipped(working.activity.find(asn_value), day, run_days, runs);
+    op.clear();
+    lifetimes::append_op_lifetimes(asn::Asn{asn_value}, runs,
+                                   config_.op_timeout_days, op);
     snap.append_asn_rows(asn::Asn{asn_value}, admin, op, cls, squats);
   }
   snap.rebuild_indexes();
@@ -505,20 +538,13 @@ pl::StatusOr<Snapshot> Snapshot::at(util::Day day,
 }
 
 bool operator==(const Snapshot& a, const Snapshot& b) {
-  if (!(a.rows_ == b.rows_ && a.admin_rows_ == b.admin_rows_ &&
-        a.op_rows_ == b.op_rows_ && a.archive_end_ == b.archive_end_ &&
-        a.config_ == b.config_ && a.by_registry_ == b.by_registry_ &&
-        a.by_country_ == b.by_country_ &&
-        a.admin_starts_ == b.admin_starts_ &&
-        a.admin_ends_ == b.admin_ends_ && a.op_starts_ == b.op_starts_ &&
-        a.op_ends_ == b.op_ends_))
-    return false;
-  if (a.working_.has_value() != b.working_.has_value()) return false;
-  if (!a.working_.has_value()) return true;
-  const Snapshot::WorkingSet& wa = *a.working_;
-  const Snapshot::WorkingSet& wb = *b.working_;
-  return wa.spans == wb.spans && wa.first_observed == wb.first_observed &&
-         wa.activity.entries() == wb.activity.entries();
+  return a.rows_ == b.rows_ && a.admin_rows_ == b.admin_rows_ &&
+         a.op_rows_ == b.op_rows_ && a.archive_end_ == b.archive_end_ &&
+         a.config_ == b.config_ && a.by_registry_ == b.by_registry_ &&
+         a.by_country_ == b.by_country_ &&
+         a.admin_starts_ == b.admin_starts_ &&
+         a.admin_ends_ == b.admin_ends_ && a.op_starts_ == b.op_starts_ &&
+         a.op_ends_ == b.op_ends_ && a.working_ == b.working_;
 }
 
 void record_metrics(const Snapshot& snapshot, obs::Registry& metrics) {

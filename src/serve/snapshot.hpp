@@ -130,6 +130,8 @@ struct DayDelta {
 struct AdvanceStats {
   std::int64_t facts = 0;           ///< delegation facts applied
   std::int64_t active = 0;          ///< ASNs marked active
+  std::int64_t inserted_spans = 0;  ///< facts that opened a new span
+  std::int64_t inserted_runs = 0;   ///< active ASNs that opened a new run
   std::int64_t touched_admin = 0;   ///< ASNs derived with admin lives
   std::int64_t touched_op = 0;      ///< ASNs derived with op lives
 };
@@ -213,8 +215,10 @@ class Snapshot {
   /// Fold one new day in. `delta.day` must be `archive_end() + 1`; at most
   /// one fact per (registry, ASN). On success the snapshot is bit-identical
   /// to `build()` over the extended inputs; on failure it is unchanged.
-  /// With `span`, each phase (`apply`, `lifetimes`, `assemble`, `index`)
-  /// opens a child of it noting what it touched.
+  /// A fact or active ASN that continues the trailing span or run extends
+  /// it in place; the rest are merged into each touched table in one
+  /// linear pass. With `span`, each phase (`apply`, `lifetimes`,
+  /// `assemble`, `index`) opens a child of it noting what it touched.
   pl::Status advance_day(const DayDelta& delta, AdvanceStats* stats = nullptr,
                          obs::Span* span = nullptr);
 
@@ -245,15 +249,17 @@ class Snapshot {
   friend class SnapshotCodec;
 
  private:
-  /// Mutable build inputs advance_day() extends. Spans are canonicalized
-  /// (adjacent same-state spans merged) so that daily extension and a fresh
-  /// restoration of the extended world produce identical lists.
+  /// Mutable build inputs advance_day() extends, as flat tables: per
+  /// registry, ASN keys, offsets and one span array; for activity, ASN keys,
+  /// offsets and one run array. Spans are canonical (adjacent same-state
+  /// spans merged, `lifetimes::flatten_spans`) so that daily extension and a
+  /// fresh restoration of the extended world produce identical tables.
   struct WorkingSet {
-    std::array<std::map<std::uint32_t, std::vector<restore::StateSpan>>,
-               asn::kRirCount>
-        spans;
+    lifetimes::SpanTables spans;
     lifetimes::FirstObserved first_observed;
-    bgp::ActivityTable activity;
+    lifetimes::RunTable activity;
+
+    friend bool operator==(const WorkingSet&, const WorkingSet&) = default;
   };
 
   /// Why a cut at `day` is impossible, or OK.

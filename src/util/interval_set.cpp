@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "check/contracts.hpp"
+#include "util/flat_table.hpp"
 
 namespace pl::util {
 
@@ -125,10 +126,8 @@ std::vector<DayInterval> IntervalSet::coalesce(std::int64_t timeout) const {
 
 IntervalSet IntervalSet::clipped(Day last_day) const {
   IntervalSet out;
-  for (const DayInterval& run : runs_) {
-    if (run.first > last_day) break;
-    out.runs_.push_back(DayInterval{run.first, std::min(run.last, last_day)});
-  }
+  append_clipped(std::span<const DayInterval>(runs_), last_day,
+                 [](auto& run) -> auto& { return run; }, out.runs_);
   return out;
 }
 

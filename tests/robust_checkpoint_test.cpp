@@ -6,6 +6,9 @@
 // (consume/finalize/checkpoint on spent or moved-from restorers).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "restore/pipeline.hpp"
 #include "rirsim/inject.hpp"
 #include "rirsim/world.hpp"
@@ -259,6 +262,36 @@ TEST(CheckpointFraming, HostileContainerCountsAreRejectedBeforeAllocation) {
 TEST(CheckpointFraming, Crc32MatchesKnownVector) {
   // IEEE 802.3 check value for "123456789".
   EXPECT_EQ(util::crc32("123456789"), 0xCBF43926u);
+}
+
+TEST(Crc32, FoldingMatchesTheTableLoop) {
+  // Long inputs take the carry-less-multiply fold where the CPU has one;
+  // every length and alignment must give the bit-at-a-time CRC.
+  const auto reference = [](std::string_view bytes) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (const char c : bytes) {
+      crc ^= static_cast<std::uint8_t>(c);
+      for (int bit = 0; bit < 8; ++bit)
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  std::string bytes(4096 + 64, '\0');
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (char& c : bytes) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    c = static_cast<char>(state >> 56);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t length = 0; length <= 300; ++length) {
+      const std::string_view slice(bytes.data() + offset, length);
+      ASSERT_EQ(util::crc32(slice), reference(slice))
+          << "offset " << offset << ", length " << length;
+    }
+  const std::string_view all(bytes.data() + 3, 4096 + 61);
+  EXPECT_EQ(util::crc32(all), reference(all));
+  EXPECT_EQ(util::crc32(std::string(1000, '\xFF')),
+            reference(std::string(1000, '\xFF')));
 }
 
 }  // namespace

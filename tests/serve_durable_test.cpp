@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "history/store.hpp"
 #include "pipeline/pipeline.hpp"
@@ -144,6 +146,206 @@ TEST(DurableSnapshot, PayloadVersionSkewIsRejected) {
     const auto status = open_snapshot(path).status();
     EXPECT_EQ(status.code(), pl::StatusCode::kDataLoss) << version;
     EXPECT_NE(status.message().find("version skew"), std::string::npos);
+  }
+}
+
+TEST(DurableSnapshot, EncodingIsDeterministic) {
+  // encode(decode(encode(s))) == encode(s), byte for byte: a snapshot with
+  // a working set (as built, and after folds that merged new spans and runs
+  // into its tables) and a query-only one.
+  const pipeline::Result& result = small_pipeline();
+  const util::Day end = result.truth.archive_end;
+  Snapshot advanced = history::HistoryStore::rebuild_at(
+      result.restored, result.op_world.activity, end - 5);
+  for (util::Day day = end - 4; day <= end; ++day)
+    ASSERT_TRUE(advanced
+                    .advance_day(slice_day(result.restored,
+                                           result.op_world.activity, day))
+                    .ok());
+  for (const Snapshot& snapshot :
+       {small_snapshot(), advanced,
+        Snapshot::from_datasets(result.admin, result.op)}) {
+    const std::string bytes = encode_snapshot(snapshot);
+    auto decoded = decode_snapshot(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+    EXPECT_TRUE(*decoded == snapshot);
+    EXPECT_EQ(encode_snapshot(*decoded), bytes);
+  }
+}
+
+/// A tiny snapshot spelled out column by column in the v3 payload layout,
+/// so each test case can break exactly one field of an otherwise valid,
+/// CRC-correct frame.
+struct Columns {
+  struct Row { std::uint32_t asn, admin, op; std::uint16_t flags; };
+  struct Admin {
+    std::int32_t registration, first, last;
+    std::uint64_t opaque;
+    std::uint16_t country;
+    std::uint8_t registry, category, bits;
+  };
+  struct Op {
+    std::int32_t first, last, admin_index;
+    std::uint8_t category, bits;
+  };
+  struct Span {
+    std::int32_t first, last;
+    std::uint8_t head;
+    std::int32_t registration;
+    std::uint64_t opaque;
+    std::uint16_t country;
+  };
+  struct Run { std::int32_t first, last; };
+
+  static constexpr std::uint16_t kUs = ('U' << 8) | 'S';
+  static constexpr std::uint8_t kHasDate = 0x04;
+
+  std::uint32_t row_count = 2;  // as written; the rows below are the data
+  std::vector<Row> rows = {{10, 1, 1, 3}, {20, 1, 0, 1}};
+  std::vector<Admin> admin = {{90, 100, 200, 7, kUs, 0, 0, 1},
+                              {120, 120, 200, 8, kUs, 0, 2, 1}};
+  std::vector<Op> op = {{130, 160, 0, 0, 0}};
+  std::vector<std::uint32_t> span_keys = {10, 20};
+  std::vector<std::uint32_t> span_offsets = {0, 2};
+  std::uint32_t span_count = 3;  // as written
+  std::vector<Span> spans = {{100, 150, 0 | kHasDate, 90, 7, kUs},
+                             {151, 200, 3, 0, 0, 0},
+                             {120, 200, 1 | kHasDate, 120, 8, kUs}};
+  std::vector<std::uint32_t> run_keys = {10, 20};
+  std::vector<std::uint32_t> run_offsets = {0, 2};
+  std::vector<Run> runs = {{130, 140}, {150, 160}, {125, 125}};
+
+  std::string frame() const {
+    robust::CheckpointWriter w;
+    w.u32(kSnapshotFormatVersion);
+    w.i32(200);  // archive end
+    w.i32(30);   // config: op timeout, transfer gap, dormancy, duration
+    w.i32(0);
+    w.i64(365);
+    w.u64(0);
+    w.u32(row_count);
+    for (const Row& r : rows) w.u32(r.asn);
+    for (const Row& r : rows) w.u32(r.admin);
+    for (const Row& r : rows) w.u32(r.op);
+    for (const Row& r : rows) w.u16(r.flags);
+    for (const Admin& a : admin) w.i32(a.registration);
+    for (const Admin& a : admin) w.i32(a.first);
+    for (const Admin& a : admin) w.i32(a.last);
+    for (const Admin& a : admin) w.u64(a.opaque);
+    for (const Admin& a : admin) w.u16(a.country);
+    for (const Admin& a : admin) w.u8(a.registry);
+    for (const Admin& a : admin) w.u8(a.category);
+    for (const Admin& a : admin) w.u8(a.bits);
+    for (const Op& o : op) w.i32(o.first);
+    for (const Op& o : op) w.i32(o.last);
+    for (const Op& o : op) w.i32(o.admin_index);
+    for (const Op& o : op) w.u8(o.category);
+    for (const Op& o : op) w.u8(o.bits);
+    w.boolean(true);  // working set
+    for (std::size_t reg = 0; reg < asn::kRirCount; ++reg) {
+      const bool arin = reg == 0;
+      w.boolean(arin);  // first observed
+      w.i32(arin ? 100 : 0);
+      w.u32(arin ? static_cast<std::uint32_t>(span_keys.size()) : 0);
+      w.u32(arin ? span_count : 0);
+      if (!arin) continue;
+      for (const std::uint32_t key : span_keys) w.u32(key);
+      for (const std::uint32_t offset : span_offsets) w.u32(offset);
+      for (const Span& s : spans) w.i32(s.first);
+      for (const Span& s : spans) w.i32(s.last);
+      for (const Span& s : spans) w.u8(s.head);
+      for (const Span& s : spans) w.i32(s.registration);
+      for (const Span& s : spans) w.u64(s.opaque);
+      for (const Span& s : spans) w.u16(s.country);
+    }
+    w.u32(static_cast<std::uint32_t>(run_keys.size()));
+    w.u32(static_cast<std::uint32_t>(runs.size()));
+    for (const std::uint32_t key : run_keys) w.u32(key);
+    for (const std::uint32_t offset : run_offsets) w.u32(offset);
+    for (const Run& r : runs) w.i32(r.first);
+    for (const Run& r : runs) w.i32(r.last);
+    return std::move(w).finish();
+  }
+};
+
+TEST(DurableSnapshot, HostileColumnsAreRejected) {
+  // The unbroken frame decodes, so each case below fails on its one field.
+  auto valid = decode_snapshot(Columns{}.frame());
+  ASSERT_TRUE(valid.ok()) << valid.status().to_string();
+  EXPECT_TRUE(valid->can_advance());
+  EXPECT_TRUE(*decode_snapshot(encode_snapshot(*valid)) == *valid);
+
+  // What breaks, and the start of the reason the decoder gives.
+  struct Case {
+    const char* what;
+    const char* reason;
+    void (*breaks)(Columns&);
+  };
+  const Case cases[] = {
+      {"row count", "snapshot failed to decode: count runs past",
+       [](Columns& c) { c.row_count = 1u << 30; }},
+      {"life count", "snapshot life counts run past",
+       [](Columns& c) { c.rows[1].admin = 1u << 30; }},
+      {"span count", "snapshot failed to decode: count runs past",
+       [](Columns& c) { c.span_count = 1u << 30; }},
+      {"non-monotone span offsets", "table offsets not strictly",
+       [](Columns& c) { c.span_offsets = {0, 0}; }},
+      {"span offsets not from 0", "table offsets not strictly",
+       [](Columns& c) { c.span_offsets = {1, 2}; }},
+      {"span offset past the values", "table offsets run past",
+       [](Columns& c) { c.span_offsets = {0, 3}; }},
+      {"non-monotone run offsets", "table offsets not strictly",
+       [](Columns& c) { c.run_offsets = {2, 0}; }},
+      {"unsorted rows", "snapshot rows not sorted",
+       [](Columns& c) { std::swap(c.rows[0], c.rows[1]); }},
+      {"repeated rows", "snapshot rows not sorted",
+       [](Columns& c) { c.rows[1].asn = 10; }},
+      {"unsorted span keys", "table keys not strictly",
+       [](Columns& c) { c.span_keys = {20, 10}; }},
+      {"repeated span keys", "table keys not strictly",
+       [](Columns& c) { c.span_keys = {10, 10}; }},
+      {"unsorted activity keys", "table keys not strictly",
+       [](Columns& c) { c.run_keys = {20, 10}; }},
+      {"repeated activity keys", "table keys not strictly",
+       [](Columns& c) { c.run_keys = {10, 10}; }},
+      {"span first > last", "snapshot spans empty or overlapping",
+       [](Columns& c) { c.spans[0].last = 99; }},
+      {"overlapping spans", "snapshot spans empty or overlapping",
+       [](Columns& c) { c.spans[1].first = 150; }},
+      {"status byte", "span head bits",
+       [](Columns& c) { c.spans[1].head = 0x08; }},
+      {"span date without its bit", "span registration date",
+       [](Columns& c) { c.spans[1].registration = 5; }},
+      {"registry byte", "registry out of range",
+       [](Columns& c) { c.admin[0].registry = 5; }},
+      {"admin category byte", "taxonomy category",
+       [](Columns& c) { c.admin[0].category = 4; }},
+      {"op category byte", "taxonomy category",
+       [](Columns& c) { c.op[0].category = 4; }},
+      {"admin life bits", "admin life bits",
+       [](Columns& c) { c.admin[0].bits = 4; }},
+      {"lowercase country", "bad country code",
+       [](Columns& c) { c.admin[1].country = 'u' << 8 | 's'; }},
+      {"half a span country", "bad country code",
+       [](Columns& c) { c.spans[0].country = 'U' << 8; }},
+      {"overlapping runs", "snapshot activity runs",
+       [](Columns& c) { c.runs[1].first = 140; }},
+      {"adjacent runs", "snapshot activity runs",
+       [](Columns& c) { c.runs[1].first = 141; }},
+      {"run first > last", "snapshot activity runs",
+       [](Columns& c) { c.runs[2].last = 124; }},
+      {"admin index past the ASN's lives", "op life admin index",
+       [](Columns& c) { c.op[0].admin_index = 1; }},
+      {"admin index below -1", "op life admin index",
+       [](Columns& c) { c.op[0].admin_index = -2; }},
+  };
+  for (const Case& each : cases) {
+    Columns columns;
+    each.breaks(columns);
+    const pl::Status status = decode_snapshot(columns.frame()).status();
+    EXPECT_EQ(status.code(), pl::StatusCode::kDataLoss) << each.what;
+    EXPECT_EQ(status.message().rfind(each.reason, 0), 0u)
+        << each.what << ": " << status.to_string();
   }
 }
 
@@ -387,6 +589,48 @@ TEST(DurableService, AdvancesAndRecoversAcrossReopen) {
   const Snapshot full = Snapshot::build(extended.restored,
                                         extended.op_world.activity, end);
   EXPECT_TRUE(reopened->snapshot() == full);
+}
+
+TEST(DurableService, OpenAndCheckpointTraceEachPhase) {
+  const std::string dir = temp_dir("durable_phases");
+  DurableConfig durable;
+  durable.dir = dir;
+  const Snapshot bootstrap = small_snapshot();
+  {
+    auto service = DurableService::open(bootstrap, durable);
+    ASSERT_TRUE(service.ok()) << service.status().to_string();
+    ASSERT_TRUE(service->checkpoint().ok());
+    if (obs::kEnabled) {
+      const obs::Report report = service->report();
+      const obs::TraceNode* checkpoint =
+          report.trace.child("serve.durable.checkpoint");
+      ASSERT_NE(checkpoint, nullptr);
+      ASSERT_EQ(checkpoint->children.size(), 3u);
+      const char* const phases[] = {"encode", "write", "rename"};
+      for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(checkpoint->children[i].name, phases[i]);
+      EXPECT_EQ(checkpoint->child("encode")->note_value("bytes"),
+                static_cast<std::int64_t>(
+                    std::filesystem::file_size(service->snapshot_path())));
+    }
+  }
+
+  auto reopened = DurableService::open(Snapshot{}, durable);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().to_string();
+  EXPECT_TRUE(reopened->snapshot() == bootstrap);
+  if (!obs::kEnabled) return;  // obs-off: report is empty by design
+  const obs::Report report = reopened->report();
+  const obs::TraceNode* open = report.trace.child("serve.durable.open");
+  ASSERT_NE(open, nullptr);
+  ASSERT_EQ(open->children.size(), 4u);
+  const char* const phases[] = {"read", "verify", "decode", "index"};
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_EQ(open->children[i].name, phases[i]);
+  EXPECT_EQ(open->child("read")->note_value("bytes"),
+            static_cast<std::int64_t>(
+                std::filesystem::file_size(reopened->snapshot_path())));
+  EXPECT_EQ(open->child("index")->note_value("rows"),
+            static_cast<std::int64_t>(bootstrap.asn_count()));
 }
 
 TEST(DurableService, MisSequencedDayNeverLandsInTheWal) {

@@ -264,6 +264,61 @@ TEST(Snapshot, FindMissesUnknownAsn) {
   EXPECT_EQ(snapshot.find(asn::Asn{4294967295u}), nullptr);
 }
 
+TEST(Snapshot, AdvanceInsertsMidTable) {
+  // One fold that cannot extend in place: ASN 200 changes state (a new span
+  // in the middle of ARIN's table), ASN 250 appears between two known keys,
+  // and ASN 200 turns active again after a gap (a new run mid-table). The
+  // fold must equal a build over the extended world.
+  const auto state = [](dele::Status status) {
+    dele::RecordState s;
+    s.status = status;
+    s.registration_date = 5;
+    s.country = asn::CountryCode::literal('U', 'S');
+    s.opaque_id = 7;
+    return s;
+  };
+  const auto span = [](util::Day first, util::Day last, dele::RecordState s) {
+    return restore::StateSpan{util::DayInterval{first, last}, s};
+  };
+  const dele::RecordState allocated = state(dele::Status::kAllocated);
+  const dele::RecordState reserved = state(dele::Status::kReserved);
+
+  restore::RestoredArchive before;
+  for (std::size_t r = 0; r < asn::kRirCount; ++r)
+    before.registries[r].rir = asn::kAllRirs[r];
+  auto& arin = before.registries[asn::index_of(asn::Rir::kArin)].spans;
+  for (const std::uint32_t asn_value : {100u, 200u, 300u})
+    arin[asn_value] = {span(10, 20, allocated)};
+  bgp::ActivityTable active_before;
+  active_before.mark_active(asn::Asn{100}, util::DayInterval{10, 20});
+  active_before.mark_active(asn::Asn{200}, util::DayInterval{12, 15});
+  active_before.mark_active(asn::Asn{300}, util::DayInterval{10, 20});
+  Snapshot advanced = Snapshot::build(before, active_before, 20);
+
+  DayDelta delta;
+  delta.day = 21;
+  for (const auto& [asn_value, s] :
+       {std::pair{100u, allocated}, std::pair{200u, reserved},
+        std::pair{250u, allocated}, std::pair{300u, allocated}})
+    delta.delegation.push_back(
+        DelegationFact{asn::Asn{asn_value}, asn::Rir::kArin, s});
+  delta.active = {asn::Asn{100}, asn::Asn{200}, asn::Asn{250}};
+  AdvanceStats stats;
+  ASSERT_TRUE(advanced.advance_day(delta, &stats).ok());
+  EXPECT_EQ(stats.inserted_spans, 2);  // ASN 200's new state, ASN 250
+  EXPECT_EQ(stats.inserted_runs, 2);   // ASN 200 after its gap, ASN 250
+
+  restore::RestoredArchive after = before;
+  auto& arin_after = after.registries[asn::index_of(asn::Rir::kArin)].spans;
+  arin_after[100] = {span(10, 21, allocated)};
+  arin_after[200] = {span(10, 20, allocated), span(21, 21, reserved)};
+  arin_after[250] = {span(21, 21, allocated)};
+  arin_after[300] = {span(10, 21, allocated)};
+  bgp::ActivityTable active_after = active_before;
+  for (const asn::Asn asn : delta.active) active_after.mark_active(asn, 21);
+  EXPECT_TRUE(advanced == Snapshot::build(after, active_after, 21));
+}
+
 TEST(QueryService, ReportCarriesServeSpansAndExports) {
   const pipeline::Result result = small_pipeline();
   QueryService service(small_snapshot(result));
