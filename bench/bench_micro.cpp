@@ -1,10 +1,9 @@
 // Microbenchmarks (google-benchmark): the hot paths of the pipeline —
 // delegation-file parsing/serialization, interval-set algebra, AS-path loop
 // detection, the sanitizer, the visibility aggregator, and the snapshot
-// codec (over a pipeline snapshot at PL_BENCH_SCALE, default 0.02).
+// codec (over a pipeline snapshot of a scale-0.02 world; scale-1.0 codec
+// times are the `encode`/`decode` spans of save_snapshot/open_snapshot).
 #include <benchmark/benchmark.h>
-
-#include <cstdlib>
 
 #include "bgp/activity.hpp"
 #include "bgp/mrt.hpp"
@@ -243,8 +242,6 @@ const serve::Snapshot& pipeline_snapshot() {
     pipeline::Config config;
     config.seed = 99;
     config.scale = 0.02;
-    if (const char* env = std::getenv("PL_BENCH_SCALE"))
-      config.scale = std::atof(env);
     const pipeline::Result result = pipeline::run_simulated(config);
     return serve::Snapshot::build(result.restored, result.op_world.activity,
                                   result.truth.archive_end);

@@ -1,11 +1,7 @@
 #include "robust/checkpoint.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <filesystem>
+#include <fstream>
 #include <utility>
 
 #include "util/crc32.hpp"
@@ -38,44 +34,19 @@ std::optional<std::size_t> frame_length(std::string_view bytes) noexcept {
   return kHeaderSize + static_cast<std::size_t>(length) + kTrailerSize;
 }
 
-pl::StatusOr<MappedFile> MappedFile::open(const std::string& path) {
+pl::StatusOr<std::string> read_file(const std::string& path) {
   std::error_code ec;
   if (!std::filesystem::exists(path, ec))
     return pl::not_found_error("no such file: " + path);
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return pl::unavailable_error("cannot open " + path);
-  struct stat info {};
-  if (::fstat(fd, &info) != 0 || !S_ISREG(info.st_mode)) {
-    ::close(fd);
-    return pl::unavailable_error("cannot size " + path);
-  }
-  const auto size = static_cast<std::size_t>(info.st_size);
-  void* data = nullptr;
-  if (size > 0) {
-    data = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE | MAP_POPULATE, fd, 0);
-    if (data == MAP_FAILED) data = nullptr;
-  }
-  ::close(fd);
-  if (size > 0 && data == nullptr)
-    return pl::unavailable_error("cannot map " + path);
-  return MappedFile(data, size);
-}
-
-MappedFile::MappedFile(MappedFile&& other) noexcept
-    : data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)) {}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this != &other) {
-    if (data_ != nullptr) ::munmap(data_, size_);
-    data_ = std::exchange(other.data_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-  }
-  return *this;
-}
-
-MappedFile::~MappedFile() {
-  if (data_ != nullptr) ::munmap(data_, size_);
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) return pl::unavailable_error("cannot size " + path);
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return pl::unavailable_error("cannot open " + path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (static_cast<std::uintmax_t>(in.gcount()) != size)
+    return pl::unavailable_error("read failed: " + path);
+  return bytes;
 }
 
 std::string CheckpointWriter::finish() && {

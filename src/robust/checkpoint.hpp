@@ -35,33 +35,9 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 /// write). Only the boundary is checked; version and CRC are the reader's.
 std::optional<std::size_t> frame_length(std::string_view bytes) noexcept;
 
-/// A whole file of frames mapped read-only: its bytes are served from the
-/// page cache, with no copy into fresh memory (a snapshot is ~15 MB at
-/// paper scale). The file must not shrink while mapped; snapshot files are
-/// only ever replaced by rename. Move-only; the mapping ends with the
-/// object.
-class MappedFile {
- public:
-  /// Map `path`. kNotFound when it does not exist, kUnavailable when it
-  /// cannot be opened, sized or mapped.
-  static pl::StatusOr<MappedFile> open(const std::string& path);
-
-  MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-  ~MappedFile();
-
-  std::string_view bytes() const noexcept {
-    return {static_cast<const char*>(data_), size_};
-  }
-
- private:
-  MappedFile(void* data, std::size_t size) : data_(data), size_(size) {}
-
-  void* data_ = nullptr;
-  std::size_t size_ = 0;
-};
+/// Read a whole file of frames. kNotFound when `path` does not exist,
+/// kUnavailable when it cannot be read.
+pl::StatusOr<std::string> read_file(const std::string& path);
 
 /// Bytes of the frame header (magic, version, payload length) and trailer
 /// (CRC) around a payload.

@@ -565,12 +565,11 @@ pl::Status save_snapshot(const Snapshot& snapshot, const std::string& path,
 pl::StatusOr<Snapshot> open_snapshot(const std::string& path,
                                      obs::Span* span) {
   obs::Span read = obs::child_of(span, "read");
-  auto file = robust::MappedFile::open(path);
-  if (file.ok())
-    read.note("bytes", static_cast<std::int64_t>(file->bytes().size()));
+  auto file = robust::read_file(path);
+  if (file.ok()) read.note("bytes", static_cast<std::int64_t>(file->size()));
   read.finish();
   if (!file.ok()) return file.status();
-  return decode_frame(file->bytes(), span);
+  return decode_frame(*file, span);
 }
 
 // -- day-delta codec -------------------------------------------------------
@@ -726,9 +725,9 @@ pl::Status append_wal(const std::string& path, const DayDelta& delta,
 }
 
 pl::StatusOr<WalReplay> replay_wal(const std::string& path) {
-  auto file = robust::MappedFile::open(path);
+  auto file = robust::read_file(path);
   if (!file.ok()) return file.status();
-  std::string_view wal = file->bytes();
+  std::string_view wal = *file;
 
   WalReplay replay;
   while (!wal.empty()) {

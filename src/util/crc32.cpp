@@ -4,11 +4,6 @@
 #include <bit>
 #include <cstring>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#define PL_CRC32_CLMUL 1
-#endif
-
 namespace pl::util {
 
 namespace {
@@ -31,71 +26,6 @@ std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() noexcept {
   return tables;
 }
 
-#ifdef PL_CRC32_CLMUL
-// Carry-less multiply folding (Gopal et al., "Fast CRC Computation for
-// Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009), with the
-// bit-reflected constants it derives for this polynomial. Folds `n` bytes
-// (n >= 64, a multiple of 16) into the running CRC state `crc`; the table
-// loop takes the tail. Equal to the table loop on every input
-// (`Crc32.FoldingMatchesTheTableLoop`).
-#define PL_CLMUL_TARGET __attribute__((target("pclmul,sse4.1")))
-
-PL_CLMUL_TARGET __m128i load(const char* at) noexcept {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
-}
-
-/// One 128-bit fold: a.lo * k.lo ^ a.hi * k.hi ^ next.
-PL_CLMUL_TARGET __m128i fold(__m128i a, __m128i k, __m128i next) noexcept {
-  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x00),
-                                     _mm_clmulepi64_si128(a, k, 0x11)),
-                       next);
-}
-
-PL_CLMUL_TARGET std::uint32_t crc32_clmul(const char* p, std::size_t n,
-                                          std::uint32_t crc) noexcept {
-  __m128i x1 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
-  __m128i x2 = load(p + 16);
-  __m128i x3 = load(p + 32);
-  __m128i x4 = load(p + 48);
-  p += 64;
-  n -= 64;
-  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
-  for (; n >= 64; p += 64, n -= 64) {
-    x1 = fold(x1, k1k2, load(p));
-    x2 = fold(x2, k1k2, load(p + 16));
-    x3 = fold(x3, k1k2, load(p + 32));
-    x4 = fold(x4, k1k2, load(p + 48));
-  }
-  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
-  x1 = fold(x1, k3k4, x2);
-  x1 = fold(x1, k3k4, x3);
-  x1 = fold(x1, k3k4, x4);
-  for (; n >= 16; p += 16, n -= 16) x1 = fold(x1, k3k4, load(p));
-
-  // 128 -> 64 bits, then a Barrett reduction to 32.
-  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
-  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
-                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
-  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
-  x1 = _mm_xor_si128(
-      _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00),
-      _mm_srli_si128(x1, 4));
-  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
-  __m128i reduced = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
-  reduced = _mm_clmulepi64_si128(_mm_and_si128(reduced, low32), poly, 0x00);
-  return static_cast<std::uint32_t>(
-      _mm_extract_epi32(_mm_xor_si128(x1, reduced), 1));
-}
-
-#undef PL_CLMUL_TARGET
-
-bool has_clmul() noexcept {
-  static const bool supported =
-      __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
-  return supported;
-}
-#endif
-
 }  // namespace
 
 std::uint32_t crc32(std::string_view bytes) noexcept {
@@ -105,14 +35,6 @@ std::uint32_t crc32(std::string_view bytes) noexcept {
   std::uint32_t crc = 0xFFFFFFFFu;
   const char* p = bytes.data();
   std::size_t n = bytes.size();
-#ifdef PL_CRC32_CLMUL
-  if (n >= 64 && has_clmul()) {
-    const std::size_t folded = n & ~std::size_t{15};
-    crc = crc32_clmul(p, folded, crc);
-    p += folded;
-    n -= folded;
-  }
-#endif
   while (std::endian::native == std::endian::little && n >= 8) {
     std::uint32_t lo;
     std::uint32_t hi;

@@ -107,23 +107,6 @@ std::vector<std::int64_t> IntervalSet::gaps() const {
   return out;
 }
 
-std::vector<DayInterval> IntervalSet::coalesce(std::int64_t timeout) const {
-  std::vector<DayInterval> out;
-  for (const DayInterval& run : runs_) {
-    if (!out.empty() &&
-        static_cast<std::int64_t>(run.first) - out.back().last - 1 <= timeout)
-      out.back().last = run.last;
-    else
-      out.push_back(run);
-  }
-  PL_ASSERT_SORTED(out,
-                   [](const DayInterval& a, const DayInterval& b) {
-                     return a.first < b.first;
-                   },
-                   "IntervalSet::coalesce output");
-  return out;
-}
-
 IntervalSet IntervalSet::clipped(Day last_day) const {
   IntervalSet out;
   append_clipped(std::span<const DayInterval>(runs_), last_day,

@@ -1,9 +1,9 @@
 // A set of days stored as sorted, disjoint, non-adjacent closed intervals.
 //
 // Operational activity of an ASN over 17 years is naturally a sparse set of
-// days; IntervalSet is its run-length-encoded form and the substrate for
-// building lifetimes (merging runs separated by less than the inactivity
-// timeout) and for admin/op overlap arithmetic.
+// days; IntervalSet is its run-length-encoded form: the runs that
+// lifetimes::append_op_lifetimes merges under the inactivity timeout, and
+// the substrate for admin/op overlap arithmetic.
 #pragma once
 
 #include <cstdint>
@@ -55,10 +55,6 @@ class IntervalSet {
   /// Gaps between consecutive runs, in days (each >= 1). This is the
   /// "per-ASN BGP activity gap" distribution of paper Fig. 3.
   std::vector<std::int64_t> gaps() const;
-
-  /// Merge runs whose separating gap is <= `timeout` days, yielding the
-  /// operational lifetimes induced by an inactivity timeout (paper 4.2).
-  std::vector<DayInterval> coalesce(std::int64_t timeout) const;
 
   /// The days of this set up to and including `last_day`.
   IntervalSet clipped(Day last_day) const;

@@ -3,6 +3,7 @@
 #include "bgp/rib.hpp"
 #include "bgp/sanitizer.hpp"
 #include "bgpsim/route_gen.hpp"
+#include "lifetimes/op.hpp"
 #include "rirsim/world.hpp"
 
 namespace pl::bgpsim {
@@ -183,7 +184,10 @@ TEST_F(OpWorldTest, FlapsDoNotSplitLives) {
     const util::IntervalSet* days =
         world().activity.activity(asn::Asn{asn_value});
     ASSERT_NE(days, nullptr) << asn_value;
-    EXPECT_EQ(days->coalesce(30).size(), expected) << asn_value;
+    std::vector<lifetimes::OpLifetime> op_lives;
+    lifetimes::append_op_lifetimes(asn::Asn{asn_value}, days->runs(), 30,
+                                   op_lives);
+    EXPECT_EQ(op_lives.size(), expected) << asn_value;
   }
 }
 

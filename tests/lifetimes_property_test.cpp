@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "lifetimes/admin.hpp"
+#include "lifetimes/op.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
 
@@ -155,6 +156,31 @@ TEST_P(AdminBuilderProperty, InvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AdminBuilderProperty,
                          ::testing::Values(11, 222, 3333, 44444, 555555,
                                            6666666));
+
+// Property: the 4.2 timeout rule yields exactly 1 + (number of gaps > t)
+// lives.
+class OpTimeoutProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(OpTimeoutProperty, LifeCountMatchesGapCount) {
+  Rng rng(99);
+  util::IntervalSet set;
+  Day cursor = 0;
+  for (int i = 0; i < 30; ++i) {
+    const Day len = static_cast<Day>(rng.uniform(1, 50));
+    set.add(DayInterval{cursor, cursor + len - 1});
+    cursor += len + static_cast<Day>(rng.uniform(1, 80));
+  }
+  const int timeout = GetParam();
+  std::size_t expected = 1;
+  for (const auto gap : set.gaps())
+    if (gap > timeout) ++expected;
+  std::vector<OpLifetime> lives;
+  append_op_lifetimes(asn::Asn{1}, set.runs(), timeout, lives);
+  EXPECT_EQ(lives.size(), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Timeouts, OpTimeoutProperty,
+                         ::testing::Values(0, 1, 15, 30, 50, 100, 100000));
 
 }  // namespace
 }  // namespace pl::lifetimes

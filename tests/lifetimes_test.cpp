@@ -220,6 +220,32 @@ TEST(OpBuilder, TimeoutSplitsAndMerges) {
   EXPECT_EQ(at300.lifetimes.size(), 1u);
 }
 
+TEST(OpBuilder, AppendOpLifetimesImplementsTimeout) {
+  const std::vector<DayInterval> runs = {
+      {1, 5}, {10, 12} /* gap 4 */, {50, 60} /* gap 37 */};
+  const asn::Asn asn{7};
+  std::vector<OpLifetime> at30;
+  append_op_lifetimes(asn, runs, 30, at30);
+  ASSERT_EQ(at30.size(), 2u);
+  EXPECT_EQ(at30[0], (OpLifetime{asn, DayInterval{1, 12}}));
+  EXPECT_EQ(at30[1], (OpLifetime{asn, DayInterval{50, 60}}));
+  std::vector<OpLifetime> at37;
+  append_op_lifetimes(asn, runs, 37, at37);
+  ASSERT_EQ(at37.size(), 1u);
+  EXPECT_EQ(at37[0], (OpLifetime{asn, DayInterval{1, 60}}));
+  std::vector<OpLifetime> at0;
+  append_op_lifetimes(asn, runs, 0, at0);
+  EXPECT_EQ(at0.size(), 3u);
+
+  // Appending never merges into a life already in the list: the previous
+  // ASN's last life ends 1 day before this ASN's first run.
+  std::vector<OpLifetime> both = {OpLifetime{asn::Asn{6}, DayInterval{-5, 0}}};
+  append_op_lifetimes(asn, runs, 30, both);
+  ASSERT_EQ(both.size(), 3u);
+  EXPECT_EQ(both[0], (OpLifetime{asn::Asn{6}, DayInterval{-5, 0}}));
+  EXPECT_EQ(both[1], at30[0]);
+}
+
 TEST(Sensitivity, CurvesAreMonotone) {
   bgp::ActivityTable activity;
   // Three ASNs with gaps 5, 40, 400.

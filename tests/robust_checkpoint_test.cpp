@@ -264,9 +264,9 @@ TEST(CheckpointFraming, Crc32MatchesKnownVector) {
   EXPECT_EQ(util::crc32("123456789"), 0xCBF43926u);
 }
 
-TEST(Crc32, FoldingMatchesTheTableLoop) {
-  // Long inputs take the carry-less-multiply fold where the CPU has one;
-  // every length and alignment must give the bit-at-a-time CRC.
+TEST(Crc32, EveryLengthAndAlignmentMatchesTheBitLoop) {
+  // Slice-by-8 takes eight bytes a step and the byte loop the tail; every
+  // length and alignment must give the bit-at-a-time CRC.
   const auto reference = [](std::string_view bytes) {
     std::uint32_t crc = 0xFFFFFFFFu;
     for (const char c : bytes) {

@@ -214,6 +214,8 @@ struct Columns {
   std::vector<std::uint32_t> run_keys = {10, 20};
   std::vector<std::uint32_t> run_offsets = {0, 2};
   std::vector<Run> runs = {{130, 140}, {150, 160}, {125, 125}};
+  std::int32_t unflagged_first_observed = 0;  // every registry but ARIN
+  std::size_t trailing_bytes = 0;
 
   std::string frame() const {
     robust::CheckpointWriter w;
@@ -245,7 +247,7 @@ struct Columns {
     for (std::size_t reg = 0; reg < asn::kRirCount; ++reg) {
       const bool arin = reg == 0;
       w.boolean(arin);  // first observed
-      w.i32(arin ? 100 : 0);
+      w.i32(arin ? 100 : unflagged_first_observed);
       w.u32(arin ? static_cast<std::uint32_t>(span_keys.size()) : 0);
       w.u32(arin ? span_count : 0);
       if (!arin) continue;
@@ -264,6 +266,7 @@ struct Columns {
     for (const std::uint32_t offset : run_offsets) w.u32(offset);
     for (const Run& r : runs) w.i32(r.first);
     for (const Run& r : runs) w.i32(r.last);
+    for (std::size_t i = 0; i < trailing_bytes; ++i) w.u8(0);
     return std::move(w).finish();
   }
 };
@@ -296,6 +299,20 @@ TEST(DurableSnapshot, HostileColumnsAreRejected) {
        [](Columns& c) { c.span_offsets = {0, 3}; }},
       {"non-monotone run offsets", "table offsets not strictly",
        [](Columns& c) { c.run_offsets = {2, 0}; }},
+      {"run offset past the values", "table offsets run past",
+       [](Columns& c) { c.run_offsets = {0, 3}; }},
+      {"span keys without values", "table keys without values",
+       [](Columns& c) {
+         c.span_count = 0;
+         c.spans.clear();
+       }},
+      {"span values without keys", "table keys without values",
+       [](Columns& c) {
+         c.span_keys.clear();
+         c.span_offsets.clear();
+       }},
+      {"run keys without values", "table keys without values",
+       [](Columns& c) { c.runs.clear(); }},
       {"unsorted rows", "snapshot rows not sorted",
        [](Columns& c) { std::swap(c.rows[0], c.rows[1]); }},
       {"repeated rows", "snapshot rows not sorted",
@@ -324,6 +341,10 @@ TEST(DurableSnapshot, HostileColumnsAreRejected) {
        [](Columns& c) { c.op[0].category = 4; }},
       {"admin life bits", "admin life bits",
        [](Columns& c) { c.admin[0].bits = 4; }},
+      {"op life bits", "op life bits",
+       [](Columns& c) { c.op[0].bits = 4; }},
+      {"first observed day without its flag", "first observed day without",
+       [](Columns& c) { c.unflagged_first_observed = 5; }},
       {"lowercase country", "bad country code",
        [](Columns& c) { c.admin[1].country = 'u' << 8 | 's'; }},
       {"half a span country", "bad country code",
@@ -338,6 +359,8 @@ TEST(DurableSnapshot, HostileColumnsAreRejected) {
        [](Columns& c) { c.op[0].admin_index = 1; }},
       {"admin index below -1", "op life admin index",
        [](Columns& c) { c.op[0].admin_index = -2; }},
+      {"trailing bytes", "snapshot failed to decode: trailing bytes",
+       [](Columns& c) { c.trailing_bytes = 1; }},
   };
   for (const Case& each : cases) {
     Columns columns;

@@ -76,22 +76,6 @@ TEST(IntervalSet, Gaps) {
   EXPECT_EQ(gaps[1], 37);  // 13..49
 }
 
-TEST(IntervalSet, CoalesceImplementsTimeout) {
-  IntervalSet set;
-  set.add(DayInterval{1, 5});
-  set.add(DayInterval{10, 12});   // gap 4
-  set.add(DayInterval{50, 60});   // gap 37
-  const auto at30 = set.coalesce(30);
-  ASSERT_EQ(at30.size(), 2u);
-  EXPECT_EQ(at30[0], (DayInterval{1, 12}));
-  EXPECT_EQ(at30[1], (DayInterval{50, 60}));
-  const auto at37 = set.coalesce(37);
-  ASSERT_EQ(at37.size(), 1u);
-  EXPECT_EQ(at37[0], (DayInterval{1, 60}));
-  const auto at0 = set.coalesce(0);
-  EXPECT_EQ(at0.size(), 3u);
-}
-
 TEST(IntervalSet, CoveredDays) {
   IntervalSet set;
   set.add(DayInterval{10, 20});
@@ -153,28 +137,6 @@ TEST_P(IntervalSetModel, MatchesBitsetModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetModel,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
-
-// Property: coalesce(t) produces exactly 1 + (number of gaps > t) runs.
-class CoalesceProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(CoalesceProperty, RunCountMatchesGapCount) {
-  Rng rng(99);
-  IntervalSet set;
-  Day cursor = 0;
-  for (int i = 0; i < 30; ++i) {
-    const Day len = static_cast<Day>(rng.uniform(1, 50));
-    set.add(DayInterval{cursor, cursor + len - 1});
-    cursor += len + static_cast<Day>(rng.uniform(1, 80));
-  }
-  const int timeout = GetParam();
-  std::size_t expected = 1;
-  for (const auto gap : set.gaps())
-    if (gap > timeout) ++expected;
-  EXPECT_EQ(set.coalesce(timeout).size(), expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(Timeouts, CoalesceProperty,
-                         ::testing::Values(0, 1, 15, 30, 50, 100, 100000));
 
 }  // namespace
 }  // namespace pl::util
