@@ -1,8 +1,10 @@
 // Microbenchmarks (google-benchmark): the hot paths of the pipeline —
 // delegation-file parsing/serialization, interval-set algebra, AS-path loop
-// detection, the sanitizer, the visibility aggregator, and the snapshot
-// codec (over a pipeline snapshot of a scale-0.02 world; scale-1.0 codec
-// times are the `encode`/`decode` spans of save_snapshot/open_snapshot).
+// detection, the sanitizer, the visibility aggregator, the snapshot codec
+// and the day fold (over a pipeline snapshot of a scale-0.02 world;
+// scale-1.0 codec times are the `encode`/`decode` spans of
+// save_snapshot/open_snapshot, and fold times the `serve.advance_day`
+// phases).
 #include <benchmark/benchmark.h>
 
 #include "bgp/activity.hpp"
@@ -10,6 +12,7 @@
 #include "bgp/rib.hpp"
 #include "bgp/sanitizer.hpp"
 #include "delegation/archive.hpp"
+#include "history/store.hpp"
 #include "pipeline/pipeline.hpp"
 #include "serve/durable.hpp"
 #include "serve/snapshot.hpp"
@@ -236,13 +239,21 @@ void BM_RibReconstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_RibReconstruction)->Arg(50000);
 
-/// A snapshot with its working set, built once from a small pipeline run.
-const serve::Snapshot& pipeline_snapshot() {
-  static const serve::Snapshot snapshot = [] {
+/// A small pipeline run, made once.
+const pipeline::Result& pipeline_world() {
+  static const pipeline::Result result = [] {
     pipeline::Config config;
     config.seed = 99;
     config.scale = 0.02;
-    const pipeline::Result result = pipeline::run_simulated(config);
+    return pipeline::run_simulated(config);
+  }();
+  return result;
+}
+
+/// A snapshot with its working set, built once from the small pipeline run.
+const serve::Snapshot& pipeline_snapshot() {
+  static const serve::Snapshot snapshot = [] {
+    const pipeline::Result& result = pipeline_world();
     return serve::Snapshot::build(result.restored, result.op_world.activity,
                                   result.truth.archive_end);
   }();
@@ -272,6 +283,26 @@ void BM_SnapshotDecode(benchmark::State& state) {
                           static_cast<std::int64_t>(frame.size()));
 }
 BENCHMARK(BM_SnapshotDecode)->Unit(benchmark::kMillisecond);
+
+/// Fold the world's last day into the snapshot of the day before: a fresh
+/// copy of that snapshot per iteration, outside the timed region.
+void BM_AdvanceDay(benchmark::State& state) {
+  const pipeline::Result& world = pipeline_world();
+  const util::Day day = world.truth.archive_end;
+  const serve::Snapshot before = history::HistoryStore::rebuild_at(
+      world.restored, world.op_world.activity, day - 1);
+  const serve::DayDelta delta = history::HistoryStore::slice_day(
+      world.restored, world.op_world.activity, day);
+  for (auto _ : state) {
+    state.PauseTiming();
+    serve::Snapshot snapshot = before;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(snapshot.advance_day(delta).ok());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(delta.delegation.size()));
+}
+BENCHMARK(BM_AdvanceDay)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -4,6 +4,14 @@
 
 namespace pl::joint {
 
+bool is_dormant_awakening(std::int64_t dormancy, std::int64_t op_days,
+                          std::int64_t admin_days,
+                          const SquatDetectorConfig& config) noexcept {
+  return dormancy >= config.dormancy_days &&
+         static_cast<double>(op_days) / static_cast<double>(admin_days) <=
+             config.max_relative_duration;
+}
+
 std::vector<SquatCandidate> detect_dormant_squats(
     const Taxonomy& taxonomy, const lifetimes::AdminDataset& admin,
     const lifetimes::OpDataset& op, const SquatDetectorConfig& config) {
@@ -30,8 +38,8 @@ std::vector<SquatCandidate> detect_dormant_squats(
       const double relative =
           static_cast<double>(op_life.days.length()) /
           static_cast<double>(life.days.length());
-      if (dormancy >= config.dormancy_days &&
-          relative <= config.max_relative_duration)
+      if (is_dormant_awakening(dormancy, op_life.days.length(),
+                               life.days.length(), config))
         candidates.push_back(
             SquatCandidate{life.asn, o, a, dormancy, relative});
       previous_end = op_life.days.last;
@@ -59,11 +67,8 @@ void flag_asn_squats(std::span<const lifetimes::AdminLifetime> admin,
       if (overlap_admin != a || !life.days.contains(op[o].days)) continue;
       const std::int64_t dormancy =
           static_cast<std::int64_t>(op[o].days.first) - previous_end - 1;
-      const double relative = static_cast<double>(op[o].days.length()) /
-                              static_cast<double>(life.days.length());
-      if (dormancy >= config.dormancy_days &&
-          relative <= config.max_relative_duration)
-        out.dormant[o] = true;
+      out.dormant[o] = is_dormant_awakening(dormancy, op[o].days.length(),
+                                            life.days.length(), config);
       previous_end = op[o].days.last;
     }
   }

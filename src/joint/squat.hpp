@@ -30,6 +30,15 @@ struct SquatCandidate {
   double relative_duration = 0;
 };
 
+/// The 6.1.2 verdict for one op life inside a complete-overlap admin life:
+/// `dormancy` days of inactivity before it, and its `op_days` short next
+/// to the admin life's `admin_days`. Both detectors below and the serving
+/// layer's day fold (which re-checks it as open lives grow) decide through
+/// this one rule.
+bool is_dormant_awakening(std::int64_t dormancy, std::int64_t op_days,
+                          std::int64_t admin_days,
+                          const SquatDetectorConfig& config) noexcept;
+
 /// Run the detector over complete-overlap lives.
 std::vector<SquatCandidate> detect_dormant_squats(
     const Taxonomy& taxonomy, const lifetimes::AdminDataset& admin,

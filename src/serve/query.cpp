@@ -492,6 +492,8 @@ pl::Status QueryService::advance_day(const DayDelta& delta) {
   span.note("active", stats.active);
   span.note("touched_admin", stats.touched_admin);
   span.note("touched_op", stats.touched_op);
+  span.note("shifted_admin", stats.shifted_admin);
+  span.note("shifted_op", stats.shifted_op);
   metrics_.counter("pl_serve_advance_days").add(1);
   ++version_;
   record_metrics(snapshot_, metrics_);

@@ -12,13 +12,19 @@
 //
 // Construction happens once from pipeline output (`Snapshot::build`) or
 // from published Listing-1 datasets (`Snapshot::from_datasets`, query-only).
-// After that the snapshot only changes through `advance_day()`, which folds
-// ONE new delegation day plus ONE BGP activity day in place: it extends the
-// working set's restored spans and activity runs, then re-derives every row
-// from the working set. build(), advance_day() and the full at() share that
-// one derivation (the pipeline's lifetime builders, then classification
-// and detector flags), so an advanced snapshot is bit-identical to a build
-// over the extended world — DESIGN.md §11 catalogues why.
+// build() and the full at() reach their rows through one derivation over
+// the working set (the pipeline's lifetime builders, then classification
+// and detector flags). After that the snapshot only changes
+// through `advance_day()`, which folds ONE new delegation day plus ONE BGP
+// activity day in place and costs O(change), not O(ASNs): it extends the
+// working set's restored spans and activity runs, re-derives through the
+// per-ASN builders only the ASNs whose rows the day can change in more than
+// their open end (a span or run edit, a span that vanished, an elapsed-time
+// rule that flips), shifts the open ends of every other extended ASN to the
+// new day, and splices the re-derived rows and their index entries in. The
+// result is bit-identical to a build over the extended world — DESIGN.md §11
+// catalogues why, and checked builds compare every fold with a full
+// derivation.
 //
 // The working set only grows (advance_day extends the last span or appends
 // one, and activity only gains the new day), so it already holds every
@@ -132,8 +138,10 @@ struct AdvanceStats {
   std::int64_t active = 0;          ///< ASNs marked active
   std::int64_t inserted_spans = 0;  ///< facts that opened a new span
   std::int64_t inserted_runs = 0;   ///< active ASNs that opened a new run
-  std::int64_t touched_admin = 0;   ///< ASNs derived with admin lives
-  std::int64_t touched_op = 0;      ///< ASNs derived with op lives
+  std::int64_t touched_admin = 0;   ///< re-derived ASNs with admin lives
+  std::int64_t touched_op = 0;      ///< re-derived ASNs with op lives
+  std::int64_t shifted_admin = 0;   ///< ASNs whose open admin life moved on
+  std::int64_t shifted_op = 0;      ///< ASNs whose last op life moved on
 };
 
 /// at() accounting, surfaced as `serve.as_of` span notes by the QueryService.
@@ -217,8 +225,10 @@ class Snapshot {
   /// to `build()` over the extended inputs; on failure it is unchanged.
   /// A fact or active ASN that continues the trailing span or run extends
   /// it in place; the rest are merged into each touched table in one
-  /// linear pass. With `span`, each phase (`apply`, `lifetimes`,
-  /// `assemble`, `index`) opens a child of it noting what it touched.
+  /// linear pass. Only the ASNs the day changed in more than their open
+  /// end are derived again; the others' open lives are moved on to the new
+  /// day in place. With `span`, each phase (`apply`, `rederive`, `patch`,
+  /// `index`) opens a child of it noting what it touched.
   pl::Status advance_day(const DayDelta& delta, AdvanceStats* stats = nullptr,
                          obs::Span* span = nullptr);
 
@@ -265,11 +275,29 @@ class Snapshot {
   /// Why a cut at `day` is impossible, or OK.
   pl::Status check_cut(util::Day day) const;
 
-  /// The one derivation: every serving row and index from `*working_` at
-  /// `archive_end_`, through the pipeline's lifetime builders. Fills
-  /// `stats->touched_admin`/`touched_op` when given, and opens one child
-  /// span per phase under `span` when given.
-  void derive(AdvanceStats* stats = nullptr, obs::Span* span = nullptr);
+  /// The one full derivation: every serving row and index from `*working_`
+  /// at `archive_end_`, through the pipeline's lifetime builders.
+  void derive();
+
+  /// The rows (no indexes, no working set) of the ASNs `keys` (ascending,
+  /// no repeats) with the working set cut at `day`: each ASN's spans and
+  /// runs through the per-ASN builders. Adds the spans read to `*spans`.
+  Snapshot derive_rows(std::span<const std::uint32_t> keys, util::Day day,
+                       std::int64_t* spans = nullptr) const;
+
+  /// advance_day after `apply`: re-derive `rederive` (ascending ASNs, no
+  /// repeats) plus the extended ASNs an elapsed-time rule sends there,
+  /// move every other extended ASN's open lives on to `archive_end_`, and
+  /// splice the re-derived rows and their index entries in.
+  /// `extended_runs` lists the ASNs whose trailing run the day extended.
+  void fold(std::vector<std::uint32_t> rederive,
+            std::span<const std::uint32_t> extended_runs, AdvanceStats& stats,
+            obs::Span* span);
+
+  /// Whether moving this ASN's open admin life (and, with `op_extended`,
+  /// its last op life) on by one day can change more than those ends: a
+  /// best-overlap admin life or a dormant-squat verdict (DESIGN.md §11).
+  bool extension_changes_verdicts(const AsnRow& row, bool op_extended) const;
 
   /// Rows from life lists sorted by (asn, start).
   void assemble(std::span<const lifetimes::AdminLifetime> admin,

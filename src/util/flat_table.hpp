@@ -33,6 +33,46 @@ void append_clipped(std::span<const T> run, Day last_day, Days days,
   }
 }
 
+/// One run of a spliced array: `count` values from position `from` of the
+/// array itself (kept) or of the fresh values.
+struct SpliceRun {
+  bool fresh = false;
+  std::size_t from = 0;
+  std::size_t count = 0;
+};
+
+/// Rewrite `values` in place as the concatenation of `runs`, whose kept
+/// runs are ascending and disjoint. Kept runs that move down go front to
+/// back and those that move up back to front, so no run overwrites a kept
+/// one before that has moved; fresh runs go in last. A day's few edits
+/// thus cost one memmove of what lies after them, with no new buffer.
+template <typename T>
+void splice(std::vector<T>& values, std::span<const SpliceRun> runs,
+            std::span<const T> fresh) {
+  std::vector<std::size_t> to(runs.size());
+  std::size_t size = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    to[i] = size;
+    size += runs[i].count;
+  }
+  if (size > values.size()) values.resize(size);
+  const auto at = [&](std::size_t index) {
+    return values.begin() + static_cast<std::ptrdiff_t>(index);
+  };
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    if (!runs[i].fresh && to[i] < runs[i].from)
+      std::copy(at(runs[i].from), at(runs[i].from + runs[i].count), at(to[i]));
+  for (std::size_t i = runs.size(); i-- > 0;)
+    if (!runs[i].fresh && to[i] > runs[i].from)
+      std::copy_backward(at(runs[i].from), at(runs[i].from + runs[i].count),
+                         at(to[i] + runs[i].count));
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    if (runs[i].fresh)
+      std::copy_n(fresh.begin() + static_cast<std::ptrdiff_t>(runs[i].from),
+                  runs[i].count, at(to[i]));
+  values.resize(size);
+}
+
 /// One key's new value list for `FlatTable::replace`.
 template <typename T>
 struct FlatEdit {
@@ -81,11 +121,14 @@ struct FlatTable {
         std::lower_bound(keys.begin() + from, last, key) - keys.begin());
   }
 
-  /// The values of `key`; empty when the table does not hold it.
-  std::span<const T> find(std::uint32_t key) const noexcept {
-    const std::size_t i = lower_bound(key);
-    if (i == keys.size() || keys[i] != key) return {};
-    return row(i);
+  /// The values of `key`; empty when the table does not hold it. For a
+  /// walk over ascending keys: searches from `cursor` (0 for the first
+  /// key) and leaves it at the first key >= `key`.
+  std::span<const T> find(std::uint32_t key, std::size_t& cursor) const
+      noexcept {
+    cursor = lower_bound(key, cursor);
+    if (cursor == keys.size() || keys[cursor] != key) return {};
+    return row(cursor);
   }
 
   /// Append `key`, greater than every key so far, with `run` (nothing when
@@ -98,37 +141,53 @@ struct FlatTable {
   }
 
   /// Replace the values of every edited key, adding the keys the table does
-  /// not hold yet, in one linear pass. `edits` are ascending by key, one
-  /// per key, each with at least one value.
+  /// not hold yet, in place: the keys between two edits and their values
+  /// move as blocks (`splice`). `edits` are ascending by key, one per key,
+  /// each with at least one value.
   void replace(std::span<const FlatEdit<T>> edits) {
     if (edits.empty()) return;
-    std::size_t added = 0;
-    for (const FlatEdit<T>& edit : edits) added += edit.values.size();
-    FlatTable next;
-    next.keys.reserve(keys.size() + edits.size());
-    next.offsets.reserve(keys.size() + edits.size());
-    next.values.reserve(values.size() + added);
-    // Keys [from, to) are untouched: they move over as one block.
-    const auto copy_keys = [&](std::size_t from, std::size_t to) {
-      if (from == to) return;
-      const auto shift =
-          static_cast<std::uint32_t>(next.values.size() - offsets[from]);
-      next.keys.insert(next.keys.end(), keys.begin() + from,
-                       keys.begin() + to);
-      for (std::size_t k = from; k < to; ++k)
-        next.offsets.push_back(offsets[k] + shift);
-      next.values.insert(next.values.end(), values.begin() + offsets[from],
-                         values.begin() + end_of(to - 1));
-    };
+    // Runs over the keys (and offsets) and over the values, in step: a
+    // block of untouched keys, or one edited key with its new values.
+    std::vector<SpliceRun> key_runs;
+    std::vector<SpliceRun> value_runs;
+    std::vector<std::uint32_t> fresh_keys;
+    std::vector<T> fresh_values;
     std::size_t i = 0;
+    const auto keep_to = [&](std::size_t to) {
+      if (to == i) return;
+      key_runs.push_back({false, i, to - i});
+      value_runs.push_back({false, offsets[i], end_of(to - 1) - offsets[i]});
+      i = to;
+    };
     for (const FlatEdit<T>& edit : edits) {
       const std::size_t at = lower_bound(edit.key, i);
-      copy_keys(i, at);
-      next.push_back(edit.key, edit.values);
-      i = at < keys.size() && keys[at] == edit.key ? at + 1 : at;
+      keep_to(at);
+      key_runs.push_back({true, fresh_keys.size(), 1});
+      value_runs.push_back({true, fresh_values.size(), edit.values.size()});
+      fresh_keys.push_back(edit.key);
+      fresh_values.insert(fresh_values.end(), edit.values.begin(),
+                          edit.values.end());
+      if (at < keys.size() && keys[at] == edit.key) i = at + 1;
     }
-    copy_keys(i, keys.size());
-    *this = std::move(next);
+    keep_to(keys.size());
+    splice<std::uint32_t>(keys, key_runs, fresh_keys);
+    splice<T>(values, value_runs, fresh_values);
+    // An edited key's offset is where its values landed; an untouched
+    // block's offsets move with its values.
+    splice<std::uint32_t>(offsets, key_runs,
+                          std::vector<std::uint32_t>(fresh_keys.size()));
+    for (std::size_t r = 0, key = 0, value = 0; r < key_runs.size(); ++r) {
+      if (key_runs[r].fresh) {
+        offsets[key] = static_cast<std::uint32_t>(value);
+      } else if (value != value_runs[r].from) {
+        const auto shift =
+            static_cast<std::uint32_t>(value - value_runs[r].from);
+        for (std::size_t k = key; k < key + key_runs[r].count; ++k)
+          offsets[k] += shift;
+      }
+      key += key_runs[r].count;
+      value += value_runs[r].count;
+    }
   }
 
   /// The table cut at `last_day` (see `append_clipped`); keys left with no

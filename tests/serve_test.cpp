@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -465,36 +468,122 @@ TEST(QueryService, DuplicateFactChecksOneRegistryAtATime) {
   EXPECT_NE(service.snapshot().find(first.asn), nullptr);
 }
 
+/// The state a registry's spans give an ASN on `day`; nullopt when the
+/// registry did not list it that day.
+std::optional<dele::RecordState> state_on(
+    const std::vector<restore::StateSpan>& spans, util::Day day) {
+  for (const restore::StateSpan& span : spans)
+    if (span.days.contains(day)) return span.state;
+  return std::nullopt;
+}
+
 TEST(QueryService, AdvanceDayTracesEachPhase) {
   const pipeline::Result result = small_pipeline();
-  QueryService service(small_snapshot(result));
-  DayDelta delta = history::HistoryStore::slice_day(
-      result.restored, result.op_world.activity, result.truth.archive_end);
-  delta.day = result.truth.archive_end + 1;
+  const util::Day day = result.truth.archive_end;
+  const bgp::ActivityTable& activity = result.op_world.activity;
+  const Snapshot before =
+      history::HistoryStore::rebuild_at(result.restored, activity, day - 1);
+  QueryService service(before);
+  const DayDelta delta =
+      history::HistoryStore::slice_day(result.restored, activity, day);
   ASSERT_TRUE(service.advance_day(delta).ok());
+  const Snapshot& after = service.snapshot();
+  EXPECT_TRUE(after == small_snapshot(result));
   if (!obs::kEnabled) return;  // obs-off: report is empty by design
 
   const obs::Report report = service.report();
   const obs::TraceNode* advance = report.trace.child("serve.advance_day");
   ASSERT_NE(advance, nullptr);
   ASSERT_EQ(advance->children.size(), 4u);
-  const char* const phases[] = {"apply", "lifetimes", "assemble", "index"};
+  const char* const phases[] = {"apply", "rederive", "patch", "index"};
   for (std::size_t i = 0; i < 4; ++i)
     EXPECT_EQ(advance->children[i].name, phases[i]);
 
-  const Snapshot& snapshot = service.snapshot();
-  EXPECT_EQ(advance->child("apply")->note_value("facts"),
+  // The ASNs the fold must derive again, from the world and the two
+  // snapshots by DESIGN.md §11's rules rather than read back from the fold:
+  // a registry state that changed, started or vanished today, a run that
+  // started today, and an open life whose extension flips a verdict.
+  const auto active = [&](asn::Asn asn, util::Day on) {
+    const auto it = activity.entries().find(asn);
+    return it != activity.entries().end() && it->second.contains(on);
+  };
+  std::set<std::uint32_t> rederived;
+  for (const restore::RestoredRegistry& registry : result.restored.registries)
+    for (const auto& [asn_value, spans] : registry.spans)
+      if (state_on(spans, day) != state_on(spans, day - 1))
+        rederived.insert(asn_value);
+  for (const auto& [asn, days] : activity.entries())
+    if (days.contains(day) && !days.contains(day - 1))
+      rederived.insert(asn.value);
+  const auto dormant_bits = [](const Snapshot& snap, const AsnRow& row) {
+    std::vector<bool> bits;
+    for (const OpLifeRow& life : snap.op_lives(row))
+      bits.push_back(life.dormant_squat);
+    return bits;
+  };
+  const auto open = [&](const AsnRow& row) {
+    const std::span<const AdminLifeRow> lives = before.admin_lives(row);
+    return !lives.empty() && lives.back().life.days.last == day - 1;
+  };
+  const auto op_extended = [&](const AsnRow& row) {
+    return row.op_count > 0 && active(row.asn, day - 1) && active(row.asn, day);
+  };
+  for (const AsnRow& row : before.rows()) {
+    if (rederived.contains(row.asn.value) || !open(row)) continue;
+    const std::span<const AdminLifeRow> admin = before.admin_lives(row);
+    const bool second_overlap =
+        op_extended(row) && admin.size() > 1 &&
+        util::overlap_days(admin[admin.size() - 2].life.days,
+                           before.op_lives(row).back().life.days) > 0;
+    if (second_overlap || dormant_bits(before, row) !=
+                              dormant_bits(after, *after.find(row.asn)))
+      rederived.insert(row.asn.value);
+  }
+  std::int64_t shifted_admin = 0;
+  std::int64_t shifted_op = 0;
+  for (const AsnRow& row : before.rows()) {
+    if (rederived.contains(row.asn.value)) continue;
+    shifted_admin += open(row);
+    shifted_op += op_extended(row);
+  }
+  std::int64_t touched_admin = 0;
+  std::int64_t touched_op = 0;
+  std::int64_t admin_lives = 0;
+  std::int64_t op_lives = 0;
+  for (const std::uint32_t asn_value : rederived) {
+    const AsnRow* row = after.find(asn::Asn{asn_value});
+    if (row == nullptr) continue;
+    touched_admin += row->admin_count > 0;
+    touched_op += row->op_count > 0;
+    admin_lives += row->admin_count;
+    op_lives += row->op_count;
+  }
+  // A real day exercises both kinds of ASN.
+  EXPECT_GT(rederived.size(), 0u);
+  EXPECT_GT(shifted_admin, 0);
+  EXPECT_GT(shifted_op, 0);
+
+  const obs::TraceNode* apply = advance->child("apply");
+  EXPECT_EQ(apply->note_value("facts"),
             static_cast<std::int64_t>(delta.delegation.size()));
-  EXPECT_EQ(advance->child("apply")->note_value("active"),
+  EXPECT_EQ(apply->note_value("active"),
             static_cast<std::int64_t>(delta.active.size()));
-  EXPECT_EQ(advance->child("lifetimes")->note_value("admin_lives"),
-            static_cast<std::int64_t>(snapshot.admin_life_count()));
-  EXPECT_EQ(advance->child("lifetimes")->note_value("op_lives"),
-            static_cast<std::int64_t>(snapshot.op_life_count()));
-  EXPECT_EQ(advance->child("assemble")->note_value("rows"),
-            static_cast<std::int64_t>(snapshot.asn_count()));
+  const obs::TraceNode* rederive = advance->child("rederive");
+  EXPECT_EQ(rederive->note_value("asns"),
+            static_cast<std::int64_t>(rederived.size()));
+  EXPECT_EQ(rederive->note_value("admin_lives"), admin_lives);
+  EXPECT_EQ(rederive->note_value("op_lives"), op_lives);
+  const obs::TraceNode* patch = advance->child("patch");
+  EXPECT_EQ(patch->note_value("shifted_admin"), shifted_admin);
+  EXPECT_EQ(patch->note_value("shifted_op"), shifted_op);
+  EXPECT_EQ(patch->note_value("rows"),
+            static_cast<std::int64_t>(after.asn_count()));
   EXPECT_EQ(advance->child("index")->note_value("countries"),
-            static_cast<std::int64_t>(snapshot.rows_by_country().size()));
+            static_cast<std::int64_t>(after.rows_by_country().size()));
+  EXPECT_EQ(advance->note_value("touched_admin"), touched_admin);
+  EXPECT_EQ(advance->note_value("touched_op"), touched_op);
+  EXPECT_EQ(advance->note_value("shifted_admin"), shifted_admin);
+  EXPECT_EQ(advance->note_value("shifted_op"), shifted_op);
 }
 
 TEST(QueryService, AdvanceBumpsVersionAndServesFoldedDay) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <bitset>
+#include <cstdint>
+#include <map>
+#include <vector>
 
+#include "util/flat_table.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
 
@@ -133,6 +137,63 @@ TEST_P(IntervalSetModel, MatchesBitsetModel) {
   for (Day d = 0; d < kUniverse; ++d)
     EXPECT_EQ(set.contains(d), model.test(static_cast<std::size_t>(d)))
         << "day " << d;
+}
+
+TEST(Splice, KeptRunsMoveBothWaysAroundFreshOnes) {
+  // Kept runs that move down, stay and move up, with fresh values between
+  // them and three values dropped: each lands where the concatenation puts
+  // it.
+  std::vector<int> values = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const std::vector<int> fresh = {100, 101, 102};
+  const std::vector<SpliceRun> runs = {
+      {false, 1, 1},  // 1 moves down
+      {true, 0, 2},   // 100 101
+      {false, 3, 2},  // 3 4 stay
+      {true, 2, 1},   // 102
+      {false, 5, 2},  // 5 6 move up over the dropped 7
+      {false, 8, 2},  // 8 9 stay
+  };
+  splice<int>(values, runs, fresh);
+  EXPECT_EQ(values, (std::vector<int>{1, 100, 101, 3, 4, 102, 5, 6, 8, 9}));
+}
+
+/// The table holding `lists` (each non-empty), built key by key.
+FlatTable<int> table_of(
+    const std::map<std::uint32_t, std::vector<int>>& lists) {
+  FlatTable<int> table;
+  for (const auto& [key, values] : lists) table.push_back(key, values);
+  return table;
+}
+
+TEST(FlatTable, ReplaceInPlaceMatchesARebuild) {
+  // Random tables and random edits (replaced rows, longer or shorter, and
+  // new keys anywhere): the table edited in place equals the one built
+  // from the edited lists.
+  Rng rng(17);
+  for (int round = 0; round < 200; ++round) {
+    std::map<std::uint32_t, std::vector<int>> lists;
+    const auto random_list = [&] {
+      std::vector<int> list(static_cast<std::size_t>(rng.uniform(1, 4)));
+      for (int& value : list) value = static_cast<int>(rng.uniform(0, 999));
+      return list;
+    };
+    const std::int64_t keys = rng.uniform(0, 30);
+    for (std::int64_t k = 0; k < keys; ++k)
+      lists[static_cast<std::uint32_t>(rng.uniform(0, 60))] = random_list();
+    FlatTable<int> table = table_of(lists);
+
+    std::map<std::uint32_t, std::vector<int>> edited;
+    const std::int64_t edits = rng.uniform(0, 8);
+    for (std::int64_t e = 0; e < edits; ++e)
+      edited[static_cast<std::uint32_t>(rng.uniform(0, 60))] = random_list();
+    std::vector<FlatEdit<int>> changes;
+    for (const auto& [key, values] : edited) {
+      changes.push_back({key, values});
+      lists[key] = values;
+    }
+    table.replace(changes);
+    ASSERT_TRUE(table == table_of(lists)) << "round " << round;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetModel,
